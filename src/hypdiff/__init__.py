@@ -4,7 +4,7 @@ from .ball import Curvature
 from .diffusion import EmbeddingState, ResidualSpec, run_diffusion
 from .diffusivity import AttentionParams, DiffusivityConfig, DiffusivityMatrix, OrcResult
 from .graphs import Graph
-from .solvers import SolverSpec, Trajectory
+from .solvers import SolverSpec
 
 __all__ = [
     "AttentionParams",
@@ -16,7 +16,6 @@ __all__ = [
     "OrcResult",
     "ResidualSpec",
     "SolverSpec",
-    "Trajectory",
     "run_diffusion",
 ]
 

@@ -44,6 +44,10 @@ class Curvature:
         return 1.0 / np.sqrt(-self.kappa)
 
 
+class NonFiniteError(ValueError):
+    """Raised when a coordinate or scalar handed to the kernel is NaN or inf."""
+
+
 def _kappa_value(kappa) -> float:
     k = kappa.kappa if isinstance(kappa, Curvature) else float(kappa)
     if not np.isfinite(k) or k >= 0.0:
@@ -61,14 +65,18 @@ def _lambda(x: np.ndarray, k: float) -> np.ndarray:
 
 
 def project_to_ball(x: np.ndarray, kappa) -> np.ndarray:
-    """Rescale x onto radius (1 - eps) * R whenever it lies outside it.
+    """Rescale each row of x whose norm exceeds r = (1 - eps) * R onto radius r.
 
-    Identity for interior points, idempotent, raises on non-finite input.
+    Rows with norm <= r come back bitwise unchanged.  A clamped row is x
+    times the float64 quotient r / |x|, so its norm equals r only up to a few
+    ulps and may lie slightly above r; projecting it again can therefore
+    move it by a few more ulps (the map is idempotent up to rounding, not
+    bitwise).  Raises :class:`NonFiniteError` on non-finite input.
     """
     k = _kappa_value(kappa)
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite coordinates")
+        raise NonFiniteError("non-finite coordinates")
     max_norm = (1.0 - BOUNDARY_EPS) / np.sqrt(-k)
     n = _norm(x)
     factor = np.where(n > max_norm, max_norm / np.where(n == 0.0, 1.0, n), 1.0)
@@ -104,7 +112,7 @@ def mobius_scalar(r: float, x: np.ndarray, kappa) -> np.ndarray:
     """
     k = _kappa_value(kappa)
     if not np.all(np.isfinite(r)):
-        raise ValueError("non-finite scalar")
+        raise NonFiniteError("non-finite scalar")
     x = np.asarray(x, dtype=np.float64)
     sq = np.sqrt(-k)
     n = _norm(x)

@@ -113,9 +113,8 @@ def _writeback(cfg: dict, residual, wall: float, out_dir: str):
     payload = dict(cfg)
     payload["residual_eta"] = list(residual.eta) if residual else None
     payload["wall_time_s"] = wall
-    with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    graphio.atomic_write(os.path.join(out_dir, "run.json"), text)
 
 
 def cmd_diffuse(args) -> int:
@@ -167,7 +166,7 @@ def cmd_convergence(args) -> int:
     lines.extend(
         f"{m},{tau:.17g},{err:.17g},{order:.17g}" for m, tau, err, order in rows
     )
-    graphio._atomic_write(os.path.join(out_dir, "convergence.csv"), "\n".join(lines) + "\n")
+    graphio.atomic_write(os.path.join(out_dir, "convergence.csv"), "\n".join(lines) + "\n")
     return 0
 
 

@@ -229,18 +229,22 @@ def run_diffusion(
     residual: Optional[ResidualSpec] = None,
     sigma: str = "identity",
 ) -> Tuple[EmbeddingState, EnergyTrace]:
-    """Integrate the diffusion flow and record energy at every grid point."""
+    """Integrate the diffusion flow and record energy at every grid point.
+
+    Energies are computed as the solver reaches each grid point, so memory
+    does not grow with the horizon.
+    """
     if z0.n != g.n:
         raise ValueError(f"state has {z0.n} rows but graph has {g.n} nodes")
     kappa = z0.curvature
     flow = build_flow(
         g, dcfg, z0.dim, kappa, sigma=sigma, residual=residual, z0=z0.points,
     )
-    record_spec = solvers.SolverSpec(
-        method=spec.method, tau=spec.tau, t_final=spec.t_final,
-        s_min=spec.s_min, s_max=spec.s_max, record_trace=True,
-    )
-    final, traj = solvers.solve(z0.points, flow, record_spec, kappa)
-    energies = [(t, dirichlet_energy(state, g, kappa)) for t, state in zip(traj.times, traj.states)]
+    energies: EnergyTrace = []
+
+    def observe(t: float, state: np.ndarray):
+        energies.append((t, dirichlet_energy(state, g, kappa)))
+
+    final = solvers.solve(z0.points, flow, spec, kappa, observe=observe)
     state = EmbeddingState(points=final, curvature=kappa, t=spec.t_final)
     return state, energies

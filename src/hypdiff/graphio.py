@@ -23,7 +23,8 @@ from .graphs import Graph
 KNN_METRICS = ("euclidean", "cosine")
 
 
-def _atomic_write(path: str, text: str):
+def atomic_write(path: str, text: str):
+    """Write text to path through a temporary file and an atomic rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -76,7 +77,7 @@ def save_edge_list(path: str, g: Graph):
     """Write a Graph so that load_edge_list round-trips it exactly."""
     lines = [f"# nodes={g.n}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_features(path: str) -> np.ndarray:
@@ -106,14 +107,14 @@ def save_matrix_csv(path: str, matrix: np.ndarray):
     """Write a float matrix as headerless CSV with round-trippable precision."""
     matrix = np.atleast_2d(np.asarray(matrix))
     lines = [",".join(f"{x:.17g}" for x in row) for row in matrix]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def save_energy_csv(path: str, trace):
     """Write an energy trace as `t,energy` CSV."""
     lines = ["t,energy"]
     lines.extend(f"{t:.17g},{e:.17g}" for t, e in trace)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def save_orc_csv(path: str, orc):
@@ -123,7 +124,7 @@ def save_orc_csv(path: str, orc):
         f"{u},{v},{k:.17g},{w:.17g}"
         for (u, v), k, w in zip(orc.edges, orc.curvature, orc.wasserstein)
     )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def knn_graph(features: np.ndarray, k: int, metric: str = "euclidean") -> Graph:

@@ -24,14 +24,15 @@ overshooting step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import ball
 
 FlowFn = Callable[[np.ndarray, float], np.ndarray]
+ObserveFn = Callable[[float, np.ndarray], None]
 
 METHODS = ("heuler", "hrk4", "ham")
 
@@ -50,8 +51,9 @@ AM_COEFFS = {
     4: (9.0 / 24.0, 19.0 / 24.0, -5.0 / 24.0, 1.0 / 24.0),
 }
 
-# Runge-Kutta weights; normalized at use ("normalize" is a no-op safety net).
+# Runge-Kutta 3/8-rule weights {1, 3, 3, 1} / 8; the quotients are exact.
 RK4_WEIGHTS = (1.0, 3.0, 3.0, 1.0)
+_RK4_W = tuple(w / sum(RK4_WEIGHTS) for w in RK4_WEIGHTS)
 
 for _rows in (AB_COEFFS, AM_COEFFS):
     for _order, _row in _rows.items():
@@ -76,7 +78,6 @@ class SolverSpec:
     t_final: float = 1.0
     s_min: int = 2
     s_max: int = 4
-    record_trace: bool = True
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -89,20 +90,6 @@ class SolverSpec:
             raise ValueError("tau must not exceed the horizon")
         if not (1 <= self.s_min <= self.s_max <= 4):
             raise ValueError("orders must satisfy 1 <= s_min <= s_max <= 4")
-
-
-@dataclass
-class Trajectory:
-    """Recorded (t, state) pairs, strictly increasing in t from 0 to T."""
-
-    times: List[float] = field(default_factory=list)
-    states: List[np.ndarray] = field(default_factory=list)
-
-    def append(self, t: float, state: np.ndarray):
-        if self.times and t <= self.times[-1]:
-            raise ValueError("trajectory times must be strictly increasing")
-        self.times.append(t)
-        self.states.append(state)
 
 
 def geodesic_interpolate(x: np.ndarray, y: np.ndarray, ratio: float, kappa) -> np.ndarray:
@@ -137,8 +124,6 @@ def hrk4_step(h: np.ndarray, t: float, tau: float, flow: FlowFn, kappa) -> np.nd
 
 
 def _hrk4_field(h: np.ndarray, t: float, tau: float, flow: FlowFn, kappa) -> np.ndarray:
-    w = np.asarray(RK4_WEIGHTS) / np.sum(RK4_WEIGHTS)
-
     def stage(u: np.ndarray, ts: float) -> np.ndarray:
         return _field(h, ball.exp_map(h, u, kappa), ts, flow, kappa)
 
@@ -146,7 +131,7 @@ def _hrk4_field(h: np.ndarray, t: float, tau: float, flow: FlowFn, kappa) -> np.
     g2 = stage(tau * g1 / 3.0, t + tau / 3.0)
     g3 = stage(tau * (-g1 / 3.0 + g2), t + 2.0 * tau / 3.0)
     g4 = stage(tau * (g1 - g2 + g3), t + tau)
-    return w[0] * g1 + w[1] * g2 + w[2] * g3 + w[3] * g4
+    return _RK4_W[0] * g1 + _RK4_W[1] * g2 + _RK4_W[2] * g3 + _RK4_W[3] * g4
 
 
 def _grid(tau: float, t_final: float) -> Tuple[int, bool]:
@@ -157,12 +142,20 @@ def _grid(tau: float, t_final: float) -> Tuple[int, bool]:
     return int(np.floor(t_final / tau)), True
 
 
-def solve(h0: np.ndarray, flow: FlowFn, spec: SolverSpec, kappa) -> Tuple[np.ndarray, Trajectory]:
+def solve(
+    h0: np.ndarray, flow: FlowFn, spec: SolverSpec, kappa,
+    observe: Optional[ObserveFn] = None,
+) -> np.ndarray:
     """Integrate the flow from t=0 to t=spec.t_final on the tau-grid.
 
-    Returns the final state and the trajectory at grid points {0, tau, ...}.
-    When the horizon is not a grid point, the last full step is cut back by
-    geodesic interpolation with ratio (T - t)/tau.
+    Returns the final state.  When the horizon is not a grid point, the last
+    full step is cut back by geodesic interpolation with ratio (T - t)/tau.
+
+    ``observe(t, state)``, when given, is called at t=0, after every full
+    step at t = tau, 2 tau, ..., and once more at t=T if the last step was
+    interpolated.  ``state`` is read-only: the solver never writes to a state
+    in place, so an observer may keep the reference, and it must not write
+    to it either, because ``ham`` keeps earlier states in its slope queue.
     """
     h = ball.project_to_ball(np.asarray(h0, dtype=np.float64), kappa)
     n_full, partial = _grid(spec.tau, spec.t_final)
@@ -170,37 +163,28 @@ def solve(h0: np.ndarray, flow: FlowFn, spec: SolverSpec, kappa) -> Tuple[np.nda
         raise ValueError(
             f"ham needs at least s_min={spec.s_min} full steps before T, got {n_full}"
         )
-    traj = Trajectory()
-    if spec.record_trace:
-        traj.append(0.0, h.copy())
-
+    observe = observe or (lambda t, state: None)
+    observe(0.0, h)
     queue: List[Tuple[np.ndarray, np.ndarray]] = []  # head first: (tangent, base)
     if spec.method == "ham":
         queue.append((_field(h, h, 0.0, flow, kappa), h))
 
     for i in range(n_full):
-        t = i * spec.tau
-        h_next = _checked_advance(h, t, spec, flow, kappa, i, queue)
-        h = h_next
-        if spec.record_trace:
-            traj.append((i + 1) * spec.tau, h.copy())
+        h = _checked_advance(h, i * spec.tau, spec, flow, kappa, i, queue)
+        observe((i + 1) * spec.tau, h)
 
     if partial:
         t = n_full * spec.tau
         overshoot = _checked_advance(h, t, spec, flow, kappa, n_full, queue)
-        delta = spec.t_final - t
-        h = geodesic_interpolate(h, overshoot, delta / spec.tau, kappa)
-        if spec.record_trace:
-            traj.append(spec.t_final, h.copy())
-    return h, traj
+        h = geodesic_interpolate(h, overshoot, (spec.t_final - t) / spec.tau, kappa)
+        observe(spec.t_final, h)
+    return h
 
 
 def _checked_advance(h, t, spec, flow, kappa, step_index, queue):
     try:
         h_next = _advance(h, t, spec, flow, kappa, step_index, queue)
-    except (FloatingPointError, ValueError) as exc:
-        if "non-finite" not in str(exc):
-            raise
+    except (ball.NonFiniteError, FloatingPointError) as exc:
         raise NonFiniteStateError(step_index, t) from exc
     _check_finite(h_next, step_index, t)
     return h_next
@@ -316,8 +300,8 @@ def convergence_study(methods, taus, kappa=-1.0, t_final=1.0):
     for method in methods:
         errors = []
         for tau in taus:
-            spec = SolverSpec(method=method, tau=tau, t_final=t_final, record_trace=False)
-            h, _ = solve(h0, flow, spec, kappa)
+            spec = SolverSpec(method=method, tau=tau, t_final=t_final)
+            h = solve(h0, flow, spec, kappa)
             errors.append(float(ball.distance(h, exact, kappa)))
         order = float(np.polyfit(np.log(taus), np.log(errors), 1)[0])
         rows.extend((method, tau, err, order) for tau, err in zip(taus, errors))

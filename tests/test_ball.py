@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hypdiff import ball
 from hypdiff.ball import (
@@ -328,6 +330,47 @@ class TestProject:
         x = np.array([200.0, 0.0])
         out = project_to_ball(x, -0.25)  # radius 2
         assert np.linalg.norm(out) == pytest.approx(2.0 * (1.0 - ball.BOUNDARY_EPS))
+
+    def test_non_finite_input_raises_typed_error(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ball.NonFiniteError):
+                project_to_ball(np.array([0.1, bad]), K1)
+        with pytest.raises(ball.NonFiniteError):
+            mobius_scalar(np.nan, np.array([0.1, 0.2]), K1)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        log_scale=st.floats(-8.0, float(np.log10(4.0))),
+        coords=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=16),
+            elements=st.floats(-1.5, 1.5),
+        ),
+    )
+    @example(log_scale=-8.0, coords=np.array([[1.5, -1.5], [0.1, 0.2]]))
+    @example(log_scale=float(np.log10(4.0)), coords=np.array([[0.0, 1.5, 0.3], [0.2, 0.1, 0.0]]))
+    def test_contract_property(self, log_scale, coords):
+        """Interior rows are returned bitwise; clamped rows sit on the limit
+        and move under re-projection only by rounding.
+
+        First-order rounding analysis with u = eps / 2: the computed row norm
+        of a d-vector has relative error <= (d/2 + 1) u, the quotient and the
+        product add u each, so a clamped row's norm is within (d + 4) u of
+        the limit when measured, and re-projection moves it by at most
+        (d + 6) u relative to the limit.  Both fit in (d/2 + 3) eps.
+        """
+        kappa = -min(10.0 ** log_scale, 4.0)
+        x = coords / np.sqrt(-kappa)
+        limit = (1.0 - ball.BOUNDARY_EPS) / np.sqrt(-kappa)
+        tol = (x.shape[-1] / 2.0 + 3.0) * np.finfo(np.float64).eps
+        once = project_to_ball(x, kappa)
+        twice = project_to_ball(once, kappa)
+        inside = np.linalg.norm(x, axis=-1) <= limit
+        np.testing.assert_array_equal(once[inside], x[inside])
+        radii = np.linalg.norm(once[~inside], axis=-1) / limit
+        assert np.all(np.abs(radii - 1.0) <= tol)
+        moved = np.linalg.norm(twice - once, axis=-1) / limit
+        assert np.all(moved <= tol)
 
 
 class TestDlog:

@@ -89,6 +89,19 @@ class TestDiffuse:
         assert run("diffuse", "--out", str(tmp_path), "--T", "4") == 2
         assert "step 3" in capsys.readouterr().err
 
+    def test_run_json_write_failure_keeps_previous_file(self, tmp_path):
+        from hypdiff import cli
+
+        out = tmp_path / "run"
+        assert run("diffuse", "--out", str(out), "--T", "1") == 0
+        before = (out / "run.json").read_bytes()
+        cfg = json.loads(before)
+        cfg["zz_unserializable"] = object()  # sorts last, fails mid-document
+        with pytest.raises(TypeError):
+            cli._writeback(cfg, None, 0.0, str(out))
+        assert (out / "run.json").read_bytes() == before
+        assert not list(out.glob("*.tmp"))
+
     def test_features_drive_dimension(self, tmp_path):
         feats = tmp_path / "f.csv"
         rows = "\n".join("0.01,0.02,0.03" for _ in range(34))

@@ -1,5 +1,7 @@
 """Diffusion flows, residual blending, Dirichlet energy, and full runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,26 @@ class TestRunDiffusion:
             final, trace = run_diffusion(z0, g, dcfg, spec)
             assert np.linalg.norm(final.points, axis=1).max() <= limit
             assert all(np.isfinite(e) for _, e in trace)
+
+    def test_memory_does_not_grow_with_horizon(self):
+        # 28 more grid states at T=32 than at T=4; a run that kept them
+        # would exceed the T=4 peak by 28 states, far beyond the margin
+        n, dim = 500, 16
+        g = erdos_renyi(n, 4.0 / n, seed=1)
+        z0 = initial_state(n, dim, K1, seed=1)
+        dcfg = DiffusivityConfig(scheme="isotropic")
+        margin = 4 * z0.points.nbytes
+        peaks = {}
+        for t_final in (4.0, 32.0):
+            spec = SolverSpec(method="heuler", tau=1.0, t_final=t_final)
+            tracemalloc.start()
+            try:
+                _, trace = run_diffusion(z0, g, dcfg, spec)
+                peaks[t_final] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(trace) == int(t_final) + 1
+        assert peaks[32.0] <= peaks[4.0] + margin, peaks
 
     def test_node_count_mismatch(self):
         g = erdos_renyi(5, 0.5, seed=1)

@@ -28,6 +28,18 @@ def identity_flow(h, t):
     return h
 
 
+def observed(h0, flow, spec, kappa):
+    """Run solve and return (final, times, states) collected through observe."""
+    times, states = [], []
+
+    def observe(t, state):
+        times.append(t)
+        states.append(state)
+
+    final = solve(h0, flow, spec, kappa, observe=observe)
+    return final, times, states
+
+
 class TestCoefficients:
     def test_rows_sum_to_one(self):
         for table in (AB_COEFFS, AM_COEFFS):
@@ -107,15 +119,16 @@ class TestHRK4:
         v0 = np.array([0.3, 0.2, -0.1, 0.1])
         flow = geodesic_flow(h0, v0, K1)
         spec = SolverSpec(method="hrk4", tau=0.25, t_final=1.0)
-        final, _ = solve(h0, flow, spec, K1)
+        final = solve(h0, flow, spec, K1)
         assert ball.distance(final, ball.exp_map(h0, v0, K1), K1) < 1e-12
 
 
 class TestHAM:
     def test_identity_flow_constant_trajectory(self):
         spec = SolverSpec(method="ham", tau=1.0, t_final=6.0)
-        final, traj = solve(H0, identity_flow, spec, K1)
-        for state in traj.states:
+        _, _, states = observed(H0, identity_flow, spec, K1)
+        assert len(states) == 7
+        for state in states:
             np.testing.assert_allclose(state, H0, atol=1e-13)
 
     def test_warmup_prefix_equals_hrk4_bitwise(self):
@@ -127,13 +140,13 @@ class TestHAM:
 
         s_min = 3
         spec = SolverSpec(method="ham", tau=0.25, t_final=2.0, s_min=s_min)
-        _, traj_ham = solve(H0, flow, spec, K1)
+        _, times_ham, states_ham = observed(H0, flow, spec, K1)
         spec_rk = SolverSpec(method="hrk4", tau=0.25, t_final=2.0)
-        _, traj_rk = solve(H0, flow, spec_rk, K1)
+        _, times_rk, states_rk = observed(H0, flow, spec_rk, K1)
         for i in range(s_min + 1):
-            assert traj_ham.times[i] == traj_rk.times[i]
-            np.testing.assert_array_equal(traj_ham.states[i], traj_rk.states[i])
-        assert not np.array_equal(traj_ham.states[s_min + 1], traj_rk.states[s_min + 1])
+            assert times_ham[i] == times_rk[i]
+            np.testing.assert_array_equal(states_ham[i], states_rk[i])
+        assert not np.array_equal(states_ham[s_min + 1], states_rk[s_min + 1])
 
     def test_flat_limit_matches_classical_abm(self):
         kflat = -1e-8
@@ -149,7 +162,7 @@ class TestHAM:
 
         y0 = np.array([0.1, -0.15, 0.2])
         spec = SolverSpec(method="ham", tau=0.25, t_final=2.0, s_min=2, s_max=4)
-        final, _ = solve(y0, flow, spec, kflat)
+        final = solve(y0, flow, spec, kflat)
         want = abm_pec_solve(y0, field, 2.0, 0.25, s_min=2, s_max=4)
         np.testing.assert_allclose(final, want, atol=1e-6)
 
@@ -214,8 +227,8 @@ class TestInterpolation:
 class TestSolve:
     def test_grid_timestamps_exact_multiple(self):
         spec = SolverSpec(method="heuler", tau=0.5, t_final=2.0)
-        _, traj = solve(H0, identity_flow, spec, K1)
-        assert traj.times == [0.0, 0.5, 1.0, 1.5, 2.0]
+        _, times, _ = observed(H0, identity_flow, spec, K1)
+        assert times == [0.0, 0.5, 1.0, 1.5, 2.0]
 
     def test_partial_final_step_interpolates(self):
         rng = np.random.default_rng(5)
@@ -225,9 +238,10 @@ class TestSolve:
             return ball.exp_map(h, h @ a.T, K1)
 
         spec = SolverSpec(method="heuler", tau=1.0, t_final=1.5)
-        final, traj = solve(H0, flow, spec, K1)
-        assert traj.times == [0.0, 1.0, 1.5]
-        h1 = traj.states[1]
+        final, times, states = observed(H0, flow, spec, K1)
+        assert times == [0.0, 1.0, 1.5]
+        np.testing.assert_array_equal(states[-1], final)
+        h1 = states[1]
         overshoot = heuler_step(h1, 1.0, 1.0, flow, K1)
         np.testing.assert_array_equal(
             final, geodesic_interpolate(h1, overshoot, 0.5, K1)
@@ -243,9 +257,9 @@ class TestSolve:
             return ball.exp_map(h, h @ a.T + 0.5, K1)
 
         spec = SolverSpec(method="hrk4", tau=0.5, t_final=8.0)
-        _, traj = solve(H0, flow, spec, K1)
+        _, _, states = observed(H0, flow, spec, K1)
         limit = (1.0 - ball.BOUNDARY_EPS) / np.sqrt(-K1)
-        for state in traj.states:
+        for state in states:
             assert np.linalg.norm(state, axis=-1).max() <= limit * (1 + 1e-12)
 
     def test_nonfinite_abort_carries_step_index(self):
@@ -259,10 +273,41 @@ class TestSolve:
             solve(H0, flow, spec, K1)
         assert err.value.step_index == 2
 
-    def test_trace_can_be_disabled(self):
-        spec = SolverSpec(method="heuler", tau=1.0, t_final=2.0, record_trace=False)
-        _, traj = solve(H0, identity_flow, spec, K1)
-        assert traj.times == []
+    def test_plain_value_error_propagates(self):
+        def flow(h, t):
+            raise ValueError("non-finite looking message from the flow")
+
+        spec = SolverSpec(method="heuler", tau=1.0, t_final=2.0)
+        with pytest.raises(ValueError) as err:
+            solve(H0, flow, spec, K1)
+        assert type(err.value) is ValueError
+        assert "from the flow" in str(err.value)
+
+    def test_floating_point_error_becomes_nonfinite_state(self):
+        def flow(h, t):
+            if t > 1.0:  # first reached by a stage of step 1
+                raise FloatingPointError("overflow encountered in multiply")
+            return h
+
+        spec = SolverSpec(method="hrk4", tau=1.0, t_final=3.0)
+        with pytest.raises(NonFiniteStateError) as err:
+            solve(H0, flow, spec, K1)
+        assert err.value.step_index == 1
+        assert isinstance(err.value.__cause__, FloatingPointError)
+
+    def test_observer_does_not_change_result(self):
+        rng = np.random.default_rng(7)
+        a = 0.4 * rng.standard_normal((4, 4))
+
+        def flow(h, t):
+            return ball.exp_map(h, h @ a.T, K1)
+
+        for method in ("heuler", "hrk4", "ham"):
+            spec = SolverSpec(method=method, tau=0.25, t_final=1.6)
+            plain = solve(H0, flow, spec, K1)
+            final, times, _ = observed(H0, flow, spec, K1)
+            np.testing.assert_array_equal(final, plain)
+            assert times == [0.25 * i for i in range(7)] + [1.6]
 
     def test_flow_shape_mismatch(self):
         def bad_flow(h, t):
@@ -272,11 +317,3 @@ class TestSolve:
         with pytest.raises(ValueError, match="shape"):
             solve(H0, bad_flow, spec, K1)
 
-
-class TestTrajectory:
-    def test_times_strictly_increasing(self):
-        traj = solvers.Trajectory()
-        traj.append(0.0, H0)
-        traj.append(1.0, H0)
-        with pytest.raises(ValueError):
-            traj.append(1.0, H0)
