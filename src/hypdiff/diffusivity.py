@@ -16,12 +16,12 @@ distance costs; optimality is certified by the LP dual.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import expit
 
 from . import ball
 from .graphs import Graph
@@ -116,6 +116,26 @@ class DiffusivityMatrix:
             if np.any(self.global_part < 0):
                 raise ValueError("diffusivity weights must be nonnegative")
 
+    def source_sums(self, rows: np.ndarray) -> np.ndarray:
+        """(n, d) sums of the (M, d) per-edge rows grouped by source node.
+
+        np.bincount adds the entries of each bin one at a time in edge order,
+        starting from 0.0, as np.add.at does, so the sums equal the
+        sequential scatter-add bitwise.
+        """
+        dim = rows.shape[1]
+        index = self._flat_sources.get(dim)
+        if index is None:
+            src = self.edge_index[0]
+            index = self._flat_sources[dim] = (src[:, None] * dim + np.arange(dim)).ravel()
+        return np.bincount(index, weights=rows.ravel(), minlength=self.n * dim).reshape(
+            self.n, dim)
+
+    @cached_property
+    def _flat_sources(self) -> dict:
+        # embedding dimension d -> flat indices src * d + c of an (M, d) array
+        return {}
+
 
 @dataclass
 class OrcResult:
@@ -136,10 +156,11 @@ class OrcResult:
 
 def _directed_edges(g: Graph) -> np.ndarray:
     """Both orientations of every edge, sorted by (source, target)."""
-    pairs = sorted([(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges])
-    if not pairs:
-        return np.zeros((2, 0), dtype=np.int64)
-    return np.asarray(pairs, dtype=np.int64).T
+    e = g.edge_array
+    src = np.concatenate([e[:, 0], e[:, 1]])
+    dst = np.concatenate([e[:, 1], e[:, 0]])
+    order = np.lexsort((dst, src))
+    return np.stack([src[order], dst[order]])
 
 
 def isotropic_weights(g: Graph) -> DiffusivityMatrix:
@@ -166,6 +187,36 @@ def _measure(g: Graph, v: int, alpha: float) -> Tuple[List[int], np.ndarray]:
     keep = [(n, m) for n, m in zip(nodes, masses) if m > 0.0]
     nodes = [n for n, _ in keep]
     return nodes, np.array([m for _, m in keep], dtype=np.float64)
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call: scipy.optimize
+    costs most of a cold ``import hypdiff`` and only the ORC schemes use it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
+def _ground_costs(g: Graph, su: List[int], sv: List[int]) -> np.ndarray:
+    """Hop distances between the measure supports of an edge (u, v).
+
+    su lies in N[u] and sv in N[v] with u ~ v, so every distance is at most 3:
+    0 for the same node, 1 for adjacent nodes, 2 for nodes with a common
+    neighbour and 3 otherwise.  Read off the neighbour lists, without BFS.
+    """
+    adj = g.adjacency
+    lists = [adj[a] for a in su] + [adj[b] for b in sv]
+    lens = [len(x) for x in lists]
+    # neighbour indicator rows of all atoms, over the nodes that occur here
+    flat = np.fromiter(itertools.chain(*lists, sv), dtype=np.int64)
+    cols, local = np.unique(flat, return_inverse=True)
+    ind = np.zeros((len(lists), cols.size))
+    ind[np.repeat(np.arange(len(lists)), lens), local[: sum(lens)]] = 1.0
+    ind_u, ind_v = ind[: len(su)], ind[len(su) :]
+    same = np.asarray(su)[:, None] == np.asarray(sv)[None, :]
+    adjacent = ind_u[:, local[sum(lens) :]] > 0.0
+    shared = ind_u @ ind_v.T > 0.0
+    return np.where(same, 0.0, np.where(adjacent, 1.0, np.where(shared, 2.0, 3.0)))
 
 
 def transport_cost(
@@ -201,8 +252,8 @@ def orc_curvatures(g: Graph, alpha: float = 0.5) -> OrcResult:
     """Coarse Ollivier-Ricci curvature K = 1 - W(m_u, m_v) for every edge.
 
     Ground costs are hop distances between the two measure supports (at most
-    3 for adjacent endpoints).  Edges are independent; computed sequentially
-    in canonical order for determinism.
+    3 for adjacent endpoints, see :func:`_ground_costs`).  Edges are
+    independent; computed sequentially in canonical order for determinism.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -212,12 +263,7 @@ def orc_curvatures(g: Graph, alpha: float = 0.5) -> OrcResult:
     for idx, (u, v) in enumerate(g.edges):
         su, mu = _measure(g, u, alpha)
         sv, mv = _measure(g, v, alpha)
-        cost = np.zeros((len(su), len(sv)))
-        for i, a in enumerate(su):
-            dist = g.hop_distances(a, cutoff=3)
-            for j, b in enumerate(sv):
-                cost[i, j] = dist[b]
-        w, gap = transport_cost(mu, mv, cost)
+        w, gap = transport_cost(mu, mv, _ground_costs(g, su, sv))
         wvals[idx] = w
         kvals[idx] = 1.0 - w  # hop distance between endpoints is 1
         gaps[idx] = gap
@@ -277,6 +323,8 @@ def global_diffusivity(
     Per head: scores sigmoid(q k^T) > 0, rows divided by their sums; heads
     averaged.  With zero projections all scores are 0.5 and rows are uniform.
     """
+    from scipy.special import expit
+
     n, dim = points.shape
     tang = ball.log_map(np.zeros(dim), points, kappa)
     q = tang @ params.w_query

@@ -45,11 +45,15 @@ class Graph:
         return cls(n=n, edges=tuple(edges))
 
     @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The canonical edges as a read-only (m, 2) int64 array."""
+        arr = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
+        deg = np.bincount(self.edge_array.ravel(), minlength=self.n).astype(np.int64)
         deg.flags.writeable = False
         return deg
 

@@ -99,35 +99,46 @@ def geodesic_interpolate(x: np.ndarray, y: np.ndarray, ratio: float, kappa) -> n
     """
     if not (0.0 <= ratio <= 1.0):
         raise ValueError(f"interpolation ratio must lie in [0, 1], got {ratio}")
-    return ball.exp_map(x, ratio * ball.log_map(x, y, kappa), kappa)
+    k = ball._kappa_value(kappa)
+    x, y = ball._finite(x, y)
+    return ball._exp_map(x, ratio * ball._log_map(x, y, k), k)
 
 
 def heuler_step(h: np.ndarray, t: float, tau: float, flow: FlowFn, kappa) -> np.ndarray:
     """One explicit Euler step exp_h(tau log_h(F(h, t)))."""
-    return ball.exp_map(h, tau * _field(h, h, t, flow, kappa), kappa)
+    k = ball._kappa_value(kappa)
+    (h,) = ball._finite(h)
+    return ball._exp_map(h, tau * _field(h, h, t, flow, k), k)
 
 
-def _field(base: np.ndarray, at: np.ndarray, t: float, flow: FlowFn, kappa) -> np.ndarray:
-    """Field log_at(F(at, t)) pulled back into the tangent space at `base`."""
+def _field(base: np.ndarray, at: np.ndarray, t: float, flow: FlowFn, k: float) -> np.ndarray:
+    """Field log_at(F(at, t)) pulled back into the tangent space at `base`.
+
+    The flow's output is the one input from outside the solver inside a
+    step, so it is checked here; the rest runs on the raw ball kernels.
+    """
     out = flow(at, t)
     if out.shape != at.shape:
         raise ValueError(f"flow output shape {out.shape} != state shape {at.shape}")
-    slope = ball.log_map(at, out, kappa)
+    (out,) = ball._finite(out)
+    slope = ball._log_map(at, out, k)
     if at is base:
         return slope
-    return ball.dlog(base, at, slope, kappa)
+    return ball._dlog(base, at, slope, k)
 
 
 def hrk4_step(h: np.ndarray, t: float, tau: float, flow: FlowFn, kappa) -> np.ndarray:
     """One 4th-order step; returns exp_h(tau * X) with X the weighted stage mix."""
-    return ball.exp_map(h, tau * _hrk4_field(h, t, tau, flow, kappa), kappa)
+    k = ball._kappa_value(kappa)
+    (h,) = ball._finite(h)
+    return ball._exp_map(h, tau * _hrk4_field(h, t, tau, flow, k), k)
 
 
-def _hrk4_field(h: np.ndarray, t: float, tau: float, flow: FlowFn, kappa) -> np.ndarray:
+def _hrk4_field(h: np.ndarray, t: float, tau: float, flow: FlowFn, k: float) -> np.ndarray:
     def stage(u: np.ndarray, ts: float) -> np.ndarray:
-        return _field(h, ball.exp_map(h, u, kappa), ts, flow, kappa)
+        return _field(h, ball._exp_map(h, u, k), ts, flow, k)
 
-    g1 = _field(h, h, t, flow, kappa)
+    g1 = _field(h, h, t, flow, k)
     g2 = stage(tau * g1 / 3.0, t + tau / 3.0)
     g3 = stage(tau * (-g1 / 3.0 + g2), t + 2.0 * tau / 3.0)
     g4 = stage(tau * (g1 - g2 + g3), t + tau)
@@ -157,7 +168,8 @@ def solve(
     in place, so an observer may keep the reference, and it must not write
     to it either, because ``ham`` keeps earlier states in its slope queue.
     """
-    h = ball.project_to_ball(np.asarray(h0, dtype=np.float64), kappa)
+    h = ball.project_to_ball(h0, kappa)
+    k = ball._kappa_value(kappa)
     n_full, partial = _grid(spec.tau, spec.t_final)
     if spec.method == "ham" and n_full < spec.s_min:
         raise ValueError(
@@ -167,60 +179,60 @@ def solve(
     observe(0.0, h)
     queue: List[Tuple[np.ndarray, np.ndarray]] = []  # head first: (tangent, base)
     if spec.method == "ham":
-        queue.append((_field(h, h, 0.0, flow, kappa), h))
+        queue.append((_field(h, h, 0.0, flow, k), h))
 
     for i in range(n_full):
-        h = _checked_advance(h, i * spec.tau, spec, flow, kappa, i, queue)
+        h = _checked_advance(h, i * spec.tau, spec, flow, k, i, queue)
         observe((i + 1) * spec.tau, h)
 
     if partial:
         t = n_full * spec.tau
-        overshoot = _checked_advance(h, t, spec, flow, kappa, n_full, queue)
-        h = geodesic_interpolate(h, overshoot, (spec.t_final - t) / spec.tau, kappa)
+        overshoot = _checked_advance(h, t, spec, flow, k, n_full, queue)
+        h = geodesic_interpolate(h, overshoot, (spec.t_final - t) / spec.tau, k)
         observe(spec.t_final, h)
     return h
 
 
-def _checked_advance(h, t, spec, flow, kappa, step_index, queue):
+def _checked_advance(h, t, spec, flow, k, step_index, queue):
     try:
-        h_next = _advance(h, t, spec, flow, kappa, step_index, queue)
+        h_next = _advance(h, t, spec, flow, k, step_index, queue)
     except (ball.NonFiniteError, FloatingPointError) as exc:
         raise NonFiniteStateError(step_index, t) from exc
     _check_finite(h_next, step_index, t)
     return h_next
 
 
-def _advance(h, t, spec, flow, kappa, step_index, queue):
+def _advance(h, t, spec, flow, k, step_index, queue):
     if spec.method == "heuler":
-        return heuler_step(h, t, spec.tau, flow, kappa)
+        return heuler_step(h, t, spec.tau, flow, k)
     if spec.method == "hrk4":
-        return hrk4_step(h, t, spec.tau, flow, kappa)
-    return _ham_step(h, t, spec, flow, kappa, step_index, queue)
+        return hrk4_step(h, t, spec.tau, flow, k)
+    return _ham_step(h, t, spec, flow, k, step_index, queue)
 
 
-def _ham_step(h, t, spec, flow, kappa, step_index, queue):
+def _ham_step(h, t, spec, flow, k, step_index, queue):
     tau = spec.tau
     if step_index < spec.s_min:
         # warm-up: identical hrk4 states, queue collects the field slopes
-        h_next = hrk4_step(h, t, tau, flow, kappa)
-        queue.insert(0, (_field(h_next, h_next, t + tau, flow, kappa), h_next))
+        h_next = hrk4_step(h, t, tau, flow, k)
+        queue.insert(0, (_field(h_next, h_next, t + tau, flow, k), h_next))
         return h_next
     order = min(len(queue), spec.s_max)
-    x_ab = _adams_mix(AB_COEFFS[order], queue, h, kappa)
-    h_star = ball.exp_map(h, tau * x_ab, kappa)
-    queue.insert(0, (_field(h_star, h_star, t + tau, flow, kappa), h_star))
+    x_ab = _adams_mix(AB_COEFFS[order], queue, h, k)
+    h_star = ball._exp_map(h, tau * x_ab, k)
+    queue.insert(0, (_field(h_star, h_star, t + tau, flow, k), h_star))
     order = min(len(queue), spec.s_max)
-    x_am = _adams_mix(AM_COEFFS[order], queue, h, kappa)
-    h_next = ball.exp_map(h, tau * x_am, kappa)
+    x_am = _adams_mix(AM_COEFFS[order], queue, h, k)
+    h_next = ball._exp_map(h, tau * x_am, k)
     while len(queue) > spec.s_max:
         queue.pop()
     return h_next
 
 
-def _adams_mix(coeffs, queue, h, kappa):
+def _adams_mix(coeffs, queue, h, k):
     acc = None
     for c, (tangent, base) in zip(coeffs, queue):
-        term = c * ball.parallel_transport(base, h, tangent, kappa)
+        term = c * ball._parallel_transport(base, h, tangent, k)
         acc = term if acc is None else acc + term
     return acc
 

@@ -180,3 +180,60 @@ def all_graphs_up_to(n_max):
             edges = [e for i, e in enumerate(possible) if mask >> i & 1]
             out.append((n, edges))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the diffusion flow as one sequential scatter-add and one dense pass
+# ---------------------------------------------------------------------------
+
+def scatter_add(n, src, rows):
+    """Per-source sums of edge rows by a sequential np.add.at from zeros."""
+    out = np.zeros((n, rows.shape[1]))
+    np.add.at(out, np.asarray(src, dtype=np.int64), rows)
+    return out
+
+
+def dense_log_aggregate(points, weights, kappa):
+    """sum_j weights_ij log_{z_i}(z_j) from one (n, n, d) public log map."""
+    from hypdiff import ball
+
+    tang = ball.log_map(points[:, None, :], points[None, :, :], kappa)
+    return np.einsum("ij,ijd->id", weights, tang)
+
+
+def flow_reference(points, src, dst, edge_weights, global_part, kappa):
+    """F(z)_i = exp_{z_i}(sum_j a_ij log_{z_i}(z_j)) through the public ball
+    API: edge log maps summed by np.add.at, plus the one-shot dense pass."""
+    from hypdiff import ball
+
+    agg = np.zeros(points.shape)
+    if len(src):
+        tang = ball.log_map(points[src], points[dst], kappa)
+        w = np.asarray(edge_weights, dtype=np.float64)
+        agg = scatter_add(points.shape[0], src, w[:, None] * tang if w.ndim == 1 else w * tang)
+    if global_part is not None:
+        agg += dense_log_aggregate(points, global_part, kappa)
+    return ball.exp_map(points, agg, kappa)
+
+
+def assert_bitwise(got, want):
+    """Same shape and the same float64 bits, so 0.0 and -0.0 differ."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape, (got.shape, want.shape)
+    assert got.tobytes() == want.tobytes(), np.max(np.abs(got - want))
+
+
+def preferential_attachment(n, k, seed):
+    """Seeded preferential-attachment edge list: each new node links to k
+    distinct earlier nodes drawn in proportion to their degree."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
+    ends = [v for e in edges for v in e]
+    for new in range(k + 1, n):
+        targets = set()
+        while len(targets) < k:
+            targets.add(ends[int(rng.integers(len(ends)))])
+        for t in sorted(targets):
+            edges.append((t, new))
+            ends += [t, new]
+    return edges

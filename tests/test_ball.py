@@ -22,6 +22,8 @@ from hypdiff.ball import (
     project_to_ball,
 )
 
+from _oracles import assert_bitwise
+
 K1 = -1.0
 
 
@@ -390,3 +392,126 @@ class TestDlog:
         x = np.array([0.3, -0.1, 0.2])
         w = np.array([1.0, 2.0, -0.5])
         np.testing.assert_allclose(dlog(x, x, w, K1), w, atol=1e-12)
+
+
+def rim_points(coords, fractions, kappa):
+    """Rows of coords rescaled to the given fractions of the radius; zero
+    rows stay at the origin."""
+    norms = np.linalg.norm(coords, axis=-1, keepdims=True)
+    unit = coords / np.where(norms == 0.0, 1.0, norms)
+    return unit * fractions[:, None] / np.sqrt(-kappa)
+
+
+# radius fractions of ball points: the interior and the last 1e-5 before the
+# rim (the projection limit); OUTSIDE adds rows past it for the projection
+INSIDE = st.one_of(st.floats(0.0, 0.99), st.floats(1.0 - 2e-5, 1.0 - ball.BOUNDARY_EPS))
+OUTSIDE = st.one_of(INSIDE, st.floats(1.0 - ball.BOUNDARY_EPS, 1.5))
+
+
+@st.composite
+def point_sets(draw, count=2, fractions=INSIDE):
+    """kappa in [-4, -1e-8], `count` (rows, dim) point sets and one tangent
+    set of the same shape, its rows up to 10 radii long."""
+    kappa = -(10.0 ** draw(st.floats(-8.0, float(np.log10(4.0)))))
+    rows = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 6))
+    sets = []
+    for frac in [fractions] * count + [st.floats(0.0, 10.0)]:
+        coords = draw(hnp.arrays(np.float64, (rows, dim), elements=st.floats(-1.0, 1.0)))
+        fracs = draw(hnp.arrays(np.float64, (rows,), elements=frac))
+        sets.append(rim_points(coords, fracs, kappa))
+    return kappa, sets
+
+
+class TestRawKernels:
+    """Each raw kernel, with norms reused from gathers where it accepts
+    them, gives the public function's bits."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(point_sets())
+    def test_match_public_functions(self, case):
+        k, (x, y, v) = case
+        kappa = Curvature(k)
+        pts = np.concatenate([x, y])  # gathers from one point set
+        sq = ball._sqnorm(pts)
+        i = np.arange(len(x))
+        j = len(x) + np.arange(len(y))[::-1]
+        xi, yj = pts[i], pts[j]
+        assert_bitwise(ball._log_map(xi, yj, k, sq[i], sq[j]), log_map(xi, yj, kappa))
+        assert_bitwise(ball._log_map(xi, yj, k), log_map(xi, yj, kappa))
+        assert_bitwise(ball._exp_map(xi, v, k, sq[i]), exp_map(xi, v, kappa))
+        assert_bitwise(ball._distance(xi, yj, k, sq[i], sq[j]), distance(xi, yj, kappa))
+        assert_bitwise(ball._project(ball._mobius_add(xi, yj, k), k), mobius_add(xi, yj, kappa))
+        assert_bitwise(ball._project(x, k), project_to_ball(x, kappa))
+        assert_bitwise(ball._mobius_scalar(0.3, x, k), mobius_scalar(0.3, x, kappa))
+        assert_bitwise(ball._dlog(x, y, v, k), dlog(x, y, v, kappa))
+        c = 0.09 * v
+        with np.errstate(invalid="ignore", divide="ignore"):
+            # gyr[x, y] composes unprojected Mobius sums, whose denominators
+            # can round to 0 for two points at the rim, in both forms
+            assert_bitwise(ball._gyration(x, y, c, k), gyration(x, y, c, kappa))
+            assert_bitwise(ball._parallel_transport(x, y, c, k),
+                           parallel_transport(x, y, c, kappa))
+        stack = np.stack([x, y])
+        eta = np.array([1.0, 0.6])
+        assert_bitwise(ball._gyromidpoint(stack, eta, k), gyromidpoint(stack, eta, kappa))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(point_sets(count=1, fractions=OUTSIDE))
+    def test_projection_skips_only_exact_multiplies(self, case):
+        """_project returns its input when no row clamps, and otherwise
+        equals x times the full factor array."""
+        kappa, (x, _) = case
+        n = np.linalg.norm(x, axis=-1, keepdims=True)
+        limit = (1.0 - ball.BOUNDARY_EPS) / np.sqrt(-kappa)
+        factor = np.where(n > limit, limit / np.where(n == 0.0, 1.0, n), 1.0)
+        out = ball._project(x, kappa)
+        assert (out is x) == bool(np.all(n <= limit))
+        assert out.tobytes() == (x * factor).tobytes()
+
+    def test_negated_point_has_the_same_squared_norm(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((200, 7))
+        assert ball._sqnorm(-x).tobytes() == ball._sqnorm(x).tobytes()
+
+
+PUBLIC_CALLS = {
+    "project_to_ball": lambda p, k: project_to_ball(p, k),
+    "mobius_add": lambda p, k: mobius_add(p, p[::-1], k),
+    "mobius_scalar": lambda p, k: mobius_scalar(0.5, p, k),
+    "mobius_matvec": lambda p, k: mobius_matvec(np.eye(2), p, k),
+    "conformal_factor": lambda p, k: conformal_factor(p, k),
+    "exp_map": lambda p, k: exp_map(p, p[::-1], k),
+    "log_map": lambda p, k: log_map(p, p[::-1], k),
+    "dlog": lambda p, k: dlog(p, p[::-1], p, k),
+    "distance": lambda p, k: distance(p, p[::-1], k),
+    "gyration": lambda p, k: gyration(p, p[::-1], p, k),
+    "parallel_transport": lambda p, k: parallel_transport(p, p[::-1], p, k),
+    "gyromidpoint": lambda p, k: gyromidpoint(np.stack([p, p[::-1]]), np.ones(2), k),
+}
+
+
+class TestValidationBoundary:
+    GOOD = np.array([[0.1, 0.2], [-0.3, 0.05]])
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC_CALLS))
+    @pytest.mark.parametrize("kappa", [0.0, 1.0, np.nan, -np.inf])
+    def test_bad_curvature_raises_value_error(self, name, kappa):
+        with pytest.raises(ValueError) as err:
+            PUBLIC_CALLS[name](self.GOOD, kappa)
+        assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC_CALLS))
+    def test_nan_input_raises_non_finite_error(self, name):
+        bad = self.GOOD.copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(ball.NonFiniteError):
+            PUBLIC_CALLS[name](bad, K1)
+
+    def test_projection_returns_a_new_array(self):
+        x = np.array([[0.1, 0.2], [0.3, -0.4]])
+        before = x.copy()
+        out = project_to_ball(x, K1)
+        assert out is not x and not np.shares_memory(out, x)
+        out[0, 0] = 5.0
+        np.testing.assert_array_equal(x, before)

@@ -190,3 +190,17 @@ class TestKnn:
         for out in (out1, out2):
             assert run("knn", "--features", str(feats), "--k", "2", "--out", str(out)) == 0
         assert (out1 / "knn.edges").read_bytes() == (out2 / "knn.edges").read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported by the ORC LP and the global attention only."""
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, hypdiff.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

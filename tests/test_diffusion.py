@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from hypdiff import ball
+from hypdiff import ball, diffusion
 from hypdiff.ball import Curvature
 from hypdiff.diffusion import (
     EmbeddingState,
@@ -23,7 +25,7 @@ from hypdiff.diffusivity import DiffusivityConfig, DiffusivityMatrix, isotropic_
 from hypdiff.graphs import Graph, erdos_renyi
 from hypdiff.solvers import SolverSpec
 
-from _oracles import rk38_step
+from _oracles import assert_bitwise, dense_log_aggregate, flow_reference, rk38_step, scatter_add
 
 K1 = Curvature(-1.0)
 KSMALL = Curvature(-1e-6)
@@ -129,6 +131,82 @@ class TestDiffusionFlow:
         )
         with pytest.raises(FloatingPointError, match="node 0"):
             diffusion_flow(pts, dmat, K1)
+
+
+@st.composite
+def flow_cases(draw):
+    """A state of n points, a directed edge list that may leave nodes
+    isolated, nonnegative scalar or per-channel weights, and maybe a dense
+    nonnegative global part."""
+    n = draw(st.integers(1, 9))
+    dim = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 30))
+    pairs = draw(hnp.arrays(np.int64, (2, m), elements=st.integers(0, n - 1)))
+    coords = draw(hnp.arrays(np.float64, (n, dim), elements=st.floats(-0.6, 0.6)))
+    wshape = draw(st.sampled_from([(m,), (m, dim)]))
+    weights = draw(hnp.arrays(np.float64, wshape, elements=st.floats(0.0, 2.0)))
+    dense = draw(st.booleans())
+    glob = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0))) if dense else None
+    return coords / np.sqrt(dim), pairs, weights, glob
+
+
+class TestAggregation:
+    """The bincount edge sum and the row-blocked dense pass against the
+    sequential np.add.at and one-shot references."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(flow_cases())
+    def test_flow_matches_reference(self, case):
+        pts, pairs, weights, glob = case
+        dmat = DiffusivityMatrix(n=len(pts), edge_index=pairs, edge_weights=weights,
+                                 global_part=glob)
+        want = flow_reference(pts, pairs[0], pairs[1], weights, glob, K1)
+        assert_bitwise(diffusion_flow(pts, dmat, K1), want)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        n=st.integers(1, 12),
+        src=hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(0, 11)),
+        dim=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_source_sums_equal_add_at(self, n, src, dim, data):
+        src = src % n
+        rows = data.draw(hnp.arrays(np.float64, (src.size, dim), elements=st.one_of(
+            st.floats(-1e3, 1e3), st.just(-0.0))))
+        dmat = DiffusivityMatrix(n=n, edge_index=[src, src], edge_weights=np.ones(src.size))
+        assert_bitwise(dmat.source_sums(rows), scatter_add(n, src, rows))
+
+    def test_negative_zero_rows_sum_to_positive_zero(self):
+        src = np.array([0, 0, 2])
+        rows = np.full((3, 2), -0.0)
+        dmat = DiffusivityMatrix(n=3, edge_index=[src, src], edge_weights=np.ones(3))
+        out = dmat.source_sums(rows)
+        assert_bitwise(out, scatter_add(3, src, rows))
+        assert not np.signbit(out).any()
+
+    def test_source_index_built_once_per_dimension(self):
+        dmat = isotropic_weights(erdos_renyi(12, 0.3, seed=2))
+        rows = np.ones((dmat.edge_index.shape[1], 3))
+        dmat.source_sums(rows)
+        index = dmat._flat_sources[3]
+        dmat.source_sums(2.0 * rows)
+        assert dmat._flat_sources[3] is index
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 7, 16])
+    def test_blocked_dense_pass_matches_one_shot(self, rows):
+        rng = np.random.default_rng(rows)
+        n = 16 if rows != 16 else 23  # n is no multiple of the block size
+        pts = 0.9 * initial_state(n, 3, K1, seed=rows, scale=0.6).points
+        weights = rng.uniform(0.0, 1.0, size=(n, n))
+        got = diffusion._global_aggregate(pts, weights, -1.0, ball._sqnorm(pts), rows)
+        assert_bitwise(got, dense_log_aggregate(pts, weights, K1))
+
+    def test_block_rows_stay_within_the_budget(self):
+        for n, dim in [(1, 1), (800, 16), (5000, 16), (10**6, 64)]:
+            rows = diffusion._block_rows(n, dim)
+            assert rows >= 1
+            assert rows == 1 or rows * n * dim <= diffusion._DENSE_BLOCK_FLOATS
 
 
 class TestResidualFlow:

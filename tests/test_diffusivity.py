@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hypdiff import ball
+from hypdiff import ball, diffusivity as dv
+from hypdiff.cli import bundled_graph_path
 from hypdiff.diffusivity import (
     AttentionParams,
     DiffusivityConfig,
@@ -17,7 +18,14 @@ from hypdiff.diffusivity import (
 )
 from hypdiff.graphs import Graph, erdos_renyi
 
-from _oracles import all_graphs_up_to, connected_components, orc_enumerated
+from hypdiff.graphio import load_edge_list
+
+from _oracles import (
+    all_graphs_up_to,
+    connected_components,
+    orc_enumerated,
+    preferential_attachment,
+)
 
 K1 = -1.0
 
@@ -155,6 +163,36 @@ class TestOrc:
         for (u, v), k in zip(res.edges, res.curvature):
             pu, pv = int(perm[u]), int(perm[v])
             assert k == pytest.approx(k_p[(min(pu, pv), max(pu, pv))], abs=1e-9)
+
+
+class TestGroundCosts:
+    """Costs from neighbour lists equal the BFS hop distances they replace."""
+
+    @staticmethod
+    def bfs_costs(g, su, sv):
+        return np.array([[g.hop_distances(a, cutoff=3)[b] for b in sv] for a in su],
+                        dtype=np.float64)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_match_hop_distances(self, alpha):
+        graphs = [load_edge_list(bundled_graph_path())]
+        graphs += [Graph.from_edges(preferential_attachment(60, k, seed=s))
+                   for k, s in [(1, 0), (2, 1), (4, 2)]]
+        for g in graphs:
+            for u, v in g.edges:
+                su, _ = dv._measure(g, u, alpha)
+                sv, _ = dv._measure(g, v, alpha)
+                got = dv._ground_costs(g, su, sv)
+                assert got.tobytes() == self.bfs_costs(g, su, sv).tobytes(), (u, v)
+
+
+class TestDirectedEdges:
+    def test_sorted_by_source_then_target(self):
+        for g in sampled_graphs(6) + [Graph.from_edges([], n=3)]:
+            pairs = sorted([(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges])
+            ei = dv._directed_edges(g)
+            assert ei.dtype == np.int64 and ei.shape == (2, len(pairs))
+            assert [tuple(p) for p in ei.T.tolist()] == pairs
 
 
 class TestAttentionParams:

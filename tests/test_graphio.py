@@ -230,3 +230,21 @@ class TestFermiDirac:
     def test_temperature_validation(self):
         with pytest.raises(ValueError):
             fermi_dirac(np.zeros(2), np.zeros(2), r=1.0, t_fd=0.0, kappa=K1)
+
+
+class TestGraphArrays:
+    def test_edge_array_is_read_only_canonical_edges(self):
+        g = Graph.from_edges([(3, 1), (0, 2), (1, 3), (2, 1)], n=5)
+        arr = g.edge_array
+        assert arr.dtype == np.int64 and arr.shape == (3, 2)
+        assert [tuple(e) for e in arr.tolist()] == list(g.edges)
+        assert not arr.flags.writeable
+        assert g.edge_array is arr
+
+    def test_degrees_count_edge_endpoints(self):
+        g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (2, 3)], n=6)
+        assert g.degrees.dtype == np.int64
+        assert g.degrees.tolist() == [3, 1, 2, 2, 0, 0]
+        assert not g.degrees.flags.writeable
+        empty = Graph.from_edges([], n=2)
+        assert empty.edge_array.shape == (0, 2) and empty.degrees.tolist() == [0, 0]
