@@ -73,6 +73,15 @@ def _finite(*arrays):
     return out
 
 
+def _finite_result(out: np.ndarray) -> np.ndarray:
+    """out itself; raises NonFiniteError if it holds NaN or inf.  For the
+    kernels that compose unprojected Mobius sums: points at the projection
+    limit can round a denominator to 0."""
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError("non-finite result: points too close to the ball boundary")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Raw kernels: float k, finite float64 arrays, no checks
 # ---------------------------------------------------------------------------
@@ -314,21 +323,24 @@ def gyration(a: np.ndarray, b: np.ndarray, c: np.ndarray, kappa) -> np.ndarray:
     """gyr[a, b] c = -(a (+) b) (+) (a (+) (b (+) c)); a Euclidean isometry of c.
 
     c may be an arbitrary vector (typically a tangent), so the compositions
-    use the raw algebraic Mobius form without the ball projection.
+    use the raw algebraic Mobius form without the ball projection.  Raises
+    :class:`NonFiniteError` when that overflows, which happens for a and b
+    at the projection limit.
     """
     k = _kappa_value(kappa)
     a, b, c = _finite(a, b, c)
-    return _gyration(a, b, c, k)
+    return _finite_result(_gyration(a, b, c, k))
 
 
 def parallel_transport(x: np.ndarray, y: np.ndarray, v: np.ndarray, kappa) -> np.ndarray:
     """Transport tangent v from T_x to T_y: (lambda_x / lambda_y) gyr[y, -x] v.
 
-    Preserves the metric: lambda_y |PT(v)| = lambda_x |v|.
+    Preserves the metric: lambda_y |PT(v)| = lambda_x |v|.  Raises
+    :class:`NonFiniteError` where the gyration overflows (see :func:`gyration`).
     """
     k = _kappa_value(kappa)
     x, y, v = _finite(x, y, v)
-    return _parallel_transport(x, y, v, k)
+    return _finite_result(_parallel_transport(x, y, v, k))
 
 
 def gyromidpoint(points: np.ndarray, weights: np.ndarray, kappa) -> np.ndarray:

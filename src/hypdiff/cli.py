@@ -109,12 +109,46 @@ def _residual_from(cfg: dict):
     return diffusion.ResidualSpec(eta=filled)
 
 
-def _writeback(cfg: dict, residual, wall: float, out_dir: str):
+def _writeback(cfg: dict, residual, wall: float, out_dir: str, warnings=()):
     payload = dict(cfg)
     payload["residual_eta"] = list(residual.eta) if residual else None
     payload["wall_time_s"] = wall
+    payload["warnings"] = list(warnings)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     graphio.atomic_write(os.path.join(out_dir, "run.json"), text)
+
+
+# A diffusion dissipates the Dirichlet energy.  A rise on this many grid
+# steps in a row is taken as a sign that the step size lies outside the
+# solver's stability region; a single rise is not flagged.
+_RISING_STEPS = 2
+
+
+def _stability_warnings(trace) -> list:
+    """One warning if the energy rose over _RISING_STEPS or more consecutive
+    grid steps, describing the longest such run; else none."""
+    best = (0, 0)  # (number of rises, index where the run starts)
+    start = 0
+    for i in range(1, len(trace)):
+        if trace[i][1] <= trace[i - 1][1]:
+            start = i
+        elif i - start > best[0]:
+            best = (i - start, start)
+    steps, first = best
+    if steps < _RISING_STEPS:
+        return []
+    (t0, e0), (t1, e1) = trace[first], trace[first + steps]
+    return [{
+        "kind": "energy_rising",
+        "steps": steps,
+        "t_start": t0,
+        "t_end": t1,
+        "message": (
+            f"energy rose over {steps} consecutive grid steps, from {e0:.4g} at "
+            f"t={t0:g} to {e1:.4g} at t={t1:g}; the step size is likely outside "
+            "the solver's stability region (try a smaller --tau)"
+        ),
+    }]
 
 
 def cmd_diffuse(args) -> int:
@@ -146,7 +180,10 @@ def cmd_diffuse(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     graphio.save_matrix_csv(os.path.join(out_dir, "embeddings.csv"), final.points)
     graphio.save_energy_csv(os.path.join(out_dir, "energy.csv"), trace)
-    _writeback(cfg, residual, time.perf_counter() - started, out_dir)
+    stability = _stability_warnings(trace)
+    for warning in stability:
+        print(f"warning: {warning['message']}", file=sys.stderr)
+    _writeback(cfg, residual, time.perf_counter() - started, out_dir, stability)
     return 0
 
 

@@ -17,6 +17,7 @@ distance costs; optimality is certified by the LP dual.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Tuple
@@ -248,26 +249,92 @@ def transport_cost(
     return float(res.fun), abs(float(res.fun) - dual_obj)
 
 
+# Fewest edges that justify one more LP worker.  Forking and joining a
+# two-worker pool takes about 50 ms and one transport LP 3-4 ms (2 CPUs,
+# karate and a 150-node preferential-attachment graph), so a worker that
+# takes over 64 LPs saves about four times what it costs.  Karate (78 edges)
+# and the criterion-06 graphs (at most 86 edges) stay in-process, where a
+# pool would save at most a fifth.
+_MIN_EDGES_PER_WORKER = 64
+_LP_CHUNK = 8  # edges per task, so the hub edges at low node ids spread out
+
+_worker_job: Optional[Tuple[Graph, float]] = None  # set in LP worker processes only
+
+
+def _worker_count(n_edges: int) -> int:
+    """Processes for n_edges transport LPs: the CPUs this process may run on,
+    but at most one per _MIN_EDGES_PER_WORKER edges."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_edges // _MIN_EDGES_PER_WORKER))
+
+
+def _edge_transport(g: Graph, alpha: float, idx: int) -> Tuple[float, float]:
+    """(W, dual gap) of the transport LP of edge idx."""
+    u, v = g.edges[idx]
+    su, mu = _measure(g, u, alpha)
+    sv, mv = _measure(g, v, alpha)
+    return transport_cost(mu, mv, _ground_costs(g, su, sv))
+
+
+def _set_worker_job(g: Graph, alpha: float):
+    global _worker_job
+    _worker_job = (g, alpha)
+
+
+def _worker_edge_transport(idx: int) -> Tuple[float, float]:
+    return _edge_transport(*_worker_job, idx)
+
+
+def _edge_transports(g: Graph, alpha: float) -> List[Tuple[float, float]]:
+    """_edge_transport of every edge, in edge order.
+
+    With more than one worker the LPs run in processes forked from this one,
+    which see the graph through fork instead of a pickled copy and inherit
+    the imported scipy.optimize; only edge indices and (W, gap) pairs cross
+    the pipes, and pickled floats keep their bits.
+    """
+    edges = range(len(g.edges))
+    workers = _worker_count(len(edges))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # A dead worker fails the map with BrokenProcessPool;
+            # multiprocessing.Pool would wait for its results forever.
+            from concurrent.futures import ProcessPoolExecutor
+
+            # imported and built once here instead of once in every worker
+            import scipy.optimize  # noqa: F401
+
+            g.adjacency
+            with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_set_worker_job, initargs=(g, alpha),
+            ) as pool:
+                return list(pool.map(_worker_edge_transport, edges, chunksize=_LP_CHUNK))
+    return [_edge_transport(g, alpha, idx) for idx in edges]
+
+
 def orc_curvatures(g: Graph, alpha: float = 0.5) -> OrcResult:
     """Coarse Ollivier-Ricci curvature K = 1 - W(m_u, m_v) for every edge.
 
     Ground costs are hop distances between the two measure supports (at most
     3 for adjacent endpoints, see :func:`_ground_costs`).  Edges are
-    independent; computed sequentially in canonical order for determinism.
+    independent, so their LPs run on every CPU the process may use once the
+    graph is large enough (see :func:`_edge_transports`); each LP is solved
+    exactly as in a sequential loop, so the result does not depend on the
+    number of workers.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    kvals = np.zeros(len(g.edges))
-    wvals = np.zeros(len(g.edges))
-    gaps = np.zeros(len(g.edges))
-    for idx, (u, v) in enumerate(g.edges):
-        su, mu = _measure(g, u, alpha)
-        sv, mv = _measure(g, v, alpha)
-        w, gap = transport_cost(mu, mv, _ground_costs(g, su, sv))
-        wvals[idx] = w
-        kvals[idx] = 1.0 - w  # hop distance between endpoints is 1
-        gaps[idx] = gap
-    return OrcResult(edges=g.edges, curvature=kvals, wasserstein=wvals, dual_gap=gaps)
+    solved = _edge_transports(g, alpha)
+    wvals = np.array([w for w, _ in solved], dtype=np.float64)
+    gaps = np.array([gap for _, gap in solved], dtype=np.float64)
+    # hop distance between endpoints is 1
+    return OrcResult(edges=g.edges, curvature=1.0 - wvals, wasserstein=wvals, dual_gap=gaps)
 
 
 def _curvature_scores(orc: OrcResult, params: AttentionParams) -> dict:

@@ -103,28 +103,38 @@ def load_features(path: str) -> np.ndarray:
     return out
 
 
+def _csv_text(header, row_format: str, n_rows: int, values) -> str:
+    """An optional header line, then n_rows copies of row_format filled from
+    the flat values with one `%` operation; the cells are byte-identical to
+    per-cell f-strings with the same format spec, at about half the cost."""
+    lines = [header] if header else []
+    if n_rows:
+        lines.append("\n".join([row_format] * n_rows) % tuple(values))
+    return "\n".join(lines) + "\n"
+
+
 def save_matrix_csv(path: str, matrix: np.ndarray):
     """Write a float matrix as headerless CSV with round-trippable precision."""
     matrix = np.atleast_2d(np.asarray(matrix))
-    lines = [",".join(f"{x:.17g}" for x in row) for row in matrix]
-    atomic_write(path, "\n".join(lines) + "\n")
+    n_rows, n_cols = matrix.shape
+    row_format = ",".join(["%.17g"] * n_cols)
+    atomic_write(path, _csv_text(None, row_format, n_rows, matrix.ravel().tolist()))
 
 
 def save_energy_csv(path: str, trace):
     """Write an energy trace as `t,energy` CSV."""
-    lines = ["t,energy"]
-    lines.extend(f"{t:.17g},{e:.17g}" for t, e in trace)
-    atomic_write(path, "\n".join(lines) + "\n")
+    values = [x for t, e in trace for x in (t, e)]
+    atomic_write(path, _csv_text("t,energy", "%.17g,%.17g", len(trace), values))
 
 
 def save_orc_csv(path: str, orc):
     """Write per-edge curvature results as `u,v,curvature,wasserstein` CSV."""
-    lines = ["u,v,curvature,wasserstein"]
-    lines.extend(
-        f"{u},{v},{k:.17g},{w:.17g}"
-        for (u, v), k, w in zip(orc.edges, orc.curvature, orc.wasserstein)
-    )
-    atomic_write(path, "\n".join(lines) + "\n")
+    values = [
+        x for (u, v), k, w in zip(orc.edges, orc.curvature, orc.wasserstein)
+        for x in (u, v, k, w)
+    ]
+    atomic_write(path, _csv_text(
+        "u,v,curvature,wasserstein", "%s,%s,%.17g,%.17g", len(orc.edges), values))
 
 
 def knn_graph(features: np.ndarray, k: int, metric: str = "euclidean") -> Graph:

@@ -244,6 +244,25 @@ class TestGyration:
         )
 
 
+class TestRimOverflow:
+    """Two points at the projection limit round a Mobius denominator to 0."""
+
+    def test_gyration_raises(self):
+        a = np.array([0.99998])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert not np.isfinite(ball._gyration(a, a, np.array([0.1]), -1.0)).all()
+            with pytest.raises(ball.NonFiniteError):
+                gyration(a, a, np.array([0.1]), -1)
+
+    def test_parallel_transport_raises(self):
+        x = np.array([1.0 - 1e-5, 0.0])
+        v = np.array([0.3, -0.2])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert not np.isfinite(ball._parallel_transport(-x, x, v, -1.0)).all()
+            with pytest.raises(ball.NonFiniteError):
+                parallel_transport(-x, x, v, -1)
+
+
 class TestParallelTransport:
     def test_same_point(self):
         x = np.array([0.2, -0.1])
@@ -448,10 +467,18 @@ class TestRawKernels:
         c = 0.09 * v
         with np.errstate(invalid="ignore", divide="ignore"):
             # gyr[x, y] composes unprojected Mobius sums, whose denominators
-            # can round to 0 for two points at the rim, in both forms
-            assert_bitwise(ball._gyration(x, y, c, k), gyration(x, y, c, kappa))
-            assert_bitwise(ball._parallel_transport(x, y, c, k),
-                           parallel_transport(x, y, c, kappa))
+            # can round to 0 for two points at the rim; the public forms
+            # raise there instead of returning inf
+            for raw, public in [
+                (ball._gyration(x, y, c, k), lambda: gyration(x, y, c, kappa)),
+                (ball._parallel_transport(x, y, c, k),
+                 lambda: parallel_transport(x, y, c, kappa)),
+            ]:
+                if np.all(np.isfinite(raw)):
+                    assert_bitwise(raw, public())
+                else:
+                    with pytest.raises(ball.NonFiniteError):
+                        public()
         stack = np.stack([x, y])
         eta = np.array([1.0, 0.6])
         assert_bitwise(ball._gyromidpoint(stack, eta, k), gyromidpoint(stack, eta, kappa))

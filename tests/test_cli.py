@@ -102,6 +102,34 @@ class TestDiffuse:
         assert (out / "run.json").read_bytes() == before
         assert not list(out.glob("*.tmp"))
 
+    def test_default_run_warns_of_rising_energy(self, tmp_path, capsys):
+        # karate, heuler, tau=1: the energy falls once, then climbs to t=8
+        out = tmp_path / "run"
+        assert run("diffuse", "--out", str(out)) == 0
+        (warning,) = json.loads((out / "run.json").read_text())["warnings"]
+        assert warning["kind"] == "energy_rising"
+        assert (warning["steps"], warning["t_start"], warning["t_end"]) == (7, 1.0, 8.0)
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert warning["message"] in err
+
+    def test_decaying_run_has_no_warning(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("diffuse", "--out", str(out), "--tau", "0.25") == 0
+        assert json.loads((out / "run.json").read_text())["warnings"] == []
+        assert "warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("energies, steps", [
+        ([], 0), ([1.0], 0), ([3.0, 2.0, 1.0], 0), ([1.0, 1.0, 1.0], 0),
+        ([1.0, 2.0, 1.0, 2.0], 0),  # single rises are not flagged
+        ([1.0, 2.0, 3.0], 2), ([5.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 4.0], 3),
+    ])
+    def test_stability_warning_reports_longest_rise(self, energies, steps):
+        from hypdiff.cli import _stability_warnings
+
+        warnings = _stability_warnings([(float(i), e) for i, e in enumerate(energies)])
+        assert [w["steps"] for w in warnings] == ([steps] if steps else [])
+
     def test_features_drive_dimension(self, tmp_path):
         feats = tmp_path / "f.csv"
         rows = "\n".join("0.01,0.02,0.03" for _ in range(34))
@@ -193,13 +221,14 @@ class TestKnn:
 
 
 def test_cli_import_loads_no_scipy():
-    """scipy is imported by the ORC LP and the global attention only."""
+    """scipy is imported by the ORC LP and the global attention only, and
+    multiprocessing by the ORC LP pool only."""
     import subprocess
     import sys
 
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = ("import sys, hypdiff.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, hypdiff.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'multiprocessing')))")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)

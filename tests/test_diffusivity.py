@@ -1,7 +1,11 @@
 """Diffusivity schemes: degree weights, curvature transport LPs, attention."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypdiff import ball, diffusivity as dv
 from hypdiff.cli import bundled_graph_path
@@ -25,6 +29,7 @@ from _oracles import (
     connected_components,
     orc_enumerated,
     preferential_attachment,
+    transport_enumerate,
 )
 
 K1 = -1.0
@@ -109,6 +114,120 @@ class TestTransportCost:
         w, gap = transport_cost(np.array([0.5, 0.5]), np.array([0.5, 0.5]), cost)
         assert w == pytest.approx(0.0, abs=1e-12)
         assert gap <= 1e-9
+
+
+@st.composite
+def integer_transport_problems(draw):
+    """Integer supply and demand with equal totals, costs in {0, 1, 2, 3}."""
+    supply = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
+    nd = draw(st.integers(1, 4))
+    # each unit of supply goes to one demand atom
+    dest = draw(st.lists(st.integers(0, nd - 1), min_size=sum(supply), max_size=sum(supply)))
+    demand = np.bincount(dest, minlength=nd)
+    cost = draw(st.lists(st.integers(0, 3), min_size=len(supply) * nd,
+                         max_size=len(supply) * nd))
+    return np.array(supply), demand, np.array(cost, dtype=np.float64).reshape(len(supply), nd)
+
+
+class TestTransportProperty:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(integer_transport_problems())
+    def test_matches_enumeration_with_certified_gap(self, problem):
+        supply, demand, cost = problem
+        w, gap = transport_cost(supply.astype(np.float64), demand.astype(np.float64), cost)
+        assert abs(w - transport_enumerate(supply, demand, cost.tolist())) <= 1e-9
+        assert gap <= 1e-9
+
+
+def _pa_graph(n, k, seed):
+    return Graph.from_edges(preferential_attachment(n, k, seed=seed))
+
+
+class TestOrcPool:
+    """The transport LPs of orc_curvatures in forked worker processes."""
+
+    @staticmethod
+    def force_workers(monkeypatch, count):
+        monkeypatch.setattr(dv, "_worker_count", lambda n_edges: count)
+
+    def test_bitwise_equal_to_in_process(self, monkeypatch):
+        cases = [(_pa_graph(150, 4, 0), 0.5), (_pa_graph(90, 2, 5), 0.0),
+                 (_pa_graph(90, 2, 5), 0.5), (_pa_graph(40, 1, 3), 0.5)]
+        self.force_workers(monkeypatch, 1)
+        serial = [orc_curvatures(g, alpha) for g, alpha in cases]
+        for workers in (2, 3):
+            self.force_workers(monkeypatch, workers)
+            for (g, alpha), want in zip(cases, serial):
+                got = orc_curvatures(g, alpha)
+                assert got.edges == want.edges
+                for name in ("curvature", "wasserstein", "dual_gap"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert multiprocessing.active_children() == []
+
+    def test_default_worker_count(self):
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count()
+        assert dv._worker_count(0) == 1
+        assert dv._worker_count(86) == 1  # karate and the criterion-06 graphs
+        assert dv._worker_count(2 * dv._MIN_EDGES_PER_WORKER - 1) == 1
+        assert dv._worker_count(2 * dv._MIN_EDGES_PER_WORKER) == min(cpus, 2)
+        assert dv._worker_count(10**9) == cpus
+
+    @staticmethod
+    def failure_message(monkeypatch, workers, g):
+        TestOrcPool.force_workers(monkeypatch, workers)
+        with pytest.raises(RuntimeError) as info:
+            orc_curvatures(g, 0.5)
+        assert multiprocessing.active_children() == []
+        return str(info.value)
+
+    def test_lp_failure_reaches_caller(self, monkeypatch):
+        real = dv.linprog
+
+        def failing(c, **kwargs):
+            res = real(c, **kwargs)
+            if len(c) > 30:  # fails on the hub edges only
+                res.success, res.message = False, f"no plan for {len(c)} variables"
+            return res
+
+        g = _pa_graph(120, 3, 1)
+        monkeypatch.setattr(dv, "linprog", failing)
+        want = self.failure_message(monkeypatch, 1, g)
+        assert want.startswith("transportation LP failed: no plan for")
+        assert self.failure_message(monkeypatch, 2, g) == want
+
+    def test_infeasible_dual_certificate_reaches_caller(self, monkeypatch):
+        real = dv.linprog
+
+        def shifted_duals(c, **kwargs):
+            res = real(c, **kwargs)
+            if len(c) > 30:
+                res.eqlin.marginals = res.eqlin.marginals + 0.01 * len(c)
+            return res
+
+        g = _pa_graph(120, 3, 1)
+        monkeypatch.setattr(dv, "linprog", shifted_duals)
+        want = self.failure_message(monkeypatch, 1, g)
+        assert want.startswith("infeasible dual certificate")
+        assert self.failure_message(monkeypatch, 2, g) == want
+
+    def test_dead_worker_fails_the_call(self, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        parent, real = os.getpid(), dv.linprog
+
+        def dying(c, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(dv, "linprog", dying)
+        self.force_workers(monkeypatch, 2)
+        with pytest.raises(BrokenProcessPool):
+            orc_curvatures(_pa_graph(60, 2, 0), 0.5)
+        assert multiprocessing.active_children() == []
 
 
 class TestOrc:

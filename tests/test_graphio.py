@@ -13,8 +13,11 @@ from hypdiff.graphio import (
     load_edge_list,
     load_features,
     save_edge_list,
+    save_energy_csv,
     save_matrix_csv,
+    save_orc_csv,
 )
+from hypdiff.diffusivity import OrcResult
 from hypdiff.graphs import Graph
 
 K1 = Curvature(-1.0)
@@ -98,6 +101,55 @@ class TestFeatures:
         p = tmp_path / "m.csv"
         save_matrix_csv(str(p), m)
         np.testing.assert_array_equal(load_features(str(p)), m)
+
+
+class TestCsvBytes:
+    """The writers produce the bytes of one f-string per cell."""
+
+    EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -17.0, 1e16,
+                   0.1, 1.0 / 3.0, 2.0 ** -1074 * 3, float.fromhex("0x1.fffffffffffffp+1023")]
+
+    @staticmethod
+    def fstring_matrix(matrix):
+        matrix = np.atleast_2d(np.asarray(matrix))
+        return "\n".join(",".join(f"{x:.17g}" for x in row) for row in matrix) + "\n"
+
+    @pytest.mark.parametrize("shape", [(13, 1), (1, 13), (1, 1), (0, 4), (3, 0)])
+    def test_matrix_edge_values(self, tmp_path, shape):
+        size = shape[0] * shape[1]
+        values = (self.EDGE_VALUES * (size // len(self.EDGE_VALUES) + 1))[:size]
+        m = np.array(values, dtype=np.float64).reshape(shape)
+        p = tmp_path / "m.csv"
+        save_matrix_csv(str(p), m)
+        assert p.read_bytes() == self.fstring_matrix(m).encode()
+
+    def test_matrix_random_and_vector(self, tmp_path):
+        rng = np.random.default_rng(3)
+        p = tmp_path / "m.csv"
+        for m in (rng.standard_normal((50, 16)) * 10.0 ** rng.integers(-300, 300, (50, 16)),
+                  rng.standard_normal(7)):
+            save_matrix_csv(str(p), m)
+            assert p.read_bytes() == self.fstring_matrix(m).encode()
+
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    def test_energy_and_orc(self, tmp_path, rows):
+        vals = self.EDGE_VALUES[:rows]
+        trace = [(float(i), np.float64(v)) for i, v in enumerate(vals)]
+        p = tmp_path / "energy.csv"
+        save_energy_csv(str(p), trace)
+        want = "\n".join(["t,energy"] + [f"{t:.17g},{e:.17g}" for t, e in trace]) + "\n"
+        assert p.read_bytes() == want.encode()
+
+        edges = tuple((i, i + 1) for i in range(rows))
+        orc = OrcResult(edges=edges, curvature=1.0 - np.array(vals, dtype=np.float64),
+                        wasserstein=np.array(vals, dtype=np.float64),
+                        dual_gap=np.zeros(rows))
+        p = tmp_path / "orc.csv"
+        save_orc_csv(str(p), orc)
+        want = "\n".join(["u,v,curvature,wasserstein"] + [
+            f"{u},{v},{k:.17g},{w:.17g}"
+            for (u, v), k, w in zip(orc.edges, orc.curvature, orc.wasserstein)]) + "\n"
+        assert p.read_bytes() == want.encode()
 
 
 class TestKnn:
