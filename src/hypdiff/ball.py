@@ -329,7 +329,10 @@ def gyration(a: np.ndarray, b: np.ndarray, c: np.ndarray, kappa) -> np.ndarray:
     """
     k = _kappa_value(kappa)
     a, b, c = _finite(a, b, c)
-    return _finite_result(_gyration(a, b, c, k))
+    # an overflow is reported by _finite_result, not by numpy warnings
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = _gyration(a, b, c, k)
+    return _finite_result(out)
 
 
 def parallel_transport(x: np.ndarray, y: np.ndarray, v: np.ndarray, kappa) -> np.ndarray:
@@ -340,7 +343,9 @@ def parallel_transport(x: np.ndarray, y: np.ndarray, v: np.ndarray, kappa) -> np
     """
     k = _kappa_value(kappa)
     x, y, v = _finite(x, y, v)
-    return _finite_result(_parallel_transport(x, y, v, k))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = _parallel_transport(x, y, v, k)
+    return _finite_result(out)
 
 
 def gyromidpoint(points: np.ndarray, weights: np.ndarray, kappa) -> np.ndarray:

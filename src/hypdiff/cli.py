@@ -298,7 +298,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (solvers.NonFiniteStateError, FloatingPointError) as exc:
+    except (RuntimeError, FloatingPointError) as exc:
+        # the library's RuntimeErrors are numerical: NonFiniteStateError, a
+        # failed or uncertified ORC transport LP, a dead LP worker process
+        # (BrokenProcessPool)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ flow evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,11 +29,15 @@ from .graphs import Graph
 
 SIGMAS = ("identity", "tanh")
 
-# Floats in one (rows, n, d) block of log maps in the dense global pass.  A
-# block allocates a few arrays of this size (512 KB each), small enough to
-# stay in cache: at n=800, d=16 a pass took 170 ms against 210 ms with 8 MB
-# blocks and 315 ms with no blocks at all.
+# Floats in one block of log maps: (rows, n, d) in the dense global pass,
+# (edges, d) in the edge pass.  A block allocates a few arrays of this size
+# (512 KB each), small enough to stay in cache: at n=800, d=16 a dense pass
+# took 170 ms against 210 ms with 8 MB blocks and 315 ms with no blocks.
 _DENSE_BLOCK_FLOATS = 1 << 16
+# A pass with fewer blocks than this per pool thread runs in the calling
+# thread, so small passes (the 1168 directed edges of a 150-node graph make
+# one block) skip the hand-off to the pool.
+_MIN_BLOCKS_PER_THREAD = 2
 
 EnergyTrace = List[Tuple[float, float]]
 
@@ -95,33 +99,111 @@ def _apply_sigma(agg: np.ndarray, sigma: str) -> np.ndarray:
     raise ValueError(f"unknown activation {sigma!r}, expected one of {SIGMAS}")
 
 
+class BlockPool:
+    """Threads that run the independent row blocks of the flow passes.
+
+    One thread per CPU the process may run on, started on entering the pool
+    as a context manager and joined on leaving it.  A pass runs in the
+    calling thread outside that context, on a single CPU, or when it has
+    fewer than _MIN_BLOCKS_PER_THREAD blocks per thread.  Each block writes
+    its own rows, so a pass gives the same bits either way.
+    """
+
+    def __init__(self):
+        self.threads = dv.available_cpus()
+        self._executor = None
+
+    def __enter__(self) -> "BlockPool":
+        if self.threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._executor = ThreadPoolExecutor(self.threads, thread_name_prefix="hypdiff-flow")
+        return self
+
+    def __exit__(self, *exc):
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+
+    def run(self, block: Callable, items: Sequence):
+        """block(item) for every item; the first exception, in item order,
+        reaches the caller unchanged."""
+        if self._executor is None or len(items) < _MIN_BLOCKS_PER_THREAD * self.threads:
+            _run_serially(block, items)
+            return
+        # pool threads start with numpy's default error state, not the caller's
+        err = np.geterr()
+
+        def guarded(item):
+            with np.errstate(**err):
+                block(item)
+
+        for _ in self._executor.map(guarded, items):
+            pass
+
+
+def _run_serially(block: Callable, items: Sequence):
+    for item in items:
+        block(item)
+
+
 def diffusion_flow(
-    points: np.ndarray, dmat: dv.DiffusivityMatrix, kappa, sigma: str = "identity"
+    points: np.ndarray,
+    dmat: dv.DiffusivityMatrix,
+    kappa,
+    sigma: str = "identity",
+    global_part: Optional[np.ndarray] = None,
+    pool: Optional[BlockPool] = None,
 ) -> np.ndarray:
     """One flow evaluation F(z) under the given diffusivity weights.
 
-    The sparse part aggregates over neighbors (scalar or per-channel weights);
-    the dense global part aggregates over all pairs.  Aggregation order is
-    fixed, so results are bitwise reproducible.
+    The sparse part aggregates over neighbors (scalar or per-channel edge
+    weights of dmat); the optional dense (n, n) global_part aggregates over
+    all pairs.  Both passes run in row blocks, on the threads of ``pool``
+    while its context is open.  Aggregation order is fixed, so results are
+    bitwise reproducible and do not depend on the pool.
     """
     n, dim = points.shape
     if dmat.n != n:
         raise ValueError("diffusivity matrix size does not match state")
+    if global_part is not None and global_part.shape != (n, n):
+        raise ValueError("global part must be (n, n)")
+    run = _run_serially if pool is None else pool.run
     k = ball._kappa_value(kappa)
     sq = ball._sqnorm(points)
-    src, dst = dmat.edge_index
-    if src.size:
-        tang = ball._log_map(points[src], points[dst], k, sq[src], sq[dst])
-        w = dmat.edge_weights
-        agg = dmat.source_sums(w[:, None] * tang if w.ndim == 1 else w * tang)
-    else:
-        agg = np.zeros((n, dim))
-    if dmat.global_part is not None:
-        agg += _global_aggregate(points, dmat.global_part, k, sq, _block_rows(n, dim))
+    agg = _edge_aggregate(points, dmat, k, sq, run)
+    if global_part is not None:
+        agg += _global_aggregate(points, global_part, k, sq, _block_rows(n, dim), run)
     if not np.all(np.isfinite(agg)):
         bad = int(np.nonzero(~np.isfinite(agg).all(axis=1))[0][0])
         raise FloatingPointError(f"non-finite tangent aggregate at node {bad}")
     return ball._exp_map(points, _apply_sigma(agg, sigma), k, sq)
+
+
+def _edge_aggregate(
+    points: np.ndarray, dmat: dv.DiffusivityMatrix, k: float, sq: np.ndarray,
+    run: Callable = _run_serially,
+) -> np.ndarray:
+    """sum over edges (i, j) of a_ij log_{z_i}(z_j) for every node i, one
+    block of source nodes at a time (see DiffusivityMatrix.edge_blocks).
+
+    Bitwise the sequential np.add.at of all weighted edge rows from zeros.
+    sq holds the squared row norms of points.
+    """
+    dim = points.shape[1]
+    out = np.zeros_like(points)
+    src_all, dst_all = dmat.edge_index
+    weights = dmat.edge_weights
+
+    def block(b: dv.EdgeBlock):
+        src, dst, w = src_all[b.edges], dst_all[b.edges], weights[b.edges]
+        tang = ball._log_map(points[src], points[dst], k, sq[src], sq[dst])
+        rows = w[:, None] * tang if w.ndim == 1 else w * tang
+        sums = np.bincount(b.flat, weights=rows.ravel(), minlength=(b.hi - b.lo) * dim)
+        out[b.lo : b.hi] = sums.reshape(b.hi - b.lo, dim)
+
+    run(block, dmat.edge_blocks(dim, _DENSE_BLOCK_FLOATS))
+    return out
 
 
 def _block_rows(n: int, dim: int) -> int:
@@ -131,7 +213,8 @@ def _block_rows(n: int, dim: int) -> int:
 
 
 def _global_aggregate(
-    points: np.ndarray, weights: np.ndarray, k: float, sq: np.ndarray, rows: int
+    points: np.ndarray, weights: np.ndarray, k: float, sq: np.ndarray, rows: int,
+    run: Callable = _run_serially,
 ) -> np.ndarray:
     """sum_j weights_ij log_{z_i}(z_j) for every node i, `rows` nodes at a time.
 
@@ -139,12 +222,14 @@ def _global_aggregate(
     blocks give bitwise the result of one (n, n, d) pass at a fraction of its
     memory.  sq holds the squared row norms of points.
     """
-    n = points.shape[0]
     out = np.empty_like(points)
     y, y2 = points[None, :, :], sq[None, :, :]
-    for a in range(0, n, rows):
+
+    def block(a: int):
         tang = ball._log_map(points[a : a + rows, None, :], y, k, sq[a : a + rows, None, :], y2)
         out[a : a + rows] = np.einsum("ij,ijd->id", weights[a : a + rows], tang)
+
+    run(block, range(0, points.shape[0], rows))
     return out
 
 
@@ -206,12 +291,14 @@ def build_flow(
     sigma: str = "identity",
     residual: Optional[ResidualSpec] = None,
     z0: Optional[np.ndarray] = None,
+    pool: Optional[BlockPool] = None,
 ) -> solvers.FlowFn:
     """Assemble the flow function for a run.
 
     Topology-dependent weights (isotropic, curvature attention) are fixed at
-    build time; the global attention part is re-evaluated from the current
-    embeddings inside every flow call.
+    build time in one DiffusivityMatrix; the global attention part is
+    re-evaluated from the current embeddings inside every flow call.  The
+    flow runs its passes on ``pool``, whose threads may start after this call.
     """
     if sigma not in SIGMAS:
         raise ValueError(f"unknown activation {sigma!r}, expected one of {SIGMAS}")
@@ -227,26 +314,20 @@ def build_flow(
         needs_global = False
     else:
         # the edge part of beta * global + (1 - beta) * local; the global part
-        # is attached at every evaluation
+        # is computed at every evaluation
         if cfg.scheme == "global":
             local = dv.isotropic_weights(g)
         else:  # local_global
             orc = dv.orc_curvatures(g, cfg.alpha)
             local = dv.local_diffusivity(g, orc, params, cfg.channel_mode)
         static = replace(local, edge_weights=(1.0 - cfg.beta) * local.edge_weights)
-        needs_global = True
+        needs_global = cfg.beta > 0.0
 
     def flow(points: np.ndarray, t: float) -> np.ndarray:
-        dmat = static
-        if needs_global and cfg.beta > 0.0:
-            glob = dv.global_diffusivity(points, params, cfg.heads, kappa)
-            dmat = dv.DiffusivityMatrix(
-                n=static.n,
-                edge_index=static.edge_index,
-                edge_weights=static.edge_weights,
-                global_part=cfg.beta * glob,
-            )
-        out = diffusion_flow(points, dmat, kappa, sigma)
+        glob = None
+        if needs_global:
+            glob = cfg.beta * dv.global_diffusivity(points, params, cfg.heads, kappa)
+        out = diffusion_flow(points, static, kappa, sigma, glob, pool)
         if residual is not None:
             out = residual_flow(out, points, z0, residual, kappa)
         return out
@@ -265,19 +346,24 @@ def run_diffusion(
     """Integrate the diffusion flow and record energy at every grid point.
 
     Energies are computed as the solver reaches each grid point, so memory
-    does not grow with the horizon.
+    does not grow with the horizon.  The flow passes run on a BlockPool that
+    lives for the integration only: it starts after the diffusivity is built
+    (whose ORC LP workers are forked, which must not happen while the pool's
+    threads run) and its threads are joined on return and on error.
     """
     if z0.n != g.n:
         raise ValueError(f"state has {z0.n} rows but graph has {g.n} nodes")
     kappa = z0.curvature
+    pool = BlockPool()
     flow = build_flow(
-        g, dcfg, z0.dim, kappa, sigma=sigma, residual=residual, z0=z0.points,
+        g, dcfg, z0.dim, kappa, sigma=sigma, residual=residual, z0=z0.points, pool=pool,
     )
     energies: EnergyTrace = []
 
     def observe(t: float, state: np.ndarray):
         energies.append((t, dirichlet_energy(state, g, kappa)))
 
-    final = solvers.solve(z0.points, flow, spec, kappa, observe=observe)
+    with pool:
+        final = solvers.solve(z0.points, flow, spec, kappa, observe=observe)
     state = EmbeddingState(points=final, curvature=kappa, t=spec.t_final)
     return state, energies

@@ -20,7 +20,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -89,52 +89,78 @@ class AttentionParams:
         )
 
 
+class EdgeBlock(NamedTuple):
+    """The directed edges whose sources are the nodes lo..hi-1.
+
+    edges selects them from the matrix's edge arrays (a slice when the
+    sources are sorted), in edge order within each source; flat holds the
+    bincount bin (src - lo) * d + c of every entry of their (edges, d) rows.
+    """
+
+    lo: int
+    hi: int
+    edges: object  # slice or index array
+    flat: np.ndarray
+
+
 @dataclass
 class DiffusivityMatrix:
-    """Sparse per-edge weights plus an optional dense global part.
+    """Sparse per-edge weights.
 
     edge_index: (2, M) directed pairs (both orientations of each edge);
-    edge_weights: (M,) scalar or (M, d) per-channel, all nonnegative;
-    global_part: optional (n, n) dense weights.
+    edge_weights: (M,) scalar or (M, d) per-channel, all nonnegative.
     """
 
     n: int
     edge_index: np.ndarray
     edge_weights: np.ndarray
-    global_part: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.edge_index = np.asarray(self.edge_index, dtype=np.int64).reshape(2, -1)
         self.edge_weights = np.asarray(self.edge_weights, dtype=np.float64)
         if self.edge_weights.shape[0] != self.edge_index.shape[1]:
             raise ValueError("edge weight count does not match edge index")
+        if self.edge_index.size and not (
+            0 <= self.edge_index.min() and self.edge_index.max() < self.n
+        ):
+            raise ValueError("edge index out of range")
         if np.any(self.edge_weights < 0):
             raise ValueError("diffusivity weights must be nonnegative")
-        if self.global_part is not None:
-            self.global_part = np.asarray(self.global_part, dtype=np.float64)
-            if self.global_part.shape != (self.n, self.n):
-                raise ValueError("global part must be (n, n)")
-            if np.any(self.global_part < 0):
-                raise ValueError("diffusivity weights must be nonnegative")
 
-    def source_sums(self, rows: np.ndarray) -> np.ndarray:
-        """(n, d) sums of the (M, d) per-edge rows grouped by source node.
+    def edge_blocks(self, dim: int, max_floats: int) -> Tuple[EdgeBlock, ...]:
+        """The edges cut at source-node boundaries into blocks of at most
+        max_floats // dim edges; a node with more edges gets a block of its own.
 
-        np.bincount adds the entries of each bin one at a time in edge order,
-        starting from 0.0, as np.add.at does, so the sums equal the
-        sequential scatter-add bitwise.
+        Every node's edges lie in one block, in edge order, so a bincount over
+        a block's flat bins adds each node's entries one at a time in edge
+        order from 0.0, as np.add.at over all edges does: the blocks give
+        bitwise the sums of one sequential scatter-add, into disjoint rows.
+        Nodes without edges belong to no block.  Built once per (dim,
+        max_floats) and cached.
         """
-        dim = rows.shape[1]
-        index = self._flat_sources.get(dim)
-        if index is None:
-            src = self.edge_index[0]
-            index = self._flat_sources[dim] = (src[:, None] * dim + np.arange(dim)).ravel()
-        return np.bincount(index, weights=rows.ravel(), minlength=self.n * dim).reshape(
-            self.n, dim)
+        key = (dim, max_floats)
+        if key in self._edge_blocks:
+            return self._edge_blocks[key]
+        src = self.edge_index[0]
+        max_edges = max(1, max_floats // dim)
+        order = None if np.all(src[:-1] <= src[1:]) else np.argsort(src, kind="stable")
+        ends = np.cumsum(np.bincount(src, minlength=self.n))  # edge offset after each node
+        blocks, lo = [], 0
+        while lo < self.n:
+            first = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, first + max_edges, side="right")))
+            last = int(ends[hi - 1])
+            if last > first:
+                edges = slice(first, last) if order is None else order[first:last]
+                flat = ((src[edges] - lo)[:, None] * dim + np.arange(dim)).ravel()
+                blocks.append(EdgeBlock(lo, hi, edges, flat))
+            lo = hi
+        self._edge_blocks[key] = tuple(blocks)
+        return self._edge_blocks[key]
 
     @cached_property
-    def _flat_sources(self) -> dict:
-        # embedding dimension d -> flat indices src * d + c of an (M, d) array
+    def _edge_blocks(self) -> dict:
+        # (dim, max_floats) -> tuple of EdgeBlock
         return {}
 
 
@@ -261,14 +287,18 @@ _LP_CHUNK = 8  # edges per task, so the hub edges at low node ids spread out
 _worker_job: Optional[Tuple[Graph, float]] = None  # set in LP worker processes only
 
 
+def available_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def _worker_count(n_edges: int) -> int:
     """Processes for n_edges transport LPs: the CPUs this process may run on,
     but at most one per _MIN_EDGES_PER_WORKER edges."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_edges // _MIN_EDGES_PER_WORKER))
+    return max(1, min(available_cpus(), n_edges // _MIN_EDGES_PER_WORKER))
 
 
 def _edge_transport(g: Graph, alpha: float, idx: int) -> Tuple[float, float]:
@@ -404,21 +434,3 @@ def global_diffusivity(
         out += scores / scores.sum(axis=1, keepdims=True)
     return out / heads
 
-
-def mix(
-    local: DiffusivityMatrix, global_part: np.ndarray, beta: float
-) -> DiffusivityMatrix:
-    """Convex combination beta * global + (1 - beta) * local.
-
-    The local part may be isotropic (degree fallback) or curvature attention;
-    the caller chooses which to pass.  beta = 0 drops the global part
-    entirely, beta = 1 drops the local part.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    return DiffusivityMatrix(
-        n=local.n,
-        edge_index=local.edge_index,
-        edge_weights=(1.0 - beta) * local.edge_weights,
-        global_part=None if beta == 0.0 else beta * np.asarray(global_part),
-    )

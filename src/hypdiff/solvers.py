@@ -127,18 +127,29 @@ def _field(base: np.ndarray, at: np.ndarray, t: float, flow: FlowFn, k: float) -
     return ball._dlog(base, at, slope, k)
 
 
-def hrk4_step(h: np.ndarray, t: float, tau: float, flow: FlowFn, kappa) -> np.ndarray:
-    """One 4th-order step; returns exp_h(tau * X) with X the weighted stage mix."""
+def hrk4_step(
+    h: np.ndarray, t: float, tau: float, flow: FlowFn, kappa,
+    g1: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """One 4th-order step; returns exp_h(tau * X) with X the weighted stage mix.
+
+    g1, when given, is the first stage: the field log_h(F(h, t)), which a
+    caller that already holds it need not have evaluated again.
+    """
     k = ball._kappa_value(kappa)
     (h,) = ball._finite(h)
-    return ball._exp_map(h, tau * _hrk4_field(h, t, tau, flow, k), k)
+    return ball._exp_map(h, tau * _hrk4_field(h, t, tau, flow, k, g1), k)
 
 
-def _hrk4_field(h: np.ndarray, t: float, tau: float, flow: FlowFn, k: float) -> np.ndarray:
+def _hrk4_field(
+    h: np.ndarray, t: float, tau: float, flow: FlowFn, k: float,
+    g1: Optional[np.ndarray] = None,
+) -> np.ndarray:
     def stage(u: np.ndarray, ts: float) -> np.ndarray:
         return _field(h, ball._exp_map(h, u, k), ts, flow, k)
 
-    g1 = _field(h, h, t, flow, k)
+    if g1 is None:
+        g1 = _field(h, h, t, flow, k)
     g2 = stage(tau * g1 / 3.0, t + tau / 3.0)
     g3 = stage(tau * (-g1 / 3.0 + g2), t + 2.0 * tau / 3.0)
     g4 = stage(tau * (g1 - g2 + g3), t + tau)
@@ -213,9 +224,11 @@ def _advance(h, t, spec, flow, k, step_index, queue):
 def _ham_step(h, t, spec, flow, k, step_index, queue):
     tau = spec.tau
     if step_index < spec.s_min:
-        # warm-up: identical hrk4 states, queue collects the field slopes
-        h_next = hrk4_step(h, t, tau, flow, k)
-        queue.insert(0, (_field(h_next, h_next, t + tau, flow, k), h_next))
+        # warm-up: identical hrk4 states, queue collects the field slopes.  The
+        # head of the queue is the field at h at time t, the step's first stage.
+        h_next = hrk4_step(h, t, tau, flow, k, g1=queue[0][0])
+        t_next = (step_index + 1) * tau  # the t the solver hands the next step
+        queue.insert(0, (_field(h_next, h_next, t_next, flow, k), h_next))
         return h_next
     order = min(len(queue), spec.s_max)
     x_ab = _adams_mix(AB_COEFFS[order], queue, h, k)

@@ -1,5 +1,7 @@
 """Geometry kernel: identities, closed-form values, and metric properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -245,12 +247,16 @@ class TestGyration:
 
 
 class TestRimOverflow:
-    """Two points at the projection limit round a Mobius denominator to 0."""
+    """Two points at the projection limit round a Mobius denominator to 0.
+    The raw kernels return inf; the public functions raise NonFiniteError
+    without a numpy RuntimeWarning on the way."""
 
     def test_gyration_raises(self):
         a = np.array([0.99998])
         with np.errstate(divide="ignore", invalid="ignore"):
             assert not np.isfinite(ball._gyration(a, a, np.array([0.1]), -1.0)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ball.NonFiniteError):
                 gyration(a, a, np.array([0.1]), -1)
 
@@ -259,6 +265,8 @@ class TestRimOverflow:
         v = np.array([0.3, -0.2])
         with np.errstate(divide="ignore", invalid="ignore"):
             assert not np.isfinite(ball._parallel_transport(-x, x, v, -1.0)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ball.NonFiniteError):
                 parallel_transport(-x, x, v, -1)
 

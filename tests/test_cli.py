@@ -191,6 +191,86 @@ class TestOrc:
         assert run("orc", "--graph", str(tmp_path / "nope.edges")) == 1
 
 
+class TestLpFailures:
+    """A failed or uncertified transport LP, or a dead LP worker process, is a
+    numerical failure: one line on stderr and exit 2, not a traceback."""
+
+    @staticmethod
+    def patch_linprog(monkeypatch, change):
+        from hypdiff import diffusivity as dv
+
+        real = dv.linprog
+
+        def patched(c, **kwargs):
+            return change(real(c, **kwargs))
+
+        monkeypatch.setattr(dv, "linprog", patched)
+
+    @staticmethod
+    def failed(res):
+        res.success, res.message = False, "no plan"
+        return res
+
+    @staticmethod
+    def shifted_duals(res):
+        res.eqlin.marginals = res.eqlin.marginals + 1.0
+        return res
+
+    @pytest.mark.parametrize("command", [
+        ("orc", "--graph", bundled_graph_path()),
+        ("diffuse", "--scheme", "local", "--T", "1"),
+    ])
+    @pytest.mark.parametrize("change, message", [
+        ("failed", "transportation LP failed: no plan"),
+        ("shifted_duals", "infeasible dual certificate"),
+    ])
+    def test_exits_2(self, monkeypatch, tmp_path, capsys, command, change, message):
+        self.patch_linprog(monkeypatch, getattr(self, change))
+        assert run(*command, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {message}")
+        assert "Traceback" not in err
+
+    def test_dead_worker_exits_2(self, monkeypatch, tmp_path, capsys):
+        from hypdiff import diffusivity as dv
+
+        parent, real = os.getpid(), dv.linprog
+
+        def dying(c, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(dv, "linprog", dying)
+        monkeypatch.setattr(dv, "_worker_count", lambda n_edges: 2)
+        assert run("orc", "--graph", bundled_graph_path(), "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+class TestFlowEvaluations:
+    def test_default_ham_run(self, monkeypatch, tmp_path):
+        """Karate, tau=1, T=8, s_min=2: 1 (queue) + 2 x (3 warm-up + 1
+        queue) + 6 PEC steps; the warm-up takes its first stage from the
+        queue instead of evaluating the flow again."""
+        from hypdiff import diffusion
+
+        calls = []
+        build = diffusion.build_flow
+
+        def counting_build(*args, **kwargs):
+            flow = build(*args, **kwargs)
+
+            def counted(points, t):
+                calls.append(t)
+                return flow(points, t)
+
+            return counted
+
+        monkeypatch.setattr(diffusion, "build_flow", counting_build)
+        assert run("diffuse", "--method", "ham", "--out", str(tmp_path)) == 0
+        assert len(calls) == 15
+
+
 class TestKnn:
     def write_features(self, tmp_path):
         feats = tmp_path / "f.csv"
@@ -221,14 +301,15 @@ class TestKnn:
 
 
 def test_cli_import_loads_no_scipy():
-    """scipy is imported by the ORC LP and the global attention only, and
-    multiprocessing by the ORC LP pool only."""
+    """scipy is imported by the ORC LP and the global attention only,
+    multiprocessing by the ORC LP pool only, and concurrent.futures by the
+    LP pool and the flow's thread pool only, when they start."""
     import subprocess
     import sys
 
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = ("import sys, hypdiff.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'multiprocessing')))")
+            "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)

@@ -1,6 +1,8 @@
 """Diffusion flows, residual blending, Dirichlet energy, and full runs."""
 
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from hypdiff.diffusion import (
 )
 from hypdiff.diffusivity import DiffusivityConfig, DiffusivityMatrix, isotropic_weights
 from hypdiff.graphs import Graph, erdos_renyi
-from hypdiff.solvers import SolverSpec
+from hypdiff.solvers import NonFiniteStateError, SolverSpec
 
 from _oracles import assert_bitwise, dense_log_aggregate, flow_reference, rk38_step, scatter_add
 
@@ -151,47 +153,100 @@ def flow_cases(draw):
 
 
 class TestAggregation:
-    """The bincount edge sum and the row-blocked dense pass against the
-    sequential np.add.at and one-shot references."""
+    """The blocked bincount edge pass and the row-blocked dense pass against
+    the sequential np.add.at and one-shot references."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(flow_cases())
-    def test_flow_matches_reference(self, case):
+    @given(flow_cases(), st.integers(1, 40))
+    def test_flow_matches_reference(self, case, block_floats):
         pts, pairs, weights, glob = case
-        dmat = DiffusivityMatrix(n=len(pts), edge_index=pairs, edge_weights=weights,
-                                 global_part=glob)
+        dmat = DiffusivityMatrix(n=len(pts), edge_index=pairs, edge_weights=weights)
         want = flow_reference(pts, pairs[0], pairs[1], weights, glob, K1)
-        assert_bitwise(diffusion_flow(pts, dmat, K1), want)
+        assert_bitwise(diffusion_flow(pts, dmat, K1, global_part=glob), want)
+        with mock.patch.object(diffusion, "_DENSE_BLOCK_FLOATS", block_floats):
+            assert_bitwise(diffusion_flow(pts, dmat, K1, global_part=glob), want)
+
+    @staticmethod
+    def edge_sums(pts, dmat, block_floats):
+        with mock.patch.object(diffusion, "_DENSE_BLOCK_FLOATS", block_floats):
+            return diffusion._edge_aggregate(pts, dmat, -1.0, ball._sqnorm(pts))
+
+    @staticmethod
+    def weighted_log_rows(pts, src, dst, weights):
+        tang = ball.log_map(pts[src], pts[dst], K1)
+        return weights[:, None] * tang if weights.ndim == 1 else weights * tang
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(
         n=st.integers(1, 12),
-        src=hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(0, 11)),
+        pairs=hnp.arrays(np.int64, st.integers(0, 40).map(lambda m: (2, m)),
+                         elements=st.integers(0, 11)),
         dim=st.integers(1, 5),
+        block_floats=st.integers(1, 50),
         data=st.data(),
     )
-    def test_source_sums_equal_add_at(self, n, src, dim, data):
-        src = src % n
-        rows = data.draw(hnp.arrays(np.float64, (src.size, dim), elements=st.one_of(
-            st.floats(-1e3, 1e3), st.just(-0.0))))
-        dmat = DiffusivityMatrix(n=n, edge_index=[src, src], edge_weights=np.ones(src.size))
-        assert_bitwise(dmat.source_sums(rows), scatter_add(n, src, rows))
+    def test_source_sums_equal_add_at(self, n, pairs, dim, block_floats, data):
+        """Blocks of whole source nodes, in any source order, with zero
+        weights that turn negative log maps into -0.0 rows."""
+        src, dst = pairs % n
+        pts = data.draw(hnp.arrays(np.float64, (n, dim), elements=st.floats(-0.5, 0.5)))
+        pts = pts / np.sqrt(dim)  # inside the ball, where log_map does not project
+        wshape = data.draw(st.sampled_from([(src.size,), (src.size, dim)]))
+        weights = data.draw(hnp.arrays(np.float64, wshape, elements=st.one_of(
+            st.floats(0.0, 1e3), st.just(0.0))))
+        dmat = DiffusivityMatrix(n=n, edge_index=[src, dst], edge_weights=weights)
+        want = scatter_add(n, src, self.weighted_log_rows(pts, src, dst, weights))
+        assert_bitwise(self.edge_sums(pts, dmat, block_floats), want)
 
     def test_negative_zero_rows_sum_to_positive_zero(self):
-        src = np.array([0, 0, 2])
-        rows = np.full((3, 2), -0.0)
-        dmat = DiffusivityMatrix(n=3, edge_index=[src, src], edge_weights=np.ones(3))
-        out = dmat.source_sums(rows)
-        assert_bitwise(out, scatter_add(3, src, rows))
-        assert not np.signbit(out).any()
+        pts = np.array([[0.3, 0.2], [0.1, -0.4], [-0.2, 0.1]])
+        src, dst = np.array([0, 0, 2]), np.array([1, 2, 0])
+        weights = np.zeros(3)
+        rows = self.weighted_log_rows(pts, src, dst, weights)
+        assert np.signbit(rows).any()
+        dmat = DiffusivityMatrix(n=3, edge_index=[src, dst], edge_weights=weights)
+        for block_floats in (2, 1 << 16):
+            out = self.edge_sums(pts, dmat, block_floats)
+            assert_bitwise(out, scatter_add(3, src, rows))
+            assert not np.signbit(out).any()
+
+    def test_hub_spanning_several_blocks(self):
+        """A hub with more edges than a block holds keeps them in one block;
+        isolated nodes and a reversed edge order are summed as np.add.at does."""
+        n, dim = 12, 3
+        hub = [(0, j) for j in range(1, 9)] + [(5, 6), (6, 5), (9, 5)]
+        src, dst = np.array(hub[::-1]).T  # sources in descending order
+        rng = np.random.default_rng(4)
+        pts = 0.8 * initial_state(n, dim, K1, seed=4, scale=0.6).points
+        for weights in (rng.uniform(0, 2, src.size), rng.uniform(0, 2, (src.size, dim))):
+            dmat = DiffusivityMatrix(n=n, edge_index=[src, dst], edge_weights=weights)
+            want = scatter_add(n, src, self.weighted_log_rows(pts, src, dst, weights))
+            blocks = dmat.edge_blocks(dim, 2 * dim)
+            assert [(b.lo, b.hi) for b in blocks] == [(0, 1), (1, 9), (9, 12)]
+            assert_bitwise(self.edge_sums(pts, dmat, 2 * dim), want)
 
     def test_source_index_built_once_per_dimension(self):
         dmat = isotropic_weights(erdos_renyi(12, 0.3, seed=2))
-        rows = np.ones((dmat.edge_index.shape[1], 3))
-        dmat.source_sums(rows)
-        index = dmat._flat_sources[3]
-        dmat.source_sums(2.0 * rows)
-        assert dmat._flat_sources[3] is index
+        blocks = dmat.edge_blocks(3, 64)
+        assert dmat.edge_blocks(3, 64) is blocks
+        assert dmat.edge_blocks(4, 64) is not blocks
+
+    def test_blocks_cut_at_source_boundaries(self):
+        dmat = isotropic_weights(erdos_renyi(40, 0.2, seed=9))
+        src = dmat.edge_index[0]
+        for dim, block_floats in [(1, 1), (3, 17), (16, 256), (16, 1 << 16)]:
+            blocks = dmat.edge_blocks(dim, block_floats)
+            covered = np.concatenate([np.arange(src.size)[b.edges] for b in blocks])
+            assert_bitwise(covered, np.arange(src.size))
+            for b in blocks:
+                assert np.all((src[b.edges] >= b.lo) & (src[b.edges] < b.hi))
+                counts = np.bincount(src[b.edges] - b.lo)
+                assert len(b.flat) <= max(block_floats, dim * counts.max())
+            assert all(p.hi <= q.lo for p, q in zip(blocks, blocks[1:]))
+
+    def test_no_edges_no_blocks(self):
+        dmat = DiffusivityMatrix(n=4, edge_index=np.zeros((2, 0)), edge_weights=[])
+        assert dmat.edge_blocks(2, 64) == ()
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 5, 7, 16])
     def test_blocked_dense_pass_matches_one_shot(self, rows):
@@ -207,6 +262,99 @@ class TestAggregation:
             rows = diffusion._block_rows(n, dim)
             assert rows >= 1
             assert rows == 1 or rows * n * dim <= diffusion._DENSE_BLOCK_FLOATS
+
+
+class TestBlockPool:
+    """The flow passes on pool threads: the same bits as in one thread, the
+    caller's numpy error state, and no thread left behind by a run."""
+
+    @staticmethod
+    def pool(monkeypatch, threads):
+        monkeypatch.setattr(diffusion.dv, "available_cpus", lambda: threads)
+        monkeypatch.setattr(diffusion, "_DENSE_BLOCK_FLOATS", 48)
+        return diffusion.BlockPool()
+
+    @staticmethod
+    def flow_case(seed, channels):
+        g = erdos_renyi(30, 0.3, seed=seed)
+        dmat = isotropic_weights(g)
+        if channels:
+            rng = np.random.default_rng(seed)
+            dmat = DiffusivityMatrix(n=g.n, edge_index=dmat.edge_index,
+                                     edge_weights=rng.uniform(0, 1, (dmat.edge_weights.size, 4)))
+        pts = 0.9 * initial_state(g.n, 4, K1, seed=seed, scale=0.6).points
+        glob = np.random.default_rng(seed + 1).uniform(0.0, 1.0, (g.n, g.n))
+        return pts, dmat, glob
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_pooled_equals_serial(self, monkeypatch, threads):
+        pool = self.pool(monkeypatch, threads)
+        for seed, channels in [(1, False), (2, True)]:
+            pts, dmat, glob = self.flow_case(seed, channels)
+            want = diffusion_flow(pts, dmat, K1, global_part=glob)
+            with pool:
+                got = diffusion_flow(pts, dmat, K1, global_part=glob, pool=pool)
+                names = [t.name for t in threading.enumerate()]
+            assert any(name.startswith("hypdiff-flow") for name in names)
+            assert_bitwise(got, want)
+
+    def test_floating_point_error_in_a_block_reaches_caller(self, monkeypatch):
+        pool = self.pool(monkeypatch, 2)
+        pts, dmat, _ = self.flow_case(3, False)
+        # self pairs have a zero log map, and inf * 0 is an invalid operation
+        bad = DiffusivityMatrix(n=dmat.n, edge_index=[dmat.edge_index[0]] * 2,
+                                edge_weights=np.full(dmat.edge_weights.size, np.inf))
+        assert len(bad.edge_blocks(4, diffusion._DENSE_BLOCK_FLOATS)) >= 4
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError) as serial:
+                diffusion_flow(pts, bad, K1)
+            with pool, pytest.raises(FloatingPointError) as pooled:
+                diffusion_flow(pts, bad, K1, pool=pool)
+        # raised by numpy inside a block, not by the finiteness check after it
+        assert "encountered" in str(pooled.value)
+        assert str(pooled.value) == str(serial.value)
+
+    @staticmethod
+    def run_global():
+        g = erdos_renyi(30, 0.3, seed=5)
+        z0 = initial_state(30, 4, K1, seed=5)
+        dcfg = DiffusivityConfig(scheme="global", beta=0.5)
+        spec = SolverSpec(method="hrk4", tau=0.5, t_final=1.0)
+        return run_diffusion(z0, g, dcfg, spec)
+
+    def test_run_joins_its_threads(self, monkeypatch):
+        self.pool(monkeypatch, 2)
+        start = threading.active_count()
+        seen = []
+        real = diffusion.diffusion_flow
+
+        def flow(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen.append(threading.active_count())
+            return out
+
+        monkeypatch.setattr(diffusion, "diffusion_flow", flow)
+        _, pooled = self.run_global()
+        assert max(seen) > start
+        assert threading.active_count() == start
+        monkeypatch.setattr(diffusion.dv, "available_cpus", lambda: 1)
+        _, serial = self.run_global()
+        assert pooled == serial
+
+    def test_failed_run_joins_its_threads(self, monkeypatch):
+        self.pool(monkeypatch, 2)
+        start = threading.active_count()
+        seen = []
+
+        def failing(agg, sigma):
+            seen.append(threading.active_count())
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(diffusion, "_apply_sigma", failing)
+        with pytest.raises(NonFiniteStateError):
+            self.run_global()
+        assert seen and seen[0] > start
+        assert threading.active_count() == start
 
 
 class TestResidualFlow:
@@ -263,6 +411,30 @@ class TestRunDiffusion:
         want = diffusion_flow(z0.points, isotropic_weights(g), K1)
         np.testing.assert_allclose(final.points, want, atol=1e-12)
         assert [t for t, _ in trace] == [0.0, 1.0]
+
+    def test_ham_evaluates_the_flow_once_per_new_state(self, monkeypatch):
+        """The settings of the global-800 benchmark on a small graph: the
+        warm-up hrk4 step takes its first stage from the slope queue, so the
+        run costs 1 (queue) + 3 (warm-up) + 1 (queue) + 1 (PEC) evaluations."""
+        calls = []
+        build = diffusion.build_flow
+
+        def counting_build(*args, **kwargs):
+            flow = build(*args, **kwargs)
+
+            def counted(points, t):
+                calls.append(t)
+                return flow(points, t)
+
+            return counted
+
+        monkeypatch.setattr(diffusion, "build_flow", counting_build)
+        g = erdos_renyi(40, 0.25, seed=2)
+        z0 = initial_state(40, 4, K1, seed=2)
+        dcfg = DiffusivityConfig(scheme="global", beta=0.5, heads=2)
+        spec = SolverSpec(method="ham", tau=1.0, t_final=2.0, s_min=1)
+        run_diffusion(z0, g, dcfg, spec, residual=ResidualSpec())
+        assert len(calls) == 6
 
     def test_energy_decays_without_residual(self):
         g = erdos_renyi(50, 0.1, seed=3)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypdiff import ball, diffusivity as dv
 from hypdiff.cli import bundled_graph_path
+from hypdiff.diffusion import diffusion_flow
 from hypdiff.diffusivity import (
     AttentionParams,
     DiffusivityConfig,
@@ -16,7 +17,6 @@ from hypdiff.diffusivity import (
     global_diffusivity,
     isotropic_weights,
     local_diffusivity,
-    mix,
     orc_curvatures,
     transport_cost,
 )
@@ -445,41 +445,6 @@ class TestGlobalDiffusivity:
         np.testing.assert_allclose(g1, g2, atol=1e-15)
 
 
-class TestMix:
-    def test_beta_zero_keeps_local(self):
-        local = isotropic_weights(CYCLE4)
-        mixed = mix(local, np.full((4, 4), 0.25), beta=0.0)
-        np.testing.assert_array_equal(mixed.edge_weights, local.edge_weights)
-        assert mixed.global_part is None
-
-    def test_beta_one_keeps_global(self):
-        local = isotropic_weights(CYCLE4)
-        glob = np.full((4, 4), 0.25)
-        mixed = mix(local, glob, beta=1.0)
-        assert np.all(mixed.edge_weights == 0.0)
-        np.testing.assert_array_equal(mixed.global_part, glob)
-
-    def test_beta_half_elementwise_average(self):
-        local = isotropic_weights(CYCLE4)
-        rng = np.random.default_rng(15)
-        glob = rng.uniform(size=(4, 4))
-        glob /= glob.sum(axis=1, keepdims=True)
-        mixed = mix(local, glob, beta=0.5)
-        dense_local = np.zeros((4, 4))
-        src, dst = local.edge_index
-        dense_local[src, dst] = local.edge_weights
-        dense_mixed = np.zeros((4, 4))
-        dense_mixed[mixed.edge_index[0], mixed.edge_index[1]] = mixed.edge_weights
-        dense_mixed += mixed.global_part
-        np.testing.assert_allclose(
-            dense_mixed, 0.5 * dense_local + 0.5 * glob, atol=1e-15
-        )
-
-    def test_beta_validation(self):
-        with pytest.raises(ValueError):
-            mix(isotropic_weights(CYCLE4), np.zeros((4, 4)), beta=1.2)
-
-
 class TestMatrixValidation:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -488,8 +453,12 @@ class TestMatrixValidation:
             )
 
     def test_global_shape_checked(self):
-        with pytest.raises(ValueError):
-            DiffusivityMatrix(
-                n=2, edge_index=[[0, 1], [1, 0]], edge_weights=[0.1, 0.2],
-                global_part=np.zeros((3, 3)),
-            )
+        # the dense global part goes to the flow next to the edge weights
+        dmat = DiffusivityMatrix(n=2, edge_index=[[0, 1], [1, 0]], edge_weights=[0.1, 0.2])
+        with pytest.raises(ValueError, match="global part"):
+            diffusion_flow(np.zeros((2, 2)), dmat, K1, global_part=np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("pairs", [[[0, 2], [1, 0]], [[0, 1], [-1, 0]]])
+    def test_edge_index_out_of_range_rejected(self, pairs):
+        with pytest.raises(ValueError, match="out of range"):
+            DiffusivityMatrix(n=2, edge_index=pairs, edge_weights=[0.1, 0.2])
