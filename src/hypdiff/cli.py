@@ -66,7 +66,8 @@ def bundled_graph_path() -> str:
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
-        lines = open(path, "r", encoding="utf-8").read().splitlines()
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
@@ -175,7 +176,10 @@ def cmd_diffuse(args) -> int:
         s_min=cfg["s_min"], s_max=cfg["s_max"],
     )
     residual = _residual_from(cfg)
-    final, trace = diffusion.run_diffusion(z0, g, dcfg, spec, residual, sigma=cfg["sigma"])
+    # a diverging run is reported once, as a NonFiniteStateError, and not
+    # also by numpy warnings from inside the kernels
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        final, trace = diffusion.run_diffusion(z0, g, dcfg, spec, residual, sigma=cfg["sigma"])
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
     graphio.save_matrix_csv(os.path.join(out_dir, "embeddings.csv"), final.points)

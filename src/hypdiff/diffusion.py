@@ -40,6 +40,8 @@ _DENSE_BLOCK_FLOATS = 1 << 16
 _MIN_BLOCKS_PER_THREAD = 2
 
 EnergyTrace = List[Tuple[float, float]]
+# rows(a, b) -> the (b - a, n) dense weights of nodes a..b-1
+RowSource = Callable[[int, int], np.ndarray]
 
 
 @dataclass
@@ -78,17 +80,6 @@ class ResidualSpec:
             raise ValueError("residual weights must be finite")
         if np.sum(np.abs(self.eta)) == 0.0:
             raise ValueError("residual weights must not all vanish")
-
-
-def gradient(points: np.ndarray, pairs: np.ndarray, kappa) -> np.ndarray:
-    """Tangent-space differences log_{z_i}(z_j) for index pairs (i, j).
-
-    The flat limit recovers z_j - z_i.
-    """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= points.shape[0]):
-        raise IndexError("pair index out of range")
-    return ball.log_map(points[pairs[:, 0]], points[pairs[:, 1]], kappa)
 
 
 def _apply_sigma(agg: np.ndarray, sigma: str) -> np.ndarray:
@@ -152,22 +143,22 @@ def diffusion_flow(
     dmat: dv.DiffusivityMatrix,
     kappa,
     sigma: str = "identity",
-    global_part: Optional[np.ndarray] = None,
+    global_part: Optional[RowSource] = None,
     pool: Optional[BlockPool] = None,
 ) -> np.ndarray:
     """One flow evaluation F(z) under the given diffusivity weights.
 
     The sparse part aggregates over neighbors (scalar or per-channel edge
-    weights of dmat); the optional dense (n, n) global_part aggregates over
-    all pairs.  Both passes run in row blocks, on the threads of ``pool``
-    while its context is open.  Aggregation order is fixed, so results are
-    bitwise reproducible and do not depend on the pool.
+    weights of dmat); the optional dense global part aggregates over all
+    pairs, its weights made by global_part(a, b) as a (b - a, n) array for
+    each block of rows a..b-1 (e.g. GlobalAttention.rows).  Both passes run
+    in row blocks, on the threads of ``pool`` while its context is open.
+    Aggregation order is fixed, so results are bitwise reproducible and do
+    not depend on the pool.
     """
     n, dim = points.shape
     if dmat.n != n:
         raise ValueError("diffusivity matrix size does not match state")
-    if global_part is not None and global_part.shape != (n, n):
-        raise ValueError("global part must be (n, n)")
     run = _run_serially if pool is None else pool.run
     k = ball._kappa_value(kappa)
     sq = ball._sqnorm(points)
@@ -213,23 +204,29 @@ def _block_rows(n: int, dim: int) -> int:
 
 
 def _global_aggregate(
-    points: np.ndarray, weights: np.ndarray, k: float, sq: np.ndarray, rows: int,
+    points: np.ndarray, weights: RowSource, k: float, sq: np.ndarray, rows: int,
     run: Callable = _run_serially,
 ) -> np.ndarray:
-    """sum_j weights_ij log_{z_i}(z_j) for every node i, `rows` nodes at a time.
+    """sum_j w_ij log_{z_i}(z_j) for every node i, `rows` nodes at a time,
+    with the rows a..b-1 of w made by weights(a, b) inside the block.
 
     Each entry depends only on its own row of log maps and weights, so the
-    blocks give bitwise the result of one (n, n, d) pass at a fraction of its
-    memory.  sq holds the squared row norms of points.
+    blocks give bitwise the result of one (n, n, d) pass, and no (n, n)
+    array of weights is held.  sq holds the squared row norms of points.
     """
+    n = points.shape[0]
     out = np.empty_like(points)
     y, y2 = points[None, :, :], sq[None, :, :]
 
     def block(a: int):
-        tang = ball._log_map(points[a : a + rows, None, :], y, k, sq[a : a + rows, None, :], y2)
-        out[a : a + rows] = np.einsum("ij,ijd->id", weights[a : a + rows], tang)
+        b = min(a + rows, n)
+        w = weights(a, b)
+        if w.shape != (b - a, n):
+            raise ValueError(f"global part gave {w.shape} weights for rows {a}..{b - 1} of {n}")
+        tang = ball._log_map(points[a:b, None, :], y, k, sq[a:b, None, :], y2)
+        out[a:b] = np.einsum("ij,ijd->id", w, tang)
 
-    run(block, range(0, points.shape[0], rows))
+    run(block, range(0, n, rows))
     return out
 
 
@@ -297,8 +294,10 @@ def build_flow(
 
     Topology-dependent weights (isotropic, curvature attention) are fixed at
     build time in one DiffusivityMatrix; the global attention part is
-    re-evaluated from the current embeddings inside every flow call.  The
-    flow runs its passes on ``pool``, whose threads may start after this call.
+    re-evaluated from the current embeddings inside every flow call, one
+    GlobalAttention per call whose rows each dense block makes for itself.
+    The flow runs its passes on ``pool``, whose threads may start after this
+    call.
     """
     if sigma not in SIGMAS:
         raise ValueError(f"unknown activation {sigma!r}, expected one of {SIGMAS}")
@@ -326,7 +325,7 @@ def build_flow(
     def flow(points: np.ndarray, t: float) -> np.ndarray:
         glob = None
         if needs_global:
-            glob = cfg.beta * dv.global_diffusivity(points, params, cfg.heads, kappa)
+            glob = dv.GlobalAttention(points, params, cfg.heads, kappa, cfg.beta).rows
         out = diffusion_flow(points, static, kappa, sigma, glob, pool)
         if residual is not None:
             out = residual_flow(out, points, z0, residual, kappa)

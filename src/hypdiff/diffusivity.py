@@ -412,25 +412,60 @@ def local_diffusivity(
     return DiffusivityMatrix(n=g.n, edge_index=ei, edge_weights=weights)
 
 
-def global_diffusivity(
-    points: np.ndarray, params: AttentionParams, heads: int, kappa
-) -> np.ndarray:
-    """Dense row-stochastic sigmoid attention over tangent embeddings at o.
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), bitwise equal to scipy.special.expit.
+
+    np.exp over a reversed 1-D view into a fresh array runs numpy's scalar
+    libm loop, which expit uses too; over contiguous or 2-D input numpy takes
+    a SIMD loop whose last bits differ on about 2% of entries.  Overflow of
+    exp and underflow of the quotient are the exact limits 0 and 1, so they
+    stay silent as they do in expit.  The result is a contiguous array in
+    the order of x.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        e = np.exp(np.negative(x).ravel()[::-1])
+        e += 1.0
+        np.divide(1.0, e, out=e)
+    return np.ascontiguousarray(e[::-1]).reshape(x.shape)
+
+
+class GlobalAttention:
+    """beta times the dense row-stochastic sigmoid attention over tangent
+    embeddings at o, made one block of rows at a time.
 
     Per head: scores sigmoid(q k^T) > 0, rows divided by their sums; heads
     averaged.  With zero projections all scores are 0.5 and rows are uniform.
+    The per-head products q k^T are computed whole on construction; they are
+    the only (n, n) arrays it holds.  Row blocks of the product would not do:
+    when n is not a multiple of 8, BLAS gives q[a:b] @ k.T other bits than
+    the rows of q @ k.T.
     """
-    from scipy.special import expit
 
-    n, dim = points.shape
-    tang = ball.log_map(np.zeros(dim), points, kappa)
-    q = tang @ params.w_query
-    k = tang @ params.w_key
-    out = np.zeros((n, n))
-    for h in range(heads):
-        qh = q[:, h * dim : (h + 1) * dim]
-        kh = k[:, h * dim : (h + 1) * dim]
-        scores = expit(qh @ kh.T)
-        out += scores / scores.sum(axis=1, keepdims=True)
-    return out / heads
+    def __init__(self, points: np.ndarray, params: AttentionParams, heads: int, kappa,
+                 beta: float = 1.0):
+        self.n, dim = points.shape
+        self.beta = beta
+        tang = ball.log_map(np.zeros(dim), points, kappa)
+        q = tang @ params.w_query
+        k = tang @ params.w_key
+        self.products = [
+            q[:, h * dim : (h + 1) * dim] @ k[:, h * dim : (h + 1) * dim].T
+            for h in range(heads)
+        ]
 
+    def rows(self, a: int, b: int) -> np.ndarray:
+        """Rows a..b-1 of the attention as a (b - a, n) array."""
+        out = np.zeros((b - a, self.n))
+        for product in self.products:
+            scores = _sigmoid(product[a:b])
+            out += scores / scores.sum(axis=1, keepdims=True)
+        out /= len(self.products)
+        out *= self.beta
+        return out
+
+
+def global_diffusivity(
+    points: np.ndarray, params: AttentionParams, heads: int, kappa
+) -> np.ndarray:
+    """Dense (n, n) row-stochastic sigmoid attention (see GlobalAttention)."""
+    return GlobalAttention(points, params, heads, kappa).rows(0, points.shape[0])

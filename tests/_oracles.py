@@ -201,6 +201,33 @@ def dense_log_aggregate(points, weights, kappa):
     return np.einsum("ij,ijd->id", weights, tang)
 
 
+def global_attention_reference(points, params, heads, kappa):
+    """The dense sigmoid attention as one expression per head, with scipy's
+    expit: the mean over heads of sigmoid(q k^T) with rows divided by their
+    sums."""
+    from scipy.special import expit
+
+    from hypdiff import ball
+
+    n, dim = points.shape
+    tang = ball.log_map(np.zeros(dim), points, kappa)
+    q, k = tang @ params.w_query, tang @ params.w_key
+    out = np.zeros((n, n))
+    for h in range(heads):
+        cols = slice(h * dim, (h + 1) * dim)
+        scores = expit(q[:, cols] @ k[:, cols].T)
+        out += scores / scores.sum(axis=1, keepdims=True)
+    return out / heads
+
+
+def row_source(weights):
+    """diffusion_flow's global_part for a dense (n, n) weight matrix: its
+    rows a..b-1 on request; None stays None."""
+    if weights is None:
+        return None
+    return lambda a, b: weights[a:b]
+
+
 def flow_reference(points, src, dst, edge_weights, global_part, kappa):
     """F(z)_i = exp_{z_i}(sum_j a_ij log_{z_i}(z_j)) through the public ball
     API: edge log maps summed by np.add.at, plus the one-shot dense pass."""

@@ -46,6 +46,22 @@ class TestDiffuse:
         assert payload["method"] == "heuler"
         assert payload["seed"] == 4
 
+    def test_config_file_is_closed(self, tmp_path, monkeypatch):
+        import gc
+        import sys
+        import warnings
+
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("T=1\n")
+        # a ResourceWarning raised as an error inside a finalizer goes here
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert run("diffuse", "--config", str(cfg), "--out", str(tmp_path / "run")) == 0
+            gc.collect()
+        assert [repr(u.exc_value) for u in unraisable] == []
+
     def test_run_json_echoes_defaults(self, tmp_path):
         out = tmp_path / "run"
         assert run("diffuse", "--out", str(out), "--T", "1") == 0
@@ -300,17 +316,43 @@ class TestKnn:
         assert (out1 / "knn.edges").read_bytes() == (out2 / "knn.edges").read_bytes()
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy is imported by the ORC LP and the global attention only,
-    multiprocessing by the ORC LP pool only, and concurrent.futures by the
-    LP pool and the flow's thread pool only, when they start."""
+def python_with_src(code):
+    """Run code in a fresh interpreter that imports hypdiff from src."""
     import subprocess
     import sys
 
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = ("import sys, hypdiff.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported by the ORC LP only, multiprocessing by the ORC LP
+    pool only, and concurrent.futures by the LP pool and the flow's thread
+    pool only, when they start."""
+    out = python_with_src(
+        "import sys, hypdiff.cli; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))")
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_global_run_loads_no_scipy(tmp_path):
+    out = python_with_src(
+        "import sys; from hypdiff.cli import main; "
+        f"rc = main(['diffuse', '--scheme', 'global', '--T', '2', '--out', {str(tmp_path)!r}]); "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0 []"
+
+
+def test_diverging_run_prints_one_line(tmp_path):
+    """karate, global attention, ham at tau=1 leaves the ball at step 7: one
+    line on stderr, no numpy warnings, exit 2."""
+    out = python_with_src(
+        "import sys; from hypdiff.cli import main; "
+        "sys.exit(main(['diffuse', '--scheme', 'global', '--method', 'ham', "
+        f"'--out', {str(tmp_path)!r}]))")
+    assert out.returncode == 2
+    assert out.stderr == "numerical failure: non-finite state at step 7 (t=7)\n"

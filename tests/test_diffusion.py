@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hypdiff import ball, diffusion
+from hypdiff import ball, diffusion, diffusivity as dv
 from hypdiff.ball import Curvature
 from hypdiff.diffusion import (
     EmbeddingState,
@@ -18,7 +18,6 @@ from hypdiff.diffusion import (
     diffusion_flow,
     dirichlet_energy,
     features_to_state,
-    gradient,
     initial_state,
     residual_flow,
     run_diffusion,
@@ -27,7 +26,9 @@ from hypdiff.diffusivity import DiffusivityConfig, DiffusivityMatrix, isotropic_
 from hypdiff.graphs import Graph, erdos_renyi
 from hypdiff.solvers import NonFiniteStateError, SolverSpec
 
-from _oracles import assert_bitwise, dense_log_aggregate, flow_reference, rk38_step, scatter_add
+from _oracles import (
+    assert_bitwise, dense_log_aggregate, flow_reference, rk38_step, row_source, scatter_add,
+)
 
 K1 = Curvature(-1.0)
 KSMALL = Curvature(-1e-6)
@@ -56,29 +57,6 @@ class TestResidualSpec:
             ResidualSpec(eta=(1.0, 2.0))
         with pytest.raises(ValueError):
             ResidualSpec(eta=(0.0, 0.0, 0.0))
-
-
-class TestGradient:
-    def test_zero_at_same_point(self):
-        pts = two_point_state()
-        out = gradient(pts, [(0, 0), (1, 1)], K1)
-        np.testing.assert_array_equal(out, np.zeros((2, 2)))
-
-    def test_flat_limit(self):
-        pts = two_point_state()
-        out = gradient(pts, [(0, 1)], KSMALL)
-        np.testing.assert_allclose(out[0], pts[1] - pts[0], atol=1e-6)
-
-    def test_exp_inverts(self):
-        pts = two_point_state()
-        out = gradient(pts, [(0, 1)], K1)
-        np.testing.assert_allclose(
-            ball.exp_map(pts[0], out[0], K1), pts[1], atol=1e-12
-        )
-
-    def test_index_check(self):
-        with pytest.raises(IndexError):
-            gradient(two_point_state(), [(0, 5)], K1)
 
 
 class TestDiffusionFlow:
@@ -162,9 +140,10 @@ class TestAggregation:
         pts, pairs, weights, glob = case
         dmat = DiffusivityMatrix(n=len(pts), edge_index=pairs, edge_weights=weights)
         want = flow_reference(pts, pairs[0], pairs[1], weights, glob, K1)
-        assert_bitwise(diffusion_flow(pts, dmat, K1, global_part=glob), want)
+        rows = row_source(glob)
+        assert_bitwise(diffusion_flow(pts, dmat, K1, global_part=rows), want)
         with mock.patch.object(diffusion, "_DENSE_BLOCK_FLOATS", block_floats):
-            assert_bitwise(diffusion_flow(pts, dmat, K1, global_part=glob), want)
+            assert_bitwise(diffusion_flow(pts, dmat, K1, global_part=rows), want)
 
     @staticmethod
     def edge_sums(pts, dmat, block_floats):
@@ -254,7 +233,7 @@ class TestAggregation:
         n = 16 if rows != 16 else 23  # n is no multiple of the block size
         pts = 0.9 * initial_state(n, 3, K1, seed=rows, scale=0.6).points
         weights = rng.uniform(0.0, 1.0, size=(n, n))
-        got = diffusion._global_aggregate(pts, weights, -1.0, ball._sqnorm(pts), rows)
+        got = diffusion._global_aggregate(pts, row_source(weights), -1.0, ball._sqnorm(pts), rows)
         assert_bitwise(got, dense_log_aggregate(pts, weights, K1))
 
     def test_block_rows_stay_within_the_budget(self):
@@ -262,6 +241,52 @@ class TestAggregation:
             rows = diffusion._block_rows(n, dim)
             assert rows >= 1
             assert rows == 1 or rows * n * dim <= diffusion._DENSE_BLOCK_FLOATS
+
+
+class TestFusedAttention:
+    """The dense pass fed by GlobalAttention rows, made inside each block."""
+
+    N, DIM = 37, 4
+
+    @classmethod
+    def case(cls, heads):
+        g = Graph.from_edges([(i, (i + 1) % cls.N) for i in range(cls.N)])
+        dmat = isotropic_weights(g)
+        pts = 0.9 * initial_state(cls.N, cls.DIM, K1, seed=heads, scale=0.6).points
+        att = dv.GlobalAttention(pts, dv.AttentionParams.init(cls.DIM, heads, seed=heads),
+                                 heads, K1, beta=0.5)
+        return pts, dmat, att
+
+    # one node's row of log maps holds N * DIM floats: budgets of 1-row
+    # blocks, of 5-row blocks with a 2-row tail, and of 36 rows with a 1-row tail
+    @pytest.mark.parametrize("block_floats", [1, 5 * N * DIM, 36 * N * DIM])
+    def test_blocked_and_pooled_match_dense_reference(self, monkeypatch, block_floats):
+        monkeypatch.setattr(diffusion.dv, "available_cpus", lambda: 2)
+        monkeypatch.setattr(diffusion, "_DENSE_BLOCK_FLOATS", block_floats)
+        for heads in (1, 2):
+            pts, dmat, att = self.case(heads)
+            src, dst = dmat.edge_index
+            want = flow_reference(pts, src, dst, dmat.edge_weights, att.rows(0, self.N), K1)
+            assert_bitwise(diffusion_flow(pts, dmat, K1, global_part=att.rows), want)
+            with diffusion.BlockPool() as pool:
+                got = diffusion_flow(pts, dmat, K1, global_part=att.rows, pool=pool)
+            assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_evaluation_holds_no_dense_attention(self, heads):
+        """Besides the heads (n, n) score products, one global flow
+        evaluation allocates only block-sized arrays."""
+        n, dim = 1500, 16
+        g = Graph.from_edges([(i, i + 1) for i in range(n - 1)])
+        z0 = initial_state(n, dim, K1, seed=heads)
+        flow = build_flow(g, DiffusivityConfig(scheme="global", heads=heads), dim, K1)
+        tracemalloc.start()
+        try:
+            flow(z0.points, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= heads * n * n * 8 + 6 * 2**20, peak
 
 
 class TestBlockPool:
@@ -291,9 +316,9 @@ class TestBlockPool:
         pool = self.pool(monkeypatch, threads)
         for seed, channels in [(1, False), (2, True)]:
             pts, dmat, glob = self.flow_case(seed, channels)
-            want = diffusion_flow(pts, dmat, K1, global_part=glob)
+            want = diffusion_flow(pts, dmat, K1, global_part=row_source(glob))
             with pool:
-                got = diffusion_flow(pts, dmat, K1, global_part=glob, pool=pool)
+                got = diffusion_flow(pts, dmat, K1, global_part=row_source(glob), pool=pool)
                 names = [t.name for t in threading.enumerate()]
             assert any(name.startswith("hypdiff-flow") for name in names)
             assert_bitwise(got, want)

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from hypdiff import ball, diffusivity as dv
 from hypdiff.cli import bundled_graph_path
-from hypdiff.diffusion import diffusion_flow
+from hypdiff.diffusion import _block_rows, diffusion_flow
 from hypdiff.diffusivity import (
     AttentionParams,
     DiffusivityConfig,
     DiffusivityMatrix,
+    GlobalAttention,
     global_diffusivity,
     isotropic_weights,
     local_diffusivity,
@@ -26,9 +27,12 @@ from hypdiff.graphio import load_edge_list
 
 from _oracles import (
     all_graphs_up_to,
+    assert_bitwise,
     connected_components,
+    global_attention_reference,
     orc_enumerated,
     preferential_attachment,
+    row_source,
     transport_enumerate,
 )
 
@@ -445,6 +449,84 @@ class TestGlobalDiffusivity:
         np.testing.assert_allclose(g1, g2, atol=1e-15)
 
 
+def zero_projections(params):
+    return AttentionParams(
+        w_query=np.zeros_like(params.w_query), w_key=np.zeros_like(params.w_key),
+        mlp_w1=params.mlp_w1, mlp_b1=params.mlp_b1,
+        mlp_w2=params.mlp_w2, mlp_b2=params.mlp_b2,
+    )
+
+
+class TestGlobalAttention:
+    """Rows made block by block against the dense attention, bitwise."""
+
+    DIM = 16
+
+    @classmethod
+    def state(cls, n):
+        rng = np.random.default_rng(n)
+        return ball.project_to_ball(0.4 * rng.standard_normal((n, cls.DIM)), K1)
+
+    @staticmethod
+    def blocked(att, n, rows):
+        return np.concatenate([att.rows(a, min(a + rows, n)) for a in range(0, n, rows)])
+
+    @pytest.mark.parametrize("n", [1, 2, 34, 193, 333, 800, 801])
+    def test_rows_equal_scaled_dense_attention(self, n):
+        pts = self.state(n)
+        # 1-row blocks, the flow's blocks, and blocks that leave a short tail
+        block_rows = sorted({1, _block_rows(n, self.DIM), 7, max(1, n - 1)})
+        for heads in (1, 2, 3):
+            seeded = AttentionParams.init(self.DIM, heads, seed=n + heads)
+            for params in (seeded, zero_projections(seeded)):
+                dense = global_attention_reference(pts, params, heads, K1)
+                assert_bitwise(global_diffusivity(pts, params, heads, K1), dense)
+                for beta in (0.3, 0.5, 1.0):
+                    att = GlobalAttention(pts, params, heads, K1, beta)
+                    assert len(att.products) == heads
+                    for rows in block_rows:
+                        assert_bitwise(self.blocked(att, n, rows), beta * dense)
+
+
+class TestSigmoid:
+    """dv._sigmoid against scipy.special.expit, bit for bit; NaN by NaN-ness."""
+
+    SPECIAL = np.array([
+        0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+        2.2250738585072014e-308, -2.2250738585072014e-308, 709.8, -709.8,
+        745.0, -745.0, 746.0, -746.0, 36.7, -36.7, 1e308, -1e308,
+    ])
+
+    @staticmethod
+    def assert_expit_bits(x):
+        from scipy.special import expit
+
+        got, want = dv._sigmoid(x), expit(x)
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1, 333), (333, 1), (0, 5), (5, 0), (0,), (1,), (7,), (5, 800),
+        (64, 64), (3, 4, 5),
+    ])
+    def test_random_blocks(self, shape):
+        rng = np.random.default_rng(sum(shape) + len(shape))
+        for scale in (1.0, 10.0, 40.0, 400.0):
+            self.assert_expit_bits(scale * rng.standard_normal(shape))
+
+    def test_special_values(self):
+        self.assert_expit_bits(self.SPECIAL)
+        self.assert_expit_bits(self.SPECIAL[::-1].reshape(3, 7))
+
+    def test_silent_when_errors_raise(self):
+        rng = np.random.default_rng(5)
+        with np.errstate(all="raise"):
+            self.assert_expit_bits(self.SPECIAL)
+            self.assert_expit_bits(800.0 * rng.standard_normal((9, 50)))
+
+
 class TestMatrixValidation:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -456,7 +538,7 @@ class TestMatrixValidation:
         # the dense global part goes to the flow next to the edge weights
         dmat = DiffusivityMatrix(n=2, edge_index=[[0, 1], [1, 0]], edge_weights=[0.1, 0.2])
         with pytest.raises(ValueError, match="global part"):
-            diffusion_flow(np.zeros((2, 2)), dmat, K1, global_part=np.zeros((3, 3)))
+            diffusion_flow(np.zeros((2, 2)), dmat, K1, global_part=row_source(np.zeros((3, 3))))
 
     @pytest.mark.parametrize("pairs", [[[0, 2], [1, 0]], [[0, 1], [-1, 0]]])
     def test_edge_index_out_of_range_rejected(self, pairs):
