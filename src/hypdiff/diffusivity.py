@@ -216,14 +216,6 @@ def _measure(g: Graph, v: int, alpha: float) -> Tuple[List[int], np.ndarray]:
     return nodes, np.array([m for _, m in keep], dtype=np.float64)
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call: scipy.optimize
-    costs most of a cold ``import hypdiff`` and only the ORC schemes use it."""
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(*args, **kwargs)
-
-
 def _ground_costs(g: Graph, su: List[int], sv: List[int]) -> np.ndarray:
     """Hop distances between the measure supports of an edge (u, v).
 
@@ -246,28 +238,85 @@ def _ground_costs(g: Graph, su: List[int], sv: List[int]) -> np.ndarray:
     return np.where(same, 0.0, np.where(adjacent, 1.0, np.where(shared, 2.0, 3.0)))
 
 
+class LpSolution(NamedTuple):
+    """What HiGHS reports for one transportation LP."""
+
+    status: str  # HiGHS model status, "Optimal" when solved
+    fun: float  # primal objective
+    row_dual: np.ndarray  # duals of the supply rows, then of the kept demand rows
+
+
+def linprog(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> LpSolution:
+    """The balanced transportation LP of transport_cost, solved by HiGHS.
+
+    Variable i*nd + j is the mass moved from supply atom i to demand atom j.
+    The rows are the ns supply sums, then the first nd - 1 demand sums; the
+    last demand sum is implied by the balance and left out.  The model goes
+    to the pybind11 HiGHS binding bundled with scipy, which
+    scipy.optimize.linprog(method="highs") calls too, with the options
+    linprog sets for that method, so the results are bitwise those of
+    linprog without its Python wrapper.  The binding is imported on the
+    first call: scipy.optimize costs most of a cold ``import hypdiff`` and
+    only the ORC schemes use it.
+    """
+    from scipy.optimize._highspy import _core as hs
+
+    ns, nd = cost.shape
+    b_eq = np.concatenate([supply, demand[:-1]])
+    # Column i*nd + j has a 1 in row i and, when j < nd - 1, one in row ns + j:
+    # the entries (i, ns + j) of supply atom i in column order, less the last.
+    rows = np.empty((ns, nd, 2), dtype=np.int32)
+    rows[..., 0] = np.arange(ns)[:, None]
+    rows[..., 1] = ns + np.arange(nd)
+    index = rows.reshape(ns, 2 * nd)[:, :-1].ravel()
+    start = np.append((2 * nd - 1) * np.arange(ns)[:, None] + 2 * np.arange(nd), index.size)
+
+    lp = hs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = ns * nd
+    lp.num_row_ = lp.a_matrix_.num_row_ = b_eq.size
+    lp.a_matrix_.format_ = hs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = np.ones(index.size)
+    lp.col_cost_ = cost.reshape(-1)
+    lp.col_lower_ = np.zeros(ns * nd)
+    lp.col_upper_ = np.full(ns * nd, hs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+
+    solver = hs._Highs()
+    for name, value in (
+        ("output_flag", False),
+        ("log_to_console", False),
+        ("presolve", "on"),
+        ("highs_debug_level", hs.HighsDebugLevel.kHighsDebugLevelNone),
+        ("simplex_strategy", hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+    ):
+        if solver.setOptionValue(name, value) != hs.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
+    solver.passModel(lp)
+    solver.run()
+    return LpSolution(
+        solver.modelStatusToString(solver.getModelStatus()),
+        solver.getObjectiveValue(),
+        np.array(solver.getSolution().row_dual),
+    )
+
+
 def transport_cost(
     supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
 ) -> Tuple[float, float]:
     """Exact balanced-transportation solve; returns (optimum, dual gap).
 
     Minimizes <cost, plan> over plans with the given marginals via the HiGHS
-    LP solver.  The dual certificate is checked here: potentials must be
-    feasible (phi_i + psi_j <= c_ij) and match the primal objective.
+    LP solver (see :func:`linprog`).  The dual certificate is checked here:
+    potentials must be feasible (phi_i + psi_j <= c_ij) and match the primal
+    objective.
     """
-    ns, nd = len(supply), len(demand)
-    c = cost.reshape(-1)
-    a_eq = np.zeros((ns + nd - 1, ns * nd))
-    for i in range(ns):
-        a_eq[i, i * nd : (i + 1) * nd] = 1.0
-    for j in range(nd - 1):  # last demand row is redundant (balanced problem)
-        a_eq[ns + j, j::nd] = 1.0
-    b_eq = np.concatenate([supply, demand[:-1]])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transportation LP failed: {res.message}")
-    duals = np.asarray(res.eqlin.marginals, dtype=np.float64)
-    phi, psi = duals[:ns], np.append(duals[ns:], 0.0)
+    res = linprog(cost, supply, demand)
+    if res.status != "Optimal":
+        raise RuntimeError(f"transportation LP failed: {res.status}")
+    ns = len(supply)
+    phi, psi = res.row_dual[:ns], np.append(res.row_dual[ns:], 0.0)
     slack = cost - phi[:, None] - psi[None, :]
     if slack.min() < -1e-7:
         raise RuntimeError(f"infeasible dual certificate (violation {slack.min():.2e})")
@@ -275,14 +324,18 @@ def transport_cost(
     return float(res.fun), abs(float(res.fun) - dual_obj)
 
 
-# Fewest edges that justify one more LP worker.  Forking and joining a
-# two-worker pool takes about 50 ms and one transport LP 3-4 ms (2 CPUs,
-# karate and a 150-node preferential-attachment graph), so a worker that
-# takes over 64 LPs saves about four times what it costs.  Karate (78 edges)
-# and the criterion-06 graphs (at most 86 edges) stay in-process, where a
-# pool would save at most a fifth.
+# Fewest edges that justify one more LP worker.  One edge's transport LP
+# takes about 1 ms (1.35 ms on the 584 edges of local-orc-150).  A two-worker
+# pool finishes 20-45 ms after half the in-process time: about 14 ms to fork
+# and join, the rest task round trips and the uneven tail (2 CPUs).  So two
+# workers break even near 70 edges and save about a quarter at 2 * 64 (117
+# edges: 117 -> 89 ms).  Karate (78 edges: 82 ms in-process, 122 ms on two
+# workers) and the criterion-06 graphs (at most 86 edges) stay in-process.
 _MIN_EDGES_PER_WORKER = 64
-_LP_CHUNK = 8  # edges per task, so the hub edges at low node ids spread out
+# Edges per task, so the hub edges at low node ids spread out.  4 costs
+# 10-30 ms more than 8 (local-orc-150, a 257-edge graph); 16 and 32 are
+# within noise.
+_LP_CHUNK = 8
 
 _worker_job: Optional[Tuple[Graph, float]] = None  # set in LP worker processes only
 
@@ -323,7 +376,7 @@ def _edge_transports(g: Graph, alpha: float) -> List[Tuple[float, float]]:
 
     With more than one worker the LPs run in processes forked from this one,
     which see the graph through fork instead of a pickled copy and inherit
-    the imported scipy.optimize; only edge indices and (W, gap) pairs cross
+    the imported HiGHS binding; only edge indices and (W, gap) pairs cross
     the pipes, and pickled floats keep their bits.
     """
     edges = range(len(g.edges))
@@ -337,7 +390,7 @@ def _edge_transports(g: Graph, alpha: float) -> List[Tuple[float, float]]:
             from concurrent.futures import ProcessPoolExecutor
 
             # imported and built once here instead of once in every worker
-            import scipy.optimize  # noqa: F401
+            from scipy.optimize._highspy import _core  # noqa: F401
 
             g.adjacency
             with ProcessPoolExecutor(

@@ -1,4 +1,4 @@
-"""Undirected graph topology with degree and hop-distance queries."""
+"""Undirected graph topology with degree and neighbour queries."""
 
 from __future__ import annotations
 
@@ -67,23 +67,6 @@ class Graph:
 
     def neighbors(self, i: int) -> Tuple[int, ...]:
         return self.adjacency[i]
-
-    def hop_distances(self, source: int, cutoff: int | None = None) -> Dict[int, int]:
-        """BFS hop distances from `source`, optionally truncated at `cutoff`."""
-        adj = self.adjacency
-        dist = {source: 0}
-        frontier = [source]
-        d = 0
-        while frontier and (cutoff is None or d < cutoff):
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        return dist
 
     def relabel(self, perm) -> "Graph":
         """Graph with node i renamed to perm[i]."""

@@ -102,6 +102,27 @@ def transport_enumerate(supply, demand, cost):
     return best[0]
 
 
+def transport_linprog(supply, demand, cost):
+    """(optimum, row duals) of the balanced transportation LP from
+    scipy.optimize.linprog(method="highs") on the dense equality matrix.
+
+    Rows are the supply sums, then every demand sum but the last, which the
+    balance implies.  hypdiff's direct HiGHS call must match it bit for bit.
+    """
+    from scipy.optimize import linprog
+
+    ns, nd = len(supply), len(demand)
+    a_eq = np.zeros((ns + nd - 1, ns * nd))
+    for i in range(ns):
+        a_eq[i, i * nd : (i + 1) * nd] = 1.0
+    for j in range(nd - 1):
+        a_eq[ns + j, j::nd] = 1.0
+    b_eq = np.concatenate([supply, demand[:-1]])
+    res = linprog(cost.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return float(res.fun), np.asarray(res.eqlin.marginals, dtype=np.float64)
+
+
 def bfs_distances(adj, source, cutoff):
     dist = {source: 0}
     frontier = [source]

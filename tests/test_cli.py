@@ -217,20 +217,18 @@ class TestLpFailures:
 
         real = dv.linprog
 
-        def patched(c, **kwargs):
-            return change(real(c, **kwargs))
+        def patched(cost, supply, demand):
+            return change(real(cost, supply, demand))
 
         monkeypatch.setattr(dv, "linprog", patched)
 
     @staticmethod
     def failed(res):
-        res.success, res.message = False, "no plan"
-        return res
+        return res._replace(status="no plan")
 
     @staticmethod
     def shifted_duals(res):
-        res.eqlin.marginals = res.eqlin.marginals + 1.0
-        return res
+        return res._replace(row_dual=res.row_dual + 1.0)
 
     @pytest.mark.parametrize("command", [
         ("orc", "--graph", bundled_graph_path()),
@@ -252,10 +250,10 @@ class TestLpFailures:
 
         parent, real = os.getpid(), dv.linprog
 
-        def dying(c, **kwargs):
+        def dying(cost, supply, demand):
             if os.getpid() != parent:
                 os._exit(3)
-            return real(c, **kwargs)
+            return real(cost, supply, demand)
 
         monkeypatch.setattr(dv, "linprog", dying)
         monkeypatch.setattr(dv, "_worker_count", lambda n_edges: 2)

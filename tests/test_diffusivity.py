@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypdiff import ball, diffusivity as dv
 from hypdiff.cli import bundled_graph_path
@@ -28,12 +28,14 @@ from hypdiff.graphio import load_edge_list
 from _oracles import (
     all_graphs_up_to,
     assert_bitwise,
+    bfs_distances,
     connected_components,
     global_attention_reference,
     orc_enumerated,
     preferential_attachment,
     row_source,
     transport_enumerate,
+    transport_linprog,
 )
 
 K1 = -1.0
@@ -143,6 +145,88 @@ class TestTransportProperty:
         assert gap <= 1e-9
 
 
+@st.composite
+def lazy_walk_transport_problems(draw):
+    """Lazy-walk measures of two centres of degree 1..6, costs in {0, 1, 2, 3}.
+
+    alpha 1 leaves one atom on each side and alpha 0 drops the centres, so
+    1x1, 1xk and kx1 problems occur, including ones without demand rows."""
+    alpha = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    sides = []
+    for _ in range(2):
+        deg = draw(st.integers(1, 6))
+        masses = np.array([alpha] + [(1.0 - alpha) / deg] * deg)
+        sides.append(masses[masses > 0.0])
+    supply, demand = sides
+    cost = draw(st.lists(st.integers(0, 3), min_size=supply.size * demand.size,
+                         max_size=supply.size * demand.size))
+    return supply, demand, np.array(cost, dtype=np.float64).reshape(supply.size, demand.size)
+
+
+def _reference_transport(supply, demand, cost):
+    """(W, dual gap, row duals) from transport_linprog, with the gap formed as
+    transport_cost forms it."""
+    w, duals = transport_linprog(supply, demand, cost)
+    phi, psi = duals[: len(supply)], np.append(duals[len(supply):], 0.0)
+    return w, abs(w - float(phi @ supply + psi @ demand)), duals
+
+
+def _edge_problems(g, alpha):
+    for u, v in g.edges:
+        su, mu = dv._measure(g, u, alpha)
+        sv, mv = dv._measure(g, v, alpha)
+        yield mu, mv, dv._ground_costs(g, su, sv)
+
+
+class TestLinprogMatchesScipy:
+    """dv.linprog against scipy.optimize.linprog(method="highs"), bit for bit."""
+
+    @staticmethod
+    def assert_same(supply, demand, cost):
+        w, gap, duals = _reference_transport(supply, demand, cost)
+        res = dv.linprog(cost, supply, demand)
+        assert res.status == "Optimal"
+        assert_bitwise(res.fun, w)
+        assert_bitwise(res.row_dual, duals)
+        assert_bitwise(transport_cost(supply, demand, cost), (w, gap))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_karate_edges(self, alpha):
+        g = load_edge_list(bundled_graph_path())
+        for supply, demand, cost in _edge_problems(g, alpha):
+            self.assert_same(supply, demand, cost)
+
+    def test_preferential_attachment_through_the_pool(self, monkeypatch):
+        g = _pa_graph(150, 4, 0)
+        want = [_reference_transport(*p) for p in _edge_problems(g, 0.5)]
+        monkeypatch.setattr(dv, "_worker_count", lambda n_edges: 2)
+        got = orc_curvatures(g, 0.5)
+        assert_bitwise(got.wasserstein, [w for w, _, _ in want])
+        assert_bitwise(got.dual_gap, [gap for _, gap, _ in want])
+        assert multiprocessing.active_children() == []
+        for (supply, demand, cost), (_, _, duals) in zip(_edge_problems(g, 0.5), want):
+            assert_bitwise(dv.linprog(cost, supply, demand).row_dual, duals)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(lazy_walk_transport_problems())
+    @example((np.array([1.0]), np.array([1.0]), np.array([[2.0]])))
+    @example((np.array([1.0]), np.full(3, 1 / 3), np.array([[0.0, 3.0, 1.0]])))
+    @example((np.full(4, 0.25), np.array([1.0]), np.array([[1.0], [0.0], [3.0], [2.0]])))
+    def test_lazy_walk_problems(self, problem):
+        self.assert_same(*problem)
+
+    def test_rejected_option_raises(self, monkeypatch):
+        from scipy.optimize._highspy import _core as hs
+
+        class Refusing(hs._Highs):
+            def setOptionValue(self, name, value):
+                return hs.HighsStatus.kError
+
+        monkeypatch.setattr(hs, "_Highs", Refusing)
+        with pytest.raises(RuntimeError, match="HiGHS rejected option output_flag=False"):
+            transport_cost(np.array([1.0]), np.array([1.0]), np.array([[3.0]]))
+
+
 def _pa_graph(n, k, seed):
     return Graph.from_edges(preferential_attachment(n, k, seed=seed))
 
@@ -190,10 +274,10 @@ class TestOrcPool:
     def test_lp_failure_reaches_caller(self, monkeypatch):
         real = dv.linprog
 
-        def failing(c, **kwargs):
-            res = real(c, **kwargs)
-            if len(c) > 30:  # fails on the hub edges only
-                res.success, res.message = False, f"no plan for {len(c)} variables"
+        def failing(cost, supply, demand):
+            res = real(cost, supply, demand)
+            if cost.size > 30:  # fails on the hub edges only
+                res = res._replace(status=f"no plan for {cost.size} variables")
             return res
 
         g = _pa_graph(120, 3, 1)
@@ -205,10 +289,10 @@ class TestOrcPool:
     def test_infeasible_dual_certificate_reaches_caller(self, monkeypatch):
         real = dv.linprog
 
-        def shifted_duals(c, **kwargs):
-            res = real(c, **kwargs)
-            if len(c) > 30:
-                res.eqlin.marginals = res.eqlin.marginals + 0.01 * len(c)
+        def shifted_duals(cost, supply, demand):
+            res = real(cost, supply, demand)
+            if cost.size > 30:
+                res = res._replace(row_dual=res.row_dual + 0.01 * cost.size)
             return res
 
         g = _pa_graph(120, 3, 1)
@@ -222,10 +306,10 @@ class TestOrcPool:
 
         parent, real = os.getpid(), dv.linprog
 
-        def dying(c, **kwargs):
+        def dying(cost, supply, demand):
             if os.getpid() != parent:
                 os._exit(3)
-            return real(c, **kwargs)
+            return real(cost, supply, demand)
 
         monkeypatch.setattr(dv, "linprog", dying)
         self.force_workers(monkeypatch, 2)
@@ -293,7 +377,7 @@ class TestGroundCosts:
 
     @staticmethod
     def bfs_costs(g, su, sv):
-        return np.array([[g.hop_distances(a, cutoff=3)[b] for b in sv] for a in su],
+        return np.array([[bfs_distances(g.adjacency, a, 3)[b] for b in sv] for a in su],
                         dtype=np.float64)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
