@@ -257,19 +257,6 @@ def mobius_scalar(r: float, x: np.ndarray, kappa) -> np.ndarray:
     return _mobius_scalar(r, x, k)
 
 
-def mobius_matvec(w: np.ndarray, x: np.ndarray, kappa) -> np.ndarray:
-    """Matrix action on a ball point: exp_o(W log_o(x)).
-
-    w has shape (m, n) and acts on the last axis of x (dimension n).
-    """
-    k = _kappa_value(kappa)
-    w, x = _finite(w, x)
-    if w.ndim != 2 or w.shape[1] != x.shape[-1]:
-        raise ValueError(f"matrix shape {w.shape} does not act on dimension {x.shape[-1]}")
-    o = np.zeros(w.shape[0])
-    return _exp_map(o, _log_map(np.zeros(x.shape[-1]), x, k) @ w.T, k)
-
-
 def conformal_factor(x: np.ndarray, kappa) -> np.ndarray:
     """lambda_x = 2 / (1 + kappa |x|^2); equals 2 at the origin."""
     k = _kappa_value(kappa)

@@ -16,7 +16,6 @@ distance costs; optimality is certified by the LP dual.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -177,23 +176,11 @@ class OrcResult:
     wasserstein: np.ndarray
     dual_gap: np.ndarray
 
-    def curvature_by_edge(self) -> dict:
-        return {e: k for e, k in zip(self.edges, self.curvature)}
-
-
-def _directed_edges(g: Graph) -> np.ndarray:
-    """Both orientations of every edge, sorted by (source, target)."""
-    e = g.edge_array
-    src = np.concatenate([e[:, 0], e[:, 1]])
-    dst = np.concatenate([e[:, 1], e[:, 0]])
-    order = np.lexsort((dst, src))
-    return np.stack([src[order], dst[order]])
-
 
 def isotropic_weights(g: Graph) -> DiffusivityMatrix:
     """Degree-normalized adjacency weights a_ij = 1/sqrt(d_i d_j) on edges."""
     deg = g.degrees
-    ei = _directed_edges(g)
+    ei = g.directed_edges
     assert np.all(deg[ei] > 0), "edge endpoint with zero degree"
     w = 1.0 / np.sqrt(deg[ei[0]] * deg[ei[1]])
     return DiffusivityMatrix(n=g.n, edge_index=ei, edge_weights=w)
@@ -203,37 +190,40 @@ def isotropic_weights(g: Graph) -> DiffusivityMatrix:
 # Ollivier-Ricci curvature
 # ---------------------------------------------------------------------------
 
-def _measure(g: Graph, v: int, alpha: float) -> Tuple[List[int], np.ndarray]:
+def _measure(g: Graph, v: int, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     """Lazy-random-walk measure: mass alpha at v, (1-alpha)/deg on neighbors.
 
-    Zero-mass atoms are dropped so the LP stays minimal.
+    Returns the support nodes and their masses.  Zero-mass atoms are dropped
+    so the LP stays minimal.
     """
     nbrs = g.neighbors(v)
-    nodes = [v] + list(nbrs)
-    masses = [alpha] + [(1.0 - alpha) / len(nbrs)] * len(nbrs)
-    keep = [(n, m) for n, m in zip(nodes, masses) if m > 0.0]
-    nodes = [n for n, _ in keep]
-    return nodes, np.array([m for _, m in keep], dtype=np.float64)
+    nodes = np.concatenate([[v], nbrs])
+    masses = np.concatenate([[alpha], np.full(nbrs.size, (1.0 - alpha) / nbrs.size)])
+    keep = masses > 0.0
+    return nodes[keep], masses[keep]
 
 
-def _ground_costs(g: Graph, su: List[int], sv: List[int]) -> np.ndarray:
+def _ground_costs(g: Graph, su: np.ndarray, sv: np.ndarray) -> np.ndarray:
     """Hop distances between the measure supports of an edge (u, v).
 
     su lies in N[u] and sv in N[v] with u ~ v, so every distance is at most 3:
     0 for the same node, 1 for adjacent nodes, 2 for nodes with a common
-    neighbour and 3 otherwise.  Read off the neighbour lists, without BFS.
+    neighbour and 3 otherwise.  Read off the neighbour slices, without BFS.
     """
-    adj = g.adjacency
-    lists = [adj[a] for a in su] + [adj[b] for b in sv]
-    lens = [len(x) for x in lists]
+    atoms = np.concatenate([su, sv])
+    lens = g.degrees[atoms]
+    ends = np.cumsum(lens)
+    total = int(ends[-1])
+    # the neighbour slices of all atoms back to back, then sv itself
+    gather = np.arange(total) + np.repeat(g.offsets[atoms] - (ends - lens), lens)
+    flat = np.concatenate([g.directed_edges[1, gather], sv])
     # neighbour indicator rows of all atoms, over the nodes that occur here
-    flat = np.fromiter(itertools.chain(*lists, sv), dtype=np.int64)
     cols, local = np.unique(flat, return_inverse=True)
-    ind = np.zeros((len(lists), cols.size))
-    ind[np.repeat(np.arange(len(lists)), lens), local[: sum(lens)]] = 1.0
-    ind_u, ind_v = ind[: len(su)], ind[len(su) :]
-    same = np.asarray(su)[:, None] == np.asarray(sv)[None, :]
-    adjacent = ind_u[:, local[sum(lens) :]] > 0.0
+    ind = np.zeros((atoms.size, cols.size))
+    ind[np.repeat(np.arange(atoms.size), lens), local[:total]] = 1.0
+    ind_u, ind_v = ind[: su.size], ind[su.size :]
+    same = su[:, None] == sv[None, :]
+    adjacent = ind_u[:, local[total:]] > 0.0
     shared = ind_u @ ind_v.T > 0.0
     return np.where(same, 0.0, np.where(adjacent, 1.0, np.where(shared, 2.0, 3.0)))
 
@@ -392,7 +382,7 @@ def _edge_transports(g: Graph, alpha: float) -> List[Tuple[float, float]]:
             # imported and built once here instead of once in every worker
             from scipy.optimize._highspy import _core  # noqa: F401
 
-            g.adjacency
+            g.neighbors(0)
             with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_set_worker_job, initargs=(g, alpha),
@@ -420,12 +410,11 @@ def orc_curvatures(g: Graph, alpha: float = 0.5) -> OrcResult:
     return OrcResult(edges=g.edges, curvature=1.0 - wvals, wasserstein=wvals, dual_gap=gaps)
 
 
-def _curvature_scores(orc: OrcResult, params: AttentionParams) -> dict:
-    """MLP(K) in R^d for each undirected edge."""
+def _curvature_scores(orc: OrcResult, params: AttentionParams) -> np.ndarray:
+    """MLP(K) in R^d for each undirected edge: an (m, d) array in edge order."""
     hidden = np.outer(orc.curvature, params.mlp_w1) + params.mlp_b1
     hidden = np.where(hidden >= 0.0, hidden, LEAKY_SLOPE * hidden)
-    scores = hidden @ params.mlp_w2.T + params.mlp_b2
-    return {e: s for e, s in zip(orc.edges, scores)}
+    return hidden @ params.mlp_w2.T + params.mlp_b2
 
 
 def local_diffusivity(
@@ -439,30 +428,26 @@ def local_diffusivity(
     per_channel: softmax runs independently on every hidden channel, giving a
     weight vector per directed edge whose per-channel neighborhood sums are 1.
     scalar: channel scores are averaged before a single softmax.
+    orc must hold the curvatures of g's edges.
     """
     if channel_mode not in CHANNEL_MODES:
         raise ValueError(f"unknown channel mode {channel_mode!r}")
-    scores = _curvature_scores(orc, params)
-    ei = _directed_edges(g)
-    m = ei.shape[1]
-    dim = params.mlp_b2.shape[0]
-    raw = np.zeros((m, dim))
-    for col in range(m):
-        i, j = int(ei[0, col]), int(ei[1, col])
-        raw[col] = scores[(min(i, j), max(i, j))]
+    if orc.edges != g.edges:
+        raise ValueError("curvatures were computed for another edge list")
+    raw = _curvature_scores(orc, params)[g.edge_ids]
     if channel_mode == "scalar":
         raw = raw.mean(axis=1, keepdims=True)
     weights = np.zeros_like(raw)
-    for i in range(g.n):
-        cols = np.nonzero(ei[0] == i)[0]
-        if cols.size == 0:
+    bounds = g.offsets.tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if a == b:
             continue  # empty neighborhood: no outgoing diffusion
-        s = raw[cols]
+        s = raw[a:b]
         s = np.exp(s - s.max(axis=0, keepdims=True))
-        weights[cols] = s / s.sum(axis=0, keepdims=True)
+        weights[a:b] = s / s.sum(axis=0, keepdims=True)
     if channel_mode == "scalar":
         weights = weights[:, 0]
-    return DiffusivityMatrix(n=g.n, edge_index=ei, edge_weights=weights)
+    return DiffusivityMatrix(n=g.n, edge_index=g.directed_edges, edge_weights=weights)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

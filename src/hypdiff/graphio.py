@@ -1,4 +1,4 @@
-"""File ingestion, kNN graph construction, and forward encoder/decoder maps.
+"""File ingestion and kNN graph construction.
 
 Edge lists are UTF-8 text, one ``u v`` pair per line, ``#`` comments, 0-based
 ids.  A ``# nodes=N`` comment overrides the node count (otherwise max id + 1).
@@ -11,13 +11,9 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import ball
-from .ball import Curvature
-from .diffusion import EmbeddingState
 from .graphs import Graph
 
 KNN_METRICS = ("euclidean", "cosine")
@@ -166,58 +162,3 @@ def knn_graph(features: np.ndarray, k: int, metric: str = "euclidean") -> Graph:
         order = np.lexsort((idx, dist[i]))
         edges.extend((i, int(j)) for j in order[:k])
     return Graph.from_edges(edges, n=n)
-
-
-@dataclass
-class EncoderParams:
-    """Feature transformation into the ball: weights, manifold bias, curvatures."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-    kappa_src: Curvature
-    kappa_dst: Curvature
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2:
-            raise ValueError("encoder weight must be an (f, d) matrix")
-        if self.bias.shape != (self.weight.shape[1],):
-            raise ValueError("encoder bias dimension must match the output dimension")
-        if np.linalg.norm(self.bias) >= self.kappa_src.radius:
-            raise ValueError("encoder bias lies outside the ball")
-
-
-def encode(features: np.ndarray, params: EncoderParams, sigma: str = "identity") -> EmbeddingState:
-    """Map features to initial ball embeddings.
-
-    exp_o lift, tangent weight multiplication, bias translation by parallel
-    transport, then the curvature-changing activation into the target ball.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    ks, kt = params.kappa_src, params.kappa_dst
-    f, d = params.weight.shape
-    if x.shape[1] != f:
-        raise ValueError(f"features have {x.shape[1]} columns, encoder expects {f}")
-    o_f, o_d = np.zeros(f), np.zeros(d)
-    lifted = ball.exp_map(o_f, x, ks)
-    z_lin = ball.exp_map(o_d, ball.log_map(o_f, lifted, ks) @ params.weight, ks)
-    bias_tangent = ball.log_map(o_d, params.bias, ks)
-    z_bias = ball.exp_map(
-        z_lin, ball.parallel_transport(o_d, z_lin, bias_tangent, ks), ks
-    )
-    tang = ball.log_map(o_d, z_bias, ks)
-    if sigma == "tanh":
-        tang = np.tanh(tang)
-    elif sigma != "identity":
-        raise ValueError(f"unknown activation {sigma!r}")
-    points = ball.exp_map(o_d, tang, kt)
-    return EmbeddingState(points=points, curvature=kt, t=0.0)
-
-
-def fermi_dirac(z_i: np.ndarray, z_j: np.ndarray, r: float, t_fd: float, kappa) -> np.ndarray:
-    """Edge probability 1 / (exp((d^2 - r) / t) + 1); decreasing in distance."""
-    if t_fd <= 0.0:
-        raise ValueError("fermi-dirac temperature must be positive")
-    d = ball.distance(z_i, z_j, kappa)
-    return 1.0 / (np.exp((d * d - r) / t_fd) + 1.0)

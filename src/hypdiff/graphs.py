@@ -4,9 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -14,7 +19,12 @@ class Graph:
     """Simple undirected graph on nodes 0..n-1 with a canonical edge list.
 
     Edges are deduplicated, stored as (u, v) with u < v, sorted; self-loops
-    are rejected.
+    are rejected.  ``edge_array`` holds the same edges as a read-only (m, 2)
+    int64 array.  ``directed_edges`` holds both orientations of every edge
+    as a (2, 2m) array sorted by (source, target), so the columns
+    offsets[i]..offsets[i+1]-1 are the edges leaving node i in increasing
+    order of target; every weight matrix and neighbourhood of the package
+    uses this order.
     """
 
     n: int
@@ -23,19 +33,25 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("node count must be nonnegative")
-        seen = set()
-        canon = []
-        for u, v in self.edges:
-            u, v = int(u), int(v)
+        try:
+            given = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        except OverflowError as exc:
+            raise ValueError("node id outside the int64 range") from exc
+        u, v = given.T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= self.n))
+        if bad.size:  # report the first bad edge in input order
+            u, v = given[bad[0]].tolist()
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) outside node range [0, {self.n})")
-            e = (min(u, v), max(u, v))
-            if e not in seen:
-                seen.add(e)
-                canon.append(e)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+            raise ValueError(f"edge ({u}, {v}) outside node range [0, {self.n})")
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        first = np.ones(lo.size, dtype=bool)  # first of each run of equal edges
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        lo, hi = lo[first], hi[first]
+        object.__setattr__(self, "edges", tuple(zip(lo.tolist(), hi.tolist())))
+        object.__setattr__(self, "edge_array", _read_only(np.stack([lo, hi], axis=1)))
 
     @classmethod
     def from_edges(cls, edges: Iterable[Tuple[int, int]], n: int | None = None) -> "Graph":
@@ -45,33 +61,38 @@ class Graph:
         return cls(n=n, edges=tuple(edges))
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The canonical edges as a read-only (m, 2) int64 array."""
-        arr = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.bincount(self.edge_array.ravel(), minlength=self.n).astype(np.int64)
-        deg.flags.writeable = False
-        return deg
+        return _read_only(np.bincount(self.edge_array.ravel(), minlength=self.n).astype(np.int64))
 
     @cached_property
-    def adjacency(self) -> Dict[int, Tuple[int, ...]]:
-        nbrs: Dict[int, list] = {i: [] for i in range(self.n)}
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return {i: tuple(sorted(js)) for i, js in nbrs.items()}
+    def offsets(self) -> np.ndarray:
+        """(n + 1,) int64: the edges leaving node i are the columns
+        offsets[i]..offsets[i+1]-1 of directed_edges."""
+        return _read_only(np.concatenate([[0], np.cumsum(self.degrees)]))
 
-    def neighbors(self, i: int) -> Tuple[int, ...]:
-        return self.adjacency[i]
+    @cached_property
+    def directed_edges(self) -> np.ndarray:
+        """Both orientations of every edge, a read-only (2, 2m) int64 array
+        of (source, target) columns sorted by source, then target."""
+        src, dst = np.concatenate([self.edge_array, self.edge_array[:, ::-1]]).T
+        order = np.lexsort((dst, src))
+        return _read_only(np.stack([src[order], dst[order]]))
 
-    def relabel(self, perm) -> "Graph":
-        """Graph with node i renamed to perm[i]."""
-        perm = list(perm)
-        return Graph.from_edges([(perm[u], perm[v]) for u, v in self.edges], n=self.n)
+    @cached_property
+    def edge_ids(self) -> np.ndarray:
+        """(2m,) int64: the index in edges of each column of directed_edges."""
+        src, dst = self.directed_edges
+        ids = np.empty(src.size, dtype=np.int64)
+        forward = src < dst
+        # the (u, v) columns come in the order of edges, the (v, u) columns
+        # in the order of the edges sorted by (v, u)
+        ids[forward] = np.arange(len(self.edges))
+        ids[~forward] = np.lexsort(self.edge_array.T)
+        return _read_only(ids)
+
+    def neighbors(self, i: int) -> np.ndarray:
+        """The neighbours of node i in increasing order (a read-only view)."""
+        return self.directed_edges[1, self.offsets[i] : self.offsets[i + 1]]
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:

@@ -259,23 +259,6 @@ def _check_finite(h, step_index, t):
 # Reference flows for verification studies
 # ---------------------------------------------------------------------------
 
-def geodesic_flow(h0: np.ndarray, v0: np.ndarray, kappa) -> FlowFn:
-    """Flow F(h, t) = exp_h(PT_{h0->h}(v0)) whose solution is exp_h0(t v0).
-
-    Every projective stepper integrates this flow exactly (geodesics
-    parallel-transport their own velocity), so it verifies exactness, not
-    convergence order.
-    """
-    h0 = np.asarray(h0, dtype=np.float64)
-    v0 = np.asarray(v0, dtype=np.float64)
-
-    def flow(h: np.ndarray, t: float) -> np.ndarray:
-        v = ball.parallel_transport(h0, h, np.broadcast_to(v0, h.shape), kappa)
-        return ball.exp_map(h, v, kappa)
-
-    return flow
-
-
 def rotation_flow(rates, kappa) -> FlowFn:
     """Killing-field flow F(h, t) = exp_h(A h), A block-skew with the given rates.
 

@@ -56,6 +56,25 @@ def abm_pec_solve(y0, f, t_final, tau, s_min=2, s_max=4):
     return y
 
 
+def geodesic_flow(h0, v0, kappa):
+    """Flow F(h, t) = exp_h(PT_{h0->h}(v0)) whose solution is exp_h0(t v0).
+
+    Every projective stepper integrates this flow exactly (geodesics
+    parallel-transport their own velocity), so it verifies exactness, not
+    convergence order.
+    """
+    from hypdiff import ball
+
+    h0 = np.asarray(h0, dtype=np.float64)
+    v0 = np.asarray(v0, dtype=np.float64)
+
+    def flow(h, t):
+        v = ball.parallel_transport(h0, h, np.broadcast_to(v0, h.shape), kappa)
+        return ball.exp_map(h, v, kappa)
+
+    return flow
+
+
 # ---------------------------------------------------------------------------
 # exact transportation by exhaustive integer enumeration
 # ---------------------------------------------------------------------------
@@ -285,3 +304,60 @@ def preferential_attachment(n, k, seed):
             edges.append((t, new))
             ends += [t, new]
     return edges
+
+
+# ---------------------------------------------------------------------------
+# graph canonicalisation and the local diffusivity, one edge at a time
+# ---------------------------------------------------------------------------
+
+def canonical_edges(n, edges):
+    """The canonical edge tuple of Graph(n, edges): (min, max) pairs,
+    deduplicated and sorted.  Raises ValueError for a negative n, then for
+    the first self-loop or out-of-range edge in input order."""
+    if n < 0:
+        raise ValueError("node count must be nonnegative")
+    seen = set()
+    canon = []
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop on node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) outside node range [0, {n})")
+        e = (min(u, v), max(u, v))
+        if e not in seen:
+            seen.add(e)
+            canon.append(e)
+    return tuple(sorted(canon))
+
+
+def local_diffusivity_reference(g, orc, params, channel_mode):
+    """(edge_index, weights) of the curvature attention: the MLP scores
+    looked up per directed edge in a dict keyed by the undirected edge, then
+    a softmax over each node's edges found by scanning the sources."""
+    hidden = np.outer(orc.curvature, params.mlp_w1) + params.mlp_b1
+    hidden = np.where(hidden >= 0.0, hidden, 0.01 * hidden)
+    scores = dict(zip(orc.edges, hidden @ params.mlp_w2.T + params.mlp_b2))
+    e = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    src = np.concatenate([e[:, 0], e[:, 1]])
+    dst = np.concatenate([e[:, 1], e[:, 0]])
+    order = np.lexsort((dst, src))
+    ei = np.stack([src[order], dst[order]])
+    m = ei.shape[1]
+    raw = np.zeros((m, params.mlp_b2.shape[0]))
+    for col in range(m):
+        i, j = int(ei[0, col]), int(ei[1, col])
+        raw[col] = scores[(min(i, j), max(i, j))]
+    if channel_mode == "scalar":
+        raw = raw.mean(axis=1, keepdims=True)
+    weights = np.zeros_like(raw)
+    for i in range(g.n):
+        cols = np.nonzero(ei[0] == i)[0]
+        if cols.size == 0:
+            continue
+        s = raw[cols]
+        s = np.exp(s - s.max(axis=0, keepdims=True))
+        weights[cols] = s / s.sum(axis=0, keepdims=True)
+    if channel_mode == "scalar":
+        weights = weights[:, 0]
+    return ei, weights

@@ -18,7 +18,6 @@ from hypdiff.ball import (
     gyromidpoint,
     log_map,
     mobius_add,
-    mobius_matvec,
     mobius_scalar,
     parallel_transport,
     project_to_ball,
@@ -108,29 +107,6 @@ class TestMobiusScalar:
     def test_rejects_nonfinite_scalar(self):
         with pytest.raises(ValueError):
             mobius_scalar(float("inf"), np.array([0.1, 0.1]), K1)
-
-
-class TestMobiusMatvec:
-    def test_identity_matrix(self):
-        x = np.array([0.2, -0.4])
-        np.testing.assert_allclose(mobius_matvec(np.eye(2), x, K1), x, atol=1e-12)
-
-    def test_origin(self):
-        w = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(mobius_matvec(w, np.zeros(2), K1), np.zeros(3))
-
-    def test_matches_composition_oracle(self):
-        rng = np.random.default_rng(10)
-        w = rng.standard_normal((3, 5))
-        x = random_points(rng, 4, 5, K1)
-        got = mobius_matvec(w, x, K1)
-        o5, o3 = np.zeros(5), np.zeros(3)
-        want = exp_map(o3, log_map(o5, x, K1) @ w.T, K1)
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mobius_matvec(np.eye(3), np.zeros(2), K1)
 
 
 class TestExpLog:
@@ -514,7 +490,6 @@ PUBLIC_CALLS = {
     "project_to_ball": lambda p, k: project_to_ball(p, k),
     "mobius_add": lambda p, k: mobius_add(p, p[::-1], k),
     "mobius_scalar": lambda p, k: mobius_scalar(0.5, p, k),
-    "mobius_matvec": lambda p, k: mobius_matvec(np.eye(2), p, k),
     "conformal_factor": lambda p, k: conformal_factor(p, k),
     "exp_map": lambda p, k: exp_map(p, p[::-1], k),
     "log_map": lambda p, k: log_map(p, p[::-1], k),

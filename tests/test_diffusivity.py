@@ -15,6 +15,7 @@ from hypdiff.diffusivity import (
     DiffusivityConfig,
     DiffusivityMatrix,
     GlobalAttention,
+    OrcResult,
     global_diffusivity,
     isotropic_weights,
     local_diffusivity,
@@ -31,6 +32,7 @@ from _oracles import (
     bfs_distances,
     connected_components,
     global_attention_reference,
+    local_diffusivity_reference,
     orc_enumerated,
     preferential_attachment,
     row_source,
@@ -361,12 +363,16 @@ class TestOrc:
             assert np.all(res.curvature < 1.0)
 
     def test_relabeling_invariance(self):
+        def relabel(g, perm):
+            """g with node i renamed to perm[i]."""
+            return Graph.from_edges([(perm[u], perm[v]) for u, v in g.edges], n=g.n)
+
         g = erdos_renyi(10, 0.35, seed=42)
         rng = np.random.default_rng(7)
         perm = rng.permutation(10)
         res = orc_curvatures(g, alpha=0.5)
-        res_p = orc_curvatures(g.relabel(perm), alpha=0.5)
-        k_p = res_p.curvature_by_edge()
+        res_p = orc_curvatures(relabel(g, perm), alpha=0.5)
+        k_p = dict(zip(res_p.edges, res_p.curvature))
         for (u, v), k in zip(res.edges, res.curvature):
             pu, pv = int(perm[u]), int(perm[v])
             assert k == pytest.approx(k_p[(min(pu, pv), max(pu, pv))], abs=1e-9)
@@ -377,7 +383,11 @@ class TestGroundCosts:
 
     @staticmethod
     def bfs_costs(g, su, sv):
-        return np.array([[bfs_distances(g.adjacency, a, 3)[b] for b in sv] for a in su],
+        adj = {i: [] for i in range(g.n)}
+        for u, v in g.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return np.array([[bfs_distances(adj, a, 3)[b] for b in sv] for a in su],
                         dtype=np.float64)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -397,9 +407,12 @@ class TestDirectedEdges:
     def test_sorted_by_source_then_target(self):
         for g in sampled_graphs(6) + [Graph.from_edges([], n=3)]:
             pairs = sorted([(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges])
-            ei = dv._directed_edges(g)
+            ei = g.directed_edges
             assert ei.dtype == np.int64 and ei.shape == (2, len(pairs))
+            assert not ei.flags.writeable
             assert [tuple(p) for p in ei.T.tolist()] == pairs
+            assert [tuple(sorted(p)) for p in pairs] == [g.edges[k] for k in g.edge_ids]
+            assert g.offsets.tolist() == [0] + np.cumsum(g.degrees).tolist()
 
 
 class TestAttentionParams:
@@ -442,7 +455,7 @@ class TestLocalDiffusivity:
         params = AttentionParams.init(dim, 1, seed=11)
         dmat = local_diffusivity(PATH3, orc, params, "per_channel")
         w = weight_lookup(dmat)
-        kmap = orc.curvature_by_edge()
+        kmap = dict(zip(orc.edges, orc.curvature))
 
         def mlp(kval):
             h = params.mlp_w1 * kval + params.mlp_b1
@@ -487,6 +500,32 @@ class TestLocalDiffusivity:
         params = AttentionParams.init(2, 1, seed=0)
         dmat = local_diffusivity(g, orc, params, "per_channel")
         assert 2 not in set(dmat.edge_index[0].tolist())
+
+    @pytest.mark.parametrize("channel_mode", ["scalar", "per_channel"])
+    @pytest.mark.parametrize("dim", [1, 4, 16])
+    def test_bitwise_equal_to_per_edge_reference(self, channel_mode, dim):
+        # a hub of degree 20, where a pairwise and a sequential sum of its
+        # softmax terms part, random edges and the isolated nodes 27..29;
+        # then the karate club
+        rng = np.random.default_rng(dim)
+        hub = [(0, j) for j in range(1, 21)]
+        extra = [tuple(rng.choice(27, size=2, replace=False)) for _ in range(40)]
+        graphs = [Graph.from_edges(hub + extra, n=30), load_edge_list(bundled_graph_path())]
+        assert graphs[0].degrees[0] >= 20 and not graphs[0].degrees[27:].any()
+        params = AttentionParams.init(dim, 1, seed=dim)
+        for g in graphs:
+            m = len(g.edges)
+            orc = OrcResult(edges=g.edges, curvature=rng.uniform(-1.5, 1.0, m),
+                            wasserstein=np.zeros(m), dual_gap=np.zeros(m))
+            dmat = local_diffusivity(g, orc, params, channel_mode)
+            ei, want = local_diffusivity_reference(g, orc, params, channel_mode)
+            assert dmat.edge_index.tobytes() == ei.tobytes()
+            assert_bitwise(dmat.edge_weights, want)
+
+    def test_curvatures_of_another_graph_rejected(self):
+        orc = orc_curvatures(PATH3, alpha=0.5)
+        with pytest.raises(ValueError, match="another edge list"):
+            local_diffusivity(TRIANGLE, orc, AttentionParams.init(2, 1, seed=0))
 
 
 class TestGlobalDiffusivity:

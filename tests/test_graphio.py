@@ -1,14 +1,10 @@
-"""File formats, kNN construction, encoder and decoder maps."""
+"""File formats and kNN construction."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hypdiff import ball
-from hypdiff.ball import Curvature
 from hypdiff.graphio import (
-    EncoderParams,
-    encode,
-    fermi_dirac,
     knn_graph,
     load_edge_list,
     load_features,
@@ -20,7 +16,7 @@ from hypdiff.graphio import (
 from hypdiff.diffusivity import OrcResult
 from hypdiff.graphs import Graph
 
-K1 = Curvature(-1.0)
+from _oracles import canonical_edges
 
 
 class TestEdgeList:
@@ -207,83 +203,6 @@ class TestKnn:
         assert mapped == set(g.edges)
 
 
-class TestEncoder:
-    def test_identity_composition(self):
-        x = np.array([[0.2, -0.1], [0.05, 0.3]])
-        params = EncoderParams(
-            weight=np.eye(2), bias=np.zeros(2), kappa_src=K1, kappa_dst=K1
-        )
-        st = encode(x, params)
-        np.testing.assert_allclose(
-            st.points, ball.exp_map(np.zeros(2), x, K1), atol=1e-12
-        )
-
-    def test_zero_features_zero_bias(self):
-        params = EncoderParams(
-            weight=np.eye(3), bias=np.zeros(3), kappa_src=K1, kappa_dst=K1
-        )
-        st = encode(np.zeros((4, 3)), params)
-        np.testing.assert_array_equal(st.points, np.zeros((4, 3)))
-
-    def test_matches_composition_oracle(self):
-        rng = np.random.default_rng(4)
-        ks, kt = Curvature(-1.0), Curvature(-0.5)
-        f, d = 5, 3
-        w = 0.4 * rng.standard_normal((f, d))
-        b = ball.project_to_ball(0.3 * rng.standard_normal(d), ks)
-        x = 0.3 * rng.standard_normal((6, f))
-        st = encode(x, EncoderParams(weight=w, bias=b, kappa_src=ks, kappa_dst=kt))
-        # independent step-by-step recomputation through the kernel
-        of, od = np.zeros(f), np.zeros(d)
-        lifted = ball.exp_map(of, x, ks)
-        z_lin = ball.exp_map(od, ball.log_map(of, lifted, ks) @ w, ks)
-        z_b = ball.exp_map(
-            z_lin, ball.parallel_transport(od, z_lin, ball.log_map(od, b, ks), ks), ks
-        )
-        want = ball.exp_map(od, ball.log_map(od, z_b, ks), kt)
-        np.testing.assert_allclose(st.points, want, atol=1e-12)
-        assert st.curvature == kt
-
-    def test_bias_outside_ball_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            EncoderParams(
-                weight=np.eye(2), bias=np.array([2.0, 0.0]), kappa_src=K1, kappa_dst=K1
-            )
-
-    def test_feature_width_checked(self):
-        params = EncoderParams(
-            weight=np.eye(2), bias=np.zeros(2), kappa_src=K1, kappa_dst=K1
-        )
-        with pytest.raises(ValueError):
-            encode(np.zeros((3, 5)), params)
-
-
-class TestFermiDirac:
-    def test_half_probability_at_r(self):
-        # d(o, y) ^ 2 == r  =>  probability exactly 1/2
-        y = ball.exp_map(np.zeros(2), np.array([0.5, 0.0]), K1)
-        d2 = float(ball.distance(np.zeros(2), y, K1)) ** 2
-        assert fermi_dirac(np.zeros(2), y, r=d2, t_fd=1.0, kappa=K1) == pytest.approx(0.5)
-
-    def test_zero_distance_value(self):
-        x = np.array([0.1, 0.2])
-        want = 1.0 / (np.exp(-2.0) + 1.0)
-        assert fermi_dirac(x, x, r=2.0, t_fd=1.0, kappa=K1) == pytest.approx(want, rel=1e-12)
-
-    def test_monotone_decreasing(self):
-        o = np.zeros(2)
-        probs = [
-            fermi_dirac(o, np.array([r, 0.0]), r=1.0, t_fd=0.5, kappa=K1)
-            for r in (0.0, 0.3, 0.6, 0.9)
-        ]
-        assert all(a > b for a, b in zip(probs, probs[1:]))
-        assert all(0.0 < p < 1.0 for p in probs)
-
-    def test_temperature_validation(self):
-        with pytest.raises(ValueError):
-            fermi_dirac(np.zeros(2), np.zeros(2), r=1.0, t_fd=0.0, kappa=K1)
-
-
 class TestGraphArrays:
     def test_edge_array_is_read_only_canonical_edges(self):
         g = Graph.from_edges([(3, 1), (0, 2), (1, 3), (2, 1)], n=5)
@@ -300,3 +219,50 @@ class TestGraphArrays:
         assert not g.degrees.flags.writeable
         empty = Graph.from_edges([], n=2)
         assert empty.edge_array.shape == (0, 2) and empty.degrees.tolist() == [0, 0]
+
+
+def outcome(build):
+    """("ok", value) or the exception's type and message."""
+    try:
+        return "ok", build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestGraphCanonicalisation:
+    """The numpy canonicalisation against the per-edge Python loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edges=st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)), max_size=25),
+        n=st.none() | st.integers(-1, 9),
+    )
+    @example(edges=[(0, 1), (2, 2), (5, 0)], n=3)  # self-loop before range error
+    @example(edges=[(3, 3)], n=2)  # both: the self-loop is reported
+    @example(edges=[(-3, -2)], n=None)  # negative node count
+    def test_matches_python_loop(self, edges, n):
+        n_oracle = 1 + max((max(u, v) for u, v in edges), default=-1) if n is None else n
+        got = outcome(lambda: Graph.from_edges(edges, n=n).edges)
+        assert got == outcome(lambda: canonical_edges(n_oracle, edges))
+
+    @pytest.mark.parametrize("n", [3, None])
+    def test_id_beyond_int64_rejected(self, tmp_path, n):
+        with pytest.raises(ValueError, match="int64 range"):
+            Graph.from_edges([(0, 1), (1, 2**63)], n=n)
+        p = tmp_path / "g.edges"
+        p.write_text("# nodes=3\n0 1\n1 99999999999999999999\n")
+        with pytest.raises(ValueError, match="int64 range"):
+            load_edge_list(str(p))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40))
+    def test_neighbors_match_dict_adjacency(self, pairs):
+        g = Graph.from_edges([(u, v) for u, v in pairs if u != v], n=12)
+        adj = {i: set() for i in range(g.n)}
+        for u, v in g.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        for i in range(g.n):
+            nbrs = g.neighbors(i)
+            assert nbrs.dtype == np.int64 and not nbrs.flags.writeable
+            assert nbrs.tolist() == sorted(adj[i])

@@ -9,7 +9,6 @@ from hypdiff.solvers import (
     AM_COEFFS,
     NonFiniteStateError,
     SolverSpec,
-    geodesic_flow,
     geodesic_interpolate,
     heuler_step,
     hrk4_step,
@@ -18,7 +17,7 @@ from hypdiff.solvers import (
     solve,
 )
 
-from _oracles import abm_pec_solve, rk38_step
+from _oracles import abm_pec_solve, geodesic_flow, rk38_step
 
 K1 = -1.0
 H0 = np.array([[0.3, 0.1, -0.2, 0.15], [0.05, -0.25, 0.1, 0.2]])
