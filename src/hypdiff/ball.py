@@ -131,6 +131,7 @@ def _mobius_add(x, y, k, x2=None, y2=None):
 
 
 def _mobius_scalar(r, x, k):
+    # r (x) x = exp_o(r log_o(x)) = tanh(r atanh(sqrt(s)|x|)) x / (sqrt(s)|x|)
     sq = np.sqrt(-k)
     n = _norm(x)
     safe = np.where(n == 0.0, 1.0, n)
@@ -243,18 +244,6 @@ def mobius_add(x: np.ndarray, y: np.ndarray, kappa) -> np.ndarray:
     k = _kappa_value(kappa)
     x, y = _finite(x, y)
     return _project(_mobius_add(x, y, k), k)
-
-
-def mobius_scalar(r: float, x: np.ndarray, kappa) -> np.ndarray:
-    """Mobius scalar multiplication r (x) x = exp_o(r log_o(x)).
-
-    Closed form tanh(r atanh(sqrt(s)|x|)) x / (sqrt(s)|x|); collinear with x.
-    """
-    k = _kappa_value(kappa)
-    if not np.all(np.isfinite(r)):
-        raise NonFiniteError("non-finite scalar")
-    (x,) = _finite(x)
-    return _mobius_scalar(r, x, k)
 
 
 def conformal_factor(x: np.ndarray, kappa) -> np.ndarray:

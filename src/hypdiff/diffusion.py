@@ -19,25 +19,16 @@ flow evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from . import ball, diffusivity as dv, solvers
+from . import ball, blocks, diffusivity as dv, solvers
 from .ball import Curvature
+from .blocks import BlockPool, _run_serially
 from .graphs import Graph
 
 SIGMAS = ("identity", "tanh")
-
-# Floats in one block of log maps: (rows, n, d) in the dense global pass,
-# (edges, d) in the edge pass.  A block allocates a few arrays of this size
-# (512 KB each), small enough to stay in cache: at n=800, d=16 a dense pass
-# took 170 ms against 210 ms with 8 MB blocks and 315 ms with no blocks.
-_DENSE_BLOCK_FLOATS = 1 << 16
-# A pass with fewer blocks than this per pool thread runs in the calling
-# thread, so small passes (the 1168 directed edges of a 150-node graph make
-# one block) skip the hand-off to the pool.
-_MIN_BLOCKS_PER_THREAD = 2
 
 EnergyTrace = List[Tuple[float, float]]
 # rows(a, b) -> the (b - a, n) dense weights of nodes a..b-1
@@ -90,54 +81,6 @@ def _apply_sigma(agg: np.ndarray, sigma: str) -> np.ndarray:
     raise ValueError(f"unknown activation {sigma!r}, expected one of {SIGMAS}")
 
 
-class BlockPool:
-    """Threads that run the independent row blocks of the flow passes.
-
-    One thread per CPU the process may run on, started on entering the pool
-    as a context manager and joined on leaving it.  A pass runs in the
-    calling thread outside that context, on a single CPU, or when it has
-    fewer than _MIN_BLOCKS_PER_THREAD blocks per thread.  Each block writes
-    its own rows, so a pass gives the same bits either way.
-    """
-
-    def __init__(self):
-        self.threads = dv.available_cpus()
-        self._executor = None
-
-    def __enter__(self) -> "BlockPool":
-        if self.threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(self.threads, thread_name_prefix="hypdiff-flow")
-        return self
-
-    def __exit__(self, *exc):
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def run(self, block: Callable, items: Sequence):
-        """block(item) for every item; the first exception, in item order,
-        reaches the caller unchanged."""
-        if self._executor is None or len(items) < _MIN_BLOCKS_PER_THREAD * self.threads:
-            _run_serially(block, items)
-            return
-        # pool threads start with numpy's default error state, not the caller's
-        err = np.geterr()
-
-        def guarded(item):
-            with np.errstate(**err):
-                block(item)
-
-        for _ in self._executor.map(guarded, items):
-            pass
-
-
-def _run_serially(block: Callable, items: Sequence):
-    for item in items:
-        block(item)
-
-
 def diffusion_flow(
     points: np.ndarray,
     dmat: dv.DiffusivityMatrix,
@@ -152,23 +95,32 @@ def diffusion_flow(
     weights of dmat); the optional dense global part aggregates over all
     pairs, its weights made by global_part(a, b) as a (b - a, n) array for
     each block of rows a..b-1 (e.g. GlobalAttention.rows).  Both passes run
-    in row blocks, on the threads of ``pool`` while its context is open.
-    Aggregation order is fixed, so results are bitwise reproducible and do
-    not depend on the pool.
+    in row blocks, and so does the closing exp map, on the threads of
+    ``pool`` while its context is open.  Aggregation order is fixed, so
+    results are bitwise reproducible and do not depend on the pool.
     """
     n, dim = points.shape
     if dmat.n != n:
         raise ValueError("diffusivity matrix size does not match state")
     run = _run_serially if pool is None else pool.run
+    threads = 1 if pool is None else pool.threads
     k = ball._kappa_value(kappa)
     sq = ball._sqnorm(points)
     agg = _edge_aggregate(points, dmat, k, sq, run)
     if global_part is not None:
-        agg += _global_aggregate(points, global_part, k, sq, _block_rows(n, dim), run)
-    if not np.all(np.isfinite(agg)):
-        bad = int(np.nonzero(~np.isfinite(agg).all(axis=1))[0][0])
-        raise FloatingPointError(f"non-finite tangent aggregate at node {bad}")
-    return ball._exp_map(points, _apply_sigma(agg, sigma), k, sq)
+        rows = blocks.block_rows(n, n * dim, threads)
+        agg += _global_aggregate(points, global_part, k, sq, rows, run)
+    out = np.empty_like(points)
+
+    def close(a: int, b: int):
+        part = agg[a:b]
+        if not np.all(np.isfinite(part)):
+            bad = a + int(np.nonzero(~np.isfinite(part).all(axis=1))[0][0])
+            raise FloatingPointError(f"non-finite tangent aggregate at node {bad}")
+        out[a:b] = ball._exp_map(points[a:b], _apply_sigma(part, sigma), k, sq[a:b])
+
+    blocks.run_rows(close, n, dim, pool)
+    return out
 
 
 def _edge_aggregate(
@@ -193,14 +145,8 @@ def _edge_aggregate(
         sums = np.bincount(b.flat, weights=rows.ravel(), minlength=(b.hi - b.lo) * dim)
         out[b.lo : b.hi] = sums.reshape(b.hi - b.lo, dim)
 
-    run(block, dmat.edge_blocks(dim, _DENSE_BLOCK_FLOATS))
+    run(block, dmat.edge_blocks(dim, blocks._DENSE_BLOCK_FLOATS))
     return out
-
-
-def _block_rows(n: int, dim: int) -> int:
-    """Rows per block of the dense pass, so one (rows, n, dim) block holds at
-    most _DENSE_BLOCK_FLOATS floats."""
-    return max(1, _DENSE_BLOCK_FLOATS // (n * dim))
 
 
 def _global_aggregate(
@@ -244,22 +190,42 @@ def residual_flow(
     return ball.gyromidpoint(stack, np.asarray(spec.eta), kappa)
 
 
-def dirichlet_energy(points: np.ndarray, g: Graph, kappa) -> float:
+def dirichlet_energy(
+    points: np.ndarray, g: Graph, kappa, pool: Optional[BlockPool] = None,
+) -> float:
     """Hyperbolic Dirichlet energy: half the sum over edges of the squared
     distance between degree-normalized tangent images,
 
         1/2 sum_{(i,j) in E} d( exp_o(log_o(z_i)/sqrt(1+d_i)),
                                 exp_o(log_o(z_j)/sqrt(1+d_j)) )^2.
+
+    The normalized images and then the edge distances are made in row
+    blocks (on the threads of ``pool`` while it is started), so no (edges,
+    d) array is held; the distances are summed once, in edge order.
     """
     if not g.edges:
         return 0.0
     k = ball._kappa_value(kappa)
-    o = np.zeros(points.shape[1])
-    scaled = ball._log_map(o, points, k) / np.sqrt(1.0 + g.degrees)[:, None]
-    normalized = ball._exp_map(o, scaled, k)
-    sq = ball._sqnorm(normalized)
+    n, dim = points.shape
+    o = np.zeros(dim)
+    root = np.sqrt(1.0 + g.degrees)[:, None]
+    normalized = np.empty_like(points)
+    sq = np.empty((n, 1))
+
+    def normalize(a: int, b: int):
+        scaled = ball._log_map(o, points[a:b], k) / root[a:b]
+        normalized[a:b] = ball._exp_map(o, scaled, k)
+        sq[a:b] = ball._sqnorm(normalized[a:b])
+
     src, dst = g.edge_array.T
-    d = ball._distance(normalized[src], normalized[dst], k, sq[src], sq[dst])
+    d = np.empty(src.size)
+
+    def distances(a: int, b: int):
+        i, j = src[a:b], dst[a:b]
+        d[a:b] = ball._distance(normalized[i], normalized[j], k, sq[i], sq[j])
+
+    blocks.run_rows(normalize, n, dim, pool)
+    blocks.run_rows(distances, src.size, dim, pool)
     return 0.5 * float(np.sum(d * d))
 
 
@@ -345,10 +311,11 @@ def run_diffusion(
     """Integrate the diffusion flow and record energy at every grid point.
 
     Energies are computed as the solver reaches each grid point, so memory
-    does not grow with the horizon.  The flow passes run on a BlockPool that
-    lives for the integration only: it starts after the diffusivity is built
-    (whose ORC LP workers are forked, which must not happen while the pool's
-    threads run) and its threads are joined on return and on error.
+    does not grow with the horizon.  The flow passes, the solver's row
+    kernels and the energy run on one BlockPool that lives for the
+    integration only: it starts after the diffusivity is built (whose ORC LP
+    workers are forked, which must not happen while the pool's threads run)
+    and its threads are joined on return and on error.
     """
     if z0.n != g.n:
         raise ValueError(f"state has {z0.n} rows but graph has {g.n} nodes")
@@ -360,9 +327,9 @@ def run_diffusion(
     energies: EnergyTrace = []
 
     def observe(t: float, state: np.ndarray):
-        energies.append((t, dirichlet_energy(state, g, kappa)))
+        energies.append((t, dirichlet_energy(state, g, kappa, pool)))
 
     with pool:
-        final = solvers.solve(z0.points, flow, spec, kappa, observe=observe)
+        final = solvers.solve(z0.points, flow, spec, kappa, observe=observe, pool=pool)
     state = EmbeddingState(points=final, curvature=kappa, t=spec.t_final)
     return state, energies

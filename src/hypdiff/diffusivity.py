@@ -16,14 +16,13 @@ distance costs; optimality is certified by the LP dual.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import ball
+from . import ball, blocks
 from .graphs import Graph
 
 SCHEMES = ("isotropic", "local", "global", "local_global")
@@ -330,18 +329,10 @@ _LP_CHUNK = 8
 _worker_job: Optional[Tuple[Graph, float]] = None  # set in LP worker processes only
 
 
-def available_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
 def _worker_count(n_edges: int) -> int:
     """Processes for n_edges transport LPs: the CPUs this process may run on,
     but at most one per _MIN_EDGES_PER_WORKER edges."""
-    return max(1, min(available_cpus(), n_edges // _MIN_EDGES_PER_WORKER))
+    return max(1, min(blocks.available_cpus(), n_edges // _MIN_EDGES_PER_WORKER))
 
 
 def _edge_transport(g: Graph, alpha: float, idx: int) -> Tuple[float, float]:

@@ -33,40 +33,108 @@ def atomic_write(path: str, text: str):
         raise
 
 
+# Byte classes of a plain data line: runs of ASCII digits between spaces
+# and tabs.  A line with any other byte is parsed on its own by _parse_line.
+_DIGIT = np.zeros(256, dtype=bool)
+_DIGIT[ord("0") : ord("9") + 1] = True
+_PLAIN = _DIGIT.copy()
+_PLAIN[[ord(" "), ord("\t"), ord("\n")]] = True
+# A run of at most this many digits fits int64.
+_MAX_DIGITS = 18
+
+
 def load_edge_list(path: str) -> Graph:
     """Parse an edge-list file into a Graph.
 
     Duplicate edges (either orientation) collapse to one; self-loops and
-    negative ids are rejected with the offending line number.
+    negative ids are rejected with the number of the first offending line.
+
+    Plain lines, two runs of at most 18 ASCII digits between spaces and
+    tabs, are parsed all at once into an int64 array (_plain_edges).  Every
+    other line (blank, comment, or holding another character such as a
+    sign, an underscore or a non-ASCII digit) is read on its own with
+    str.strip, str.split and int().
     """
-    edges = []
-    n_override = None
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                directive = stripped[1:].strip().replace(" ", "")
-                if directive.startswith("nodes="):
-                    n_override = int(directive[len("nodes="):])
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u v', got {stripped!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
-            if u < 0 or v < 0:
-                raise ValueError(f"{path}:{lineno}: negative node id")
-            if u == v:
-                raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
-            edges.append((u, v))
+        text = f.read()
+    plain_lines, edges, odd = _plain_edges(text)
+    lines = text.split("\n")
+    loops = plain_lines[edges[:, 0] == edges[:, 1]]
+    stop = int(loops[0]) if loops.size else len(lines)  # the first plain line in error
+    n_override = None
+    odd_edges = []  # (line, (u, v)) in line order
+    for i in odd[odd < stop].tolist():
+        stripped = lines[i].strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            directive = stripped[1:].strip().replace(" ", "")
+            if directive.startswith("nodes="):
+                n_override = int(directive[len("nodes="):])
+            continue
+        odd_edges.append((i, _parse_line(path, i + 1, stripped)))
+    if loops.size:  # the first error is this plain self-loop
+        _parse_line(path, stop + 1, lines[stop].strip())
+
+    if odd_edges:
+        at = np.array([i for i, _ in odd_edges])
+        pairs = [pair for _, pair in odd_edges]
+        try:
+            more = np.array(pairs, dtype=np.int64)
+        except OverflowError:  # an id beyond int64, which Graph rejects
+            more = np.array(pairs, dtype=object)
+        order = np.argsort(np.concatenate([plain_lines, at]), kind="stable")
+        edges = np.concatenate([edges, more])[order]
+    n = n_override
+    if n is None:
+        n = 1 + int(edges.max()) if edges.size else 0
     try:
-        return Graph.from_edges(edges, n=n_override)
+        return Graph(n, edges)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _plain_edges(text: str):
+    """(plain lines, their (m, 2) int64 edges, the other non-blank lines)
+    of an edge-list text, lines counted from 0."""
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    breaks = np.flatnonzero(raw == ord("\n"))
+    n_lines = breaks.size + 1
+    digit = _DIGIT[raw]
+    run_start, run_end = digit.copy(), digit.copy()
+    run_start[1:] &= ~digit[:-1]
+    run_end[:-1] &= ~digit[1:]
+    starts, ends = np.flatnonzero(run_start), np.flatnonzero(run_end)  # of each digit run
+    run_line = np.searchsorted(breaks, starts)
+    runs = np.bincount(run_line, minlength=n_lines)
+    long = np.bincount(run_line[ends - starts >= _MAX_DIGITS], minlength=n_lines)
+    other = np.bincount(np.searchsorted(breaks, np.flatnonzero(~_PLAIN[raw])), minlength=n_lines)
+    plain = (runs == 2) & (long == 0) & (other == 0)
+    keep = plain[run_line]  # the two runs of each plain line, in order
+    starts, ends = starts[keep], ends[keep]
+    ids = np.zeros(starts.size, dtype=np.int64)
+    for place in range(int(np.max(ends - starts, initial=-1)) + 1):
+        at = ends - place
+        has = at >= starts
+        ids[has] += (raw[at[has]] - ord("0")).astype(np.int64) * 10**place
+    odd = np.flatnonzero(~plain & ((runs != 0) | (other != 0)))
+    return np.flatnonzero(plain), ids.reshape(-1, 2), odd
+
+
+def _parse_line(path: str, lineno: int, stripped: str):
+    """(u, v) of one stripped, non-comment line of an edge list."""
+    parts = stripped.split()
+    if len(parts) != 2:
+        raise ValueError(f"{path}:{lineno}: expected 'u v', got {stripped!r}")
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
+    if u < 0 or v < 0:
+        raise ValueError(f"{path}:{lineno}: negative node id")
+    if u == v:
+        raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
+    return u, v
 
 
 def save_edge_list(path: str, g: Graph):

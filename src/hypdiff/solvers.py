@@ -24,12 +24,14 @@ overshooting step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from . import ball
+from . import ball, blocks
+from .blocks import BlockPool
 
 FlowFn = Callable[[np.ndarray, float], np.ndarray]
 ObserveFn = Callable[[float, np.ndarray], None]
@@ -92,7 +94,31 @@ class SolverSpec:
             raise ValueError("orders must satisfy 1 <= s_min <= s_max <= 4")
 
 
-def geodesic_interpolate(x: np.ndarray, y: np.ndarray, ratio: float, kappa) -> np.ndarray:
+def _rows(
+    pool: Optional[BlockPool], like: np.ndarray, fill: Callable[[slice], np.ndarray],
+) -> np.ndarray:
+    """A new array shaped like `like` whose rows r, a slice of its leading
+    axis, are fill(r), made block by block by blocks.run_rows (on the
+    threads of ``pool`` while it is started).  One point, a 1-D array, is
+    made in one piece.
+
+    Every solver kernel is a per-row expression, so the result is bitwise
+    the same for any blocks; each block runs its whole chain of kernels.
+    """
+    if like.ndim < 2:
+        return fill(slice(None))
+    out = np.empty(like.shape)
+
+    def block(a: int, b: int):
+        out[a:b] = fill(slice(a, b))
+
+    blocks.run_rows(block, like.shape[0], math.prod(like.shape[1:]), pool)
+    return out
+
+
+def geodesic_interpolate(
+    x: np.ndarray, y: np.ndarray, ratio: float, kappa, pool: Optional[BlockPool] = None,
+) -> np.ndarray:
     """Point at fraction `ratio` along the geodesic from x to y.
 
     exp_x(ratio * log_x(y)); the distance ratio d(x, .)/d(x, y) equals ratio.
@@ -100,36 +126,45 @@ def geodesic_interpolate(x: np.ndarray, y: np.ndarray, ratio: float, kappa) -> n
     if not (0.0 <= ratio <= 1.0):
         raise ValueError(f"interpolation ratio must lie in [0, 1], got {ratio}")
     k = ball._kappa_value(kappa)
-    x, y = ball._finite(x, y)
-    return ball._exp_map(x, ratio * ball._log_map(x, y, k), k)
+    x, y = np.broadcast_arrays(*ball._finite(x, y))
+    return _rows(pool, x, lambda r: ball._exp_map(x[r], ratio * ball._log_map(x[r], y[r], k), k))
 
 
-def heuler_step(h: np.ndarray, t: float, tau: float, flow: FlowFn, kappa) -> np.ndarray:
+def heuler_step(
+    h: np.ndarray, t: float, tau: float, flow: FlowFn, kappa, pool: Optional[BlockPool] = None,
+) -> np.ndarray:
     """One explicit Euler step exp_h(tau log_h(F(h, t)))."""
     k = ball._kappa_value(kappa)
     (h,) = ball._finite(h)
-    return ball._exp_map(h, tau * _field(h, h, t, flow, k), k)
+    slope = _field(h, h, t, flow, k, pool)
+    return _rows(pool, h, lambda r: ball._exp_map(h[r], tau * slope[r], k))
 
 
-def _field(base: np.ndarray, at: np.ndarray, t: float, flow: FlowFn, k: float) -> np.ndarray:
+def _field(
+    base: np.ndarray, at: np.ndarray, t: float, flow: FlowFn, k: float,
+    pool: Optional[BlockPool] = None,
+) -> np.ndarray:
     """Field log_at(F(at, t)) pulled back into the tangent space at `base`.
 
     The flow's output is the one input from outside the solver inside a
-    step, so it is checked here; the rest runs on the raw ball kernels.
+    step, so each block checks its rows of it; the rest runs on the raw ball
+    kernels.
     """
     out = flow(at, t)
     if out.shape != at.shape:
         raise ValueError(f"flow output shape {out.shape} != state shape {at.shape}")
-    (out,) = ball._finite(out)
-    slope = ball._log_map(at, out, k)
-    if at is base:
-        return slope
-    return ball._dlog(base, at, slope, k)
+
+    def fill(r: slice) -> np.ndarray:
+        (o,) = ball._finite(out[r])
+        slope = ball._log_map(at[r], o, k)
+        return slope if at is base else ball._dlog(base[r], at[r], slope, k)
+
+    return _rows(pool, at, fill)
 
 
 def hrk4_step(
     h: np.ndarray, t: float, tau: float, flow: FlowFn, kappa,
-    g1: Optional[np.ndarray] = None,
+    g1: Optional[np.ndarray] = None, pool: Optional[BlockPool] = None,
 ) -> np.ndarray:
     """One 4th-order step; returns exp_h(tau * X) with X the weighted stage mix.
 
@@ -138,22 +173,20 @@ def hrk4_step(
     """
     k = ball._kappa_value(kappa)
     (h,) = ball._finite(h)
-    return ball._exp_map(h, tau * _hrk4_field(h, t, tau, flow, k, g1), k)
 
-
-def _hrk4_field(
-    h: np.ndarray, t: float, tau: float, flow: FlowFn, k: float,
-    g1: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    def stage(u: np.ndarray, ts: float) -> np.ndarray:
-        return _field(h, ball._exp_map(h, u, k), ts, flow, k)
+    def stage(u: Callable[[slice], np.ndarray], ts: float) -> np.ndarray:
+        # u(r): the rows r of the stage's tangent at h
+        at = _rows(pool, h, lambda r: ball._exp_map(h[r], u(r), k))
+        return _field(h, at, ts, flow, k, pool)
 
     if g1 is None:
-        g1 = _field(h, h, t, flow, k)
-    g2 = stage(tau * g1 / 3.0, t + tau / 3.0)
-    g3 = stage(tau * (-g1 / 3.0 + g2), t + 2.0 * tau / 3.0)
-    g4 = stage(tau * (g1 - g2 + g3), t + tau)
-    return _RK4_W[0] * g1 + _RK4_W[1] * g2 + _RK4_W[2] * g3 + _RK4_W[3] * g4
+        g1 = _field(h, h, t, flow, k, pool)
+    g2 = stage(lambda r: tau * g1[r] / 3.0, t + tau / 3.0)
+    g3 = stage(lambda r: tau * (-g1[r] / 3.0 + g2[r]), t + 2.0 * tau / 3.0)
+    g4 = stage(lambda r: tau * (g1[r] - g2[r] + g3[r]), t + tau)
+    w1, w2, w3, w4 = _RK4_W
+    return _rows(pool, h, lambda r: ball._exp_map(
+        h[r], tau * (w1 * g1[r] + w2 * g2[r] + w3 * g3[r] + w4 * g4[r]), k))
 
 
 def _grid(tau: float, t_final: float) -> Tuple[int, bool]:
@@ -166,7 +199,7 @@ def _grid(tau: float, t_final: float) -> Tuple[int, bool]:
 
 def solve(
     h0: np.ndarray, flow: FlowFn, spec: SolverSpec, kappa,
-    observe: Optional[ObserveFn] = None,
+    observe: Optional[ObserveFn] = None, pool: Optional[BlockPool] = None,
 ) -> np.ndarray:
     """Integrate the flow from t=0 to t=spec.t_final on the tau-grid.
 
@@ -178,6 +211,10 @@ def solve(
     interpolated.  ``state`` is read-only: the solver never writes to a state
     in place, so an observer may keep the reference, and it must not write
     to it either, because ``ham`` keeps earlier states in its slope queue.
+
+    The n x d kernels of every step run in row blocks, on the threads of
+    ``pool`` while the caller holds it started; the states do not depend on
+    the pool.
     """
     h = ball.project_to_ball(h0, kappa)
     k = ball._kappa_value(kappa)
@@ -190,64 +227,67 @@ def solve(
     observe(0.0, h)
     queue: List[Tuple[np.ndarray, np.ndarray]] = []  # head first: (tangent, base)
     if spec.method == "ham":
-        queue.append((_field(h, h, 0.0, flow, k), h))
+        queue.append((_field(h, h, 0.0, flow, k, pool), h))
 
     for i in range(n_full):
-        h = _checked_advance(h, i * spec.tau, spec, flow, k, i, queue)
+        h = _checked_advance(h, i * spec.tau, spec, flow, k, i, queue, pool)
         observe((i + 1) * spec.tau, h)
 
     if partial:
         t = n_full * spec.tau
-        overshoot = _checked_advance(h, t, spec, flow, k, n_full, queue)
-        h = geodesic_interpolate(h, overshoot, (spec.t_final - t) / spec.tau, k)
+        overshoot = _checked_advance(h, t, spec, flow, k, n_full, queue, pool)
+        h = geodesic_interpolate(h, overshoot, (spec.t_final - t) / spec.tau, k, pool)
         observe(spec.t_final, h)
     return h
 
 
-def _checked_advance(h, t, spec, flow, k, step_index, queue):
+def _checked_advance(h, t, spec, flow, k, step_index, queue, pool):
     try:
-        h_next = _advance(h, t, spec, flow, k, step_index, queue)
+        h_next = _advance(h, t, spec, flow, k, step_index, queue, pool)
     except (ball.NonFiniteError, FloatingPointError) as exc:
         raise NonFiniteStateError(step_index, t) from exc
     _check_finite(h_next, step_index, t)
     return h_next
 
 
-def _advance(h, t, spec, flow, k, step_index, queue):
+def _advance(h, t, spec, flow, k, step_index, queue, pool):
     if spec.method == "heuler":
-        return heuler_step(h, t, spec.tau, flow, k)
+        return heuler_step(h, t, spec.tau, flow, k, pool)
     if spec.method == "hrk4":
-        return hrk4_step(h, t, spec.tau, flow, k)
-    return _ham_step(h, t, spec, flow, k, step_index, queue)
+        return hrk4_step(h, t, spec.tau, flow, k, pool=pool)
+    return _ham_step(h, t, spec, flow, k, step_index, queue, pool)
 
 
-def _ham_step(h, t, spec, flow, k, step_index, queue):
+def _ham_step(h, t, spec, flow, k, step_index, queue, pool):
     tau = spec.tau
     if step_index < spec.s_min:
         # warm-up: identical hrk4 states, queue collects the field slopes.  The
         # head of the queue is the field at h at time t, the step's first stage.
-        h_next = hrk4_step(h, t, tau, flow, k, g1=queue[0][0])
+        h_next = hrk4_step(h, t, tau, flow, k, g1=queue[0][0], pool=pool)
         t_next = (step_index + 1) * tau  # the t the solver hands the next step
-        queue.insert(0, (_field(h_next, h_next, t_next, flow, k), h_next))
+        queue.insert(0, (_field(h_next, h_next, t_next, flow, k, pool), h_next))
         return h_next
     order = min(len(queue), spec.s_max)
-    x_ab = _adams_mix(AB_COEFFS[order], queue, h, k)
-    h_star = ball._exp_map(h, tau * x_ab, k)
-    queue.insert(0, (_field(h_star, h_star, t + tau, flow, k), h_star))
+    h_star = _adams_step(AB_COEFFS[order], queue, h, tau, k, pool)
+    queue.insert(0, (_field(h_star, h_star, t + tau, flow, k, pool), h_star))
     order = min(len(queue), spec.s_max)
-    x_am = _adams_mix(AM_COEFFS[order], queue, h, k)
-    h_next = ball._exp_map(h, tau * x_am, k)
+    h_next = _adams_step(AM_COEFFS[order], queue, h, tau, k, pool)
     while len(queue) > spec.s_max:
         queue.pop()
     return h_next
 
 
-def _adams_mix(coeffs, queue, h, k):
-    acc = None
-    for c, (tangent, base) in zip(coeffs, queue):
-        term = c * ball._parallel_transport(base, h, tangent, k)
-        acc = term if acc is None else acc + term
-    return acc
+def _adams_step(coeffs, queue, h, tau, k, pool):
+    """exp_h(tau * sum_i c_i PT(tangent_i)) over the queue's (tangent, base)
+    pairs, newest first, each transported from its base to h."""
+    def fill(r):
+        acc = None
+        for c, (tangent, base) in zip(coeffs, queue):
+            term = c * ball._parallel_transport(base[r], h[r], tangent[r], k)
+            acc = term if acc is None else acc + term
+        return ball._exp_map(h[r], tau * acc, k)
+
+    return _rows(pool, h, fill)
 
 
 def _check_finite(h, step_index, t):

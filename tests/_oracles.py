@@ -241,6 +241,22 @@ def dense_log_aggregate(points, weights, kappa):
     return np.einsum("ij,ijd->id", weights, tang)
 
 
+def dirichlet_energy_reference(points, g, kappa):
+    """The Dirichlet energy in one shot: public log and exp maps at the
+    origin over all nodes, then one public distance over all (edges, d)
+    gathers, summed as one array."""
+    from hypdiff import ball
+
+    if not g.edges:
+        return 0.0
+    o = np.zeros(points.shape[1])
+    scaled = ball.log_map(o, points, kappa) / np.sqrt(1.0 + g.degrees)[:, None]
+    normalized = ball.exp_map(o, scaled, kappa)
+    src, dst = np.array(g.edges).T
+    d = ball.distance(normalized[src], normalized[dst], kappa)
+    return 0.5 * float(np.sum(d * d))
+
+
 def global_attention_reference(points, params, heads, kappa):
     """The dense sigmoid attention as one expression per head, with scipy's
     expit: the mean over heads of sigmoid(q k^T) with rows divided by their
@@ -361,3 +377,42 @@ def local_diffusivity_reference(g, orc, params, channel_mode):
     if channel_mode == "scalar":
         weights = weights[:, 0]
     return ei, weights
+
+
+# ---------------------------------------------------------------------------
+# the edge-list reader, one line at a time
+# ---------------------------------------------------------------------------
+
+def load_edge_list_reference(path):
+    """Graph of an edge-list file read line by line with str.strip, split
+    and int, errors naming the first offending line."""
+    from hypdiff.graphs import Graph
+
+    edges = []
+    n_override = None
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                directive = stripped[1:].strip().replace(" ", "")
+                if directive.startswith("nodes="):
+                    n_override = int(directive[len("nodes="):])
+                continue
+            parts = stripped.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'u v', got {stripped!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
+            if u < 0 or v < 0:
+                raise ValueError(f"{path}:{lineno}: negative node id")
+            if u == v:
+                raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
+            edges.append((u, v))
+    try:
+        return Graph.from_edges(edges, n=n_override)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

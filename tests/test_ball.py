@@ -18,7 +18,6 @@ from hypdiff.ball import (
     gyromidpoint,
     log_map,
     mobius_add,
-    mobius_scalar,
     parallel_transport,
     project_to_ball,
 )
@@ -82,17 +81,19 @@ class TestMobiusAdd:
 
 
 class TestMobiusScalar:
+    """The kernel _mobius_scalar, r (x) x, which the gyromidpoint uses."""
+
     def test_one_is_identity(self):
         x = np.array([0.3, -0.2, 0.05])
-        np.testing.assert_allclose(mobius_scalar(1.0, x, K1), x, atol=1e-15)
+        np.testing.assert_allclose(ball._mobius_scalar(1.0, x, K1), x, atol=1e-15)
 
     def test_zero_point(self):
-        np.testing.assert_array_equal(mobius_scalar(2.5, np.zeros(3), K1), np.zeros(3))
+        np.testing.assert_array_equal(ball._mobius_scalar(2.5, np.zeros(3), K1), np.zeros(3))
 
     def test_closed_form_norm(self):
         # |r (x) x| = tanh(r atanh(|x|)) for kappa = -1
         x = np.array([0.3, 0.0])
-        out = mobius_scalar(2.0, x, K1)
+        out = ball._mobius_scalar(2.0, x, K1)
         expected = np.tanh(2.0 * np.arctanh(0.3))
         assert np.linalg.norm(out) == pytest.approx(expected, abs=1e-12)
         np.testing.assert_allclose(out / np.linalg.norm(out), [1.0, 0.0], atol=1e-12)
@@ -100,13 +101,9 @@ class TestMobiusScalar:
     def test_collinear(self):
         rng = np.random.default_rng(9)
         x = random_points(rng, 1, 5, K1)[0]
-        out = mobius_scalar(0.7, x, K1)
+        out = ball._mobius_scalar(0.7, x, K1)
         cross = out - (out @ x) / (x @ x) * x
         assert np.abs(cross).max() < 1e-12
-
-    def test_rejects_nonfinite_scalar(self):
-        with pytest.raises(ValueError):
-            mobius_scalar(float("inf"), np.array([0.1, 0.1]), K1)
 
 
 class TestExpLog:
@@ -340,8 +337,6 @@ class TestProject:
         for bad in (np.nan, np.inf):
             with pytest.raises(ball.NonFiniteError):
                 project_to_ball(np.array([0.1, bad]), K1)
-        with pytest.raises(ball.NonFiniteError):
-            mobius_scalar(np.nan, np.array([0.1, 0.2]), K1)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(
@@ -446,7 +441,6 @@ class TestRawKernels:
         assert_bitwise(ball._distance(xi, yj, k, sq[i], sq[j]), distance(xi, yj, kappa))
         assert_bitwise(ball._project(ball._mobius_add(xi, yj, k), k), mobius_add(xi, yj, kappa))
         assert_bitwise(ball._project(x, k), project_to_ball(x, kappa))
-        assert_bitwise(ball._mobius_scalar(0.3, x, k), mobius_scalar(0.3, x, kappa))
         assert_bitwise(ball._dlog(x, y, v, k), dlog(x, y, v, kappa))
         c = 0.09 * v
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -489,7 +483,6 @@ class TestRawKernels:
 PUBLIC_CALLS = {
     "project_to_ball": lambda p, k: project_to_ball(p, k),
     "mobius_add": lambda p, k: mobius_add(p, p[::-1], k),
-    "mobius_scalar": lambda p, k: mobius_scalar(0.5, p, k),
     "conformal_factor": lambda p, k: conformal_factor(p, k),
     "exp_map": lambda p, k: exp_map(p, p[::-1], k),
     "log_map": lambda p, k: log_map(p, p[::-1], k),

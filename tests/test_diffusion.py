@@ -1,5 +1,6 @@
 """Diffusion flows, residual blending, Dirichlet energy, and full runs."""
 
+import sys
 import threading
 import tracemalloc
 from unittest import mock
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hypdiff import ball, diffusion, diffusivity as dv
+from hypdiff import ball, blocks, diffusion, diffusivity as dv
 from hypdiff.ball import Curvature
 from hypdiff.diffusion import (
     EmbeddingState,
@@ -24,10 +25,11 @@ from hypdiff.diffusion import (
 )
 from hypdiff.diffusivity import DiffusivityConfig, DiffusivityMatrix, isotropic_weights
 from hypdiff.graphs import Graph, erdos_renyi
-from hypdiff.solvers import NonFiniteStateError, SolverSpec
+from hypdiff.solvers import NonFiniteStateError, SolverSpec, solve
 
 from _oracles import (
-    assert_bitwise, dense_log_aggregate, flow_reference, rk38_step, row_source, scatter_add,
+    assert_bitwise, dense_log_aggregate, dirichlet_energy_reference, flow_reference, rk38_step,
+    row_source, scatter_add,
 )
 
 K1 = Curvature(-1.0)
@@ -142,12 +144,12 @@ class TestAggregation:
         want = flow_reference(pts, pairs[0], pairs[1], weights, glob, K1)
         rows = row_source(glob)
         assert_bitwise(diffusion_flow(pts, dmat, K1, global_part=rows), want)
-        with mock.patch.object(diffusion, "_DENSE_BLOCK_FLOATS", block_floats):
+        with mock.patch.object(blocks, "_DENSE_BLOCK_FLOATS", block_floats):
             assert_bitwise(diffusion_flow(pts, dmat, K1, global_part=rows), want)
 
     @staticmethod
     def edge_sums(pts, dmat, block_floats):
-        with mock.patch.object(diffusion, "_DENSE_BLOCK_FLOATS", block_floats):
+        with mock.patch.object(blocks, "_DENSE_BLOCK_FLOATS", block_floats):
             return diffusion._edge_aggregate(pts, dmat, -1.0, ball._sqnorm(pts))
 
     @staticmethod
@@ -238,9 +240,10 @@ class TestAggregation:
 
     def test_block_rows_stay_within_the_budget(self):
         for n, dim in [(1, 1), (800, 16), (5000, 16), (10**6, 64)]:
-            rows = diffusion._block_rows(n, dim)
-            assert rows >= 1
-            assert rows == 1 or rows * n * dim <= diffusion._DENSE_BLOCK_FLOATS
+            for threads in (1, 2, 3):
+                rows = blocks.block_rows(n, n * dim, threads)
+                assert rows >= 1
+                assert rows == 1 or rows * n * dim <= blocks._DENSE_BLOCK_FLOATS
 
 
 class TestFusedAttention:
@@ -260,15 +263,14 @@ class TestFusedAttention:
     # one node's row of log maps holds N * DIM floats: budgets of 1-row
     # blocks, of 5-row blocks with a 2-row tail, and of 36 rows with a 1-row tail
     @pytest.mark.parametrize("block_floats", [1, 5 * N * DIM, 36 * N * DIM])
-    def test_blocked_and_pooled_match_dense_reference(self, monkeypatch, block_floats):
-        monkeypatch.setattr(diffusion.dv, "available_cpus", lambda: 2)
-        monkeypatch.setattr(diffusion, "_DENSE_BLOCK_FLOATS", block_floats)
+    def test_blocked_and_pooled_match_dense_reference(self, block_pool, block_floats):
+        block_pool(2, block_floats)
         for heads in (1, 2):
             pts, dmat, att = self.case(heads)
             src, dst = dmat.edge_index
             want = flow_reference(pts, src, dst, dmat.edge_weights, att.rows(0, self.N), K1)
             assert_bitwise(diffusion_flow(pts, dmat, K1, global_part=att.rows), want)
-            with diffusion.BlockPool() as pool:
+            with blocks.BlockPool() as pool:
                 got = diffusion_flow(pts, dmat, K1, global_part=att.rows, pool=pool)
             assert_bitwise(got, want)
 
@@ -294,12 +296,6 @@ class TestBlockPool:
     caller's numpy error state, and no thread left behind by a run."""
 
     @staticmethod
-    def pool(monkeypatch, threads):
-        monkeypatch.setattr(diffusion.dv, "available_cpus", lambda: threads)
-        monkeypatch.setattr(diffusion, "_DENSE_BLOCK_FLOATS", 48)
-        return diffusion.BlockPool()
-
-    @staticmethod
     def flow_case(seed, channels):
         g = erdos_renyi(30, 0.3, seed=seed)
         dmat = isotropic_weights(g)
@@ -312,24 +308,24 @@ class TestBlockPool:
         return pts, dmat, glob
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_pooled_equals_serial(self, monkeypatch, threads):
-        pool = self.pool(monkeypatch, threads)
+    def test_pooled_equals_serial(self, block_pool, threads):
+        pool = block_pool(threads)
         for seed, channels in [(1, False), (2, True)]:
             pts, dmat, glob = self.flow_case(seed, channels)
             want = diffusion_flow(pts, dmat, K1, global_part=row_source(glob))
             with pool:
                 got = diffusion_flow(pts, dmat, K1, global_part=row_source(glob), pool=pool)
                 names = [t.name for t in threading.enumerate()]
-            assert any(name.startswith("hypdiff-flow") for name in names)
+            assert any(name.startswith("hypdiff-block") for name in names)
             assert_bitwise(got, want)
 
-    def test_floating_point_error_in_a_block_reaches_caller(self, monkeypatch):
-        pool = self.pool(monkeypatch, 2)
+    def test_floating_point_error_in_a_block_reaches_caller(self, block_pool):
+        pool = block_pool(2)
         pts, dmat, _ = self.flow_case(3, False)
         # self pairs have a zero log map, and inf * 0 is an invalid operation
         bad = DiffusivityMatrix(n=dmat.n, edge_index=[dmat.edge_index[0]] * 2,
                                 edge_weights=np.full(dmat.edge_weights.size, np.inf))
-        assert len(bad.edge_blocks(4, diffusion._DENSE_BLOCK_FLOATS)) >= 4
+        assert len(bad.edge_blocks(4, blocks._DENSE_BLOCK_FLOATS)) >= 4
         with np.errstate(all="raise"):
             with pytest.raises(FloatingPointError) as serial:
                 diffusion_flow(pts, bad, K1)
@@ -347,8 +343,8 @@ class TestBlockPool:
         spec = SolverSpec(method="hrk4", tau=0.5, t_final=1.0)
         return run_diffusion(z0, g, dcfg, spec)
 
-    def test_run_joins_its_threads(self, monkeypatch):
-        self.pool(monkeypatch, 2)
+    def test_run_joins_its_threads(self, monkeypatch, block_pool):
+        block_pool(2)
         start = threading.active_count()
         seen = []
         real = diffusion.diffusion_flow
@@ -362,12 +358,12 @@ class TestBlockPool:
         _, pooled = self.run_global()
         assert max(seen) > start
         assert threading.active_count() == start
-        monkeypatch.setattr(diffusion.dv, "available_cpus", lambda: 1)
+        block_pool(1)
         _, serial = self.run_global()
         assert pooled == serial
 
-    def test_failed_run_joins_its_threads(self, monkeypatch):
-        self.pool(monkeypatch, 2)
+    def test_failed_run_joins_its_threads(self, monkeypatch, block_pool):
+        block_pool(2)
         start = threading.active_count()
         seen = []
 
@@ -380,6 +376,142 @@ class TestBlockPool:
             self.run_global()
         assert seen and seen[0] > start
         assert threading.active_count() == start
+
+
+class TestBlockEngine:
+    """The solver's row kernels and the energy in blocks on the pool: the
+    bits of the serial whole-array run for any thread count and budget."""
+
+    N, DIM = 30, 4
+
+    @classmethod
+    def integrate(cls, spec, pool):
+        """(final, grid states, energies) of a global-attention run on pool."""
+        g = erdos_renyi(cls.N, 0.2, seed=5)
+        z0 = initial_state(cls.N, cls.DIM, K1, seed=5, scale=0.5)
+        residual = ResidualSpec() if spec.method == "ham" else None
+        flow = build_flow(g, DiffusivityConfig(scheme="global", beta=0.5, heads=2), cls.DIM, K1,
+                          residual=residual, z0=z0.points, pool=pool)
+        states, energies = [], []
+
+        def observe(t, state):
+            states.append(state)
+            energies.append(dirichlet_energy(state, g, K1, pool))
+
+        final = solve(z0.points, flow, spec, K1, observe=observe, pool=pool)
+        return final, states, energies
+
+    @pytest.mark.parametrize("method, s_min", [("heuler", 2), ("hrk4", 2), ("ham", 1), ("ham", 2)])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_pooled_solve_equals_serial(self, monkeypatch, block_pool, method, s_min, threads):
+        # 4 full steps, then one cut back by geodesic interpolation
+        spec = SolverSpec(method=method, tau=0.5, t_final=2.3, s_min=s_min)
+        want_final, want_states, want_energies = self.integrate(spec, None)
+        pool = block_pool(threads)
+        assert blocks.block_rows(self.N, self.DIM, threads) < self.N / 2
+        checked = set()  # threads that checked rows of a flow output
+        real = ball._finite
+
+        def finite(*arrays):
+            checked.add(threading.current_thread().name)
+            return real(*arrays)
+
+        monkeypatch.setattr(ball, "_finite", finite)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch between the pool's threads as often as possible
+        try:
+            with pool:
+                final, states, energies = self.integrate(spec, pool)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_bitwise(final, want_final)
+        assert len(states) == len(want_states) == 6
+        for got, want in zip(states, want_states):
+            assert_bitwise(got, want)
+        assert [e.hex() for e in energies] == [e.hex() for e in want_energies]
+        assert any(name.startswith("hypdiff-block") for name in checked) == (threads > 1)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("block_floats", [1, 12, 48])
+    def test_blocked_energy_equals_one_shot(self, block_pool, threads, block_floats):
+        """An edgeless graph, a single edge, and 89 edges, which no budget
+        here cuts into blocks of equal size."""
+        graphs = [Graph.from_edges([], n=5), Graph.from_edges([(0, 1)], n=3),
+                  erdos_renyi(self.N, 0.2, seed=5)]
+        want = []
+        for g in graphs:
+            pts = 0.9 * initial_state(g.n, self.DIM, K1, seed=g.n, scale=0.6).points
+            want.append(dirichlet_energy_reference(pts, g, K1))
+        pool = block_pool(threads, block_floats)
+        m = len(graphs[-1].edges)
+        assert block_floats == 1 or m % blocks.block_rows(m, self.DIM, threads) != 0
+        for g, energy in zip(graphs, want):
+            pts = 0.9 * initial_state(g.n, self.DIM, K1, seed=g.n, scale=0.6).points
+            assert dirichlet_energy(pts, g, K1).hex() == energy.hex()
+            with pool:
+                assert dirichlet_energy(pts, g, K1, pool).hex() == energy.hex()
+
+    def test_nonfinite_flow_output_in_a_pooled_block(
+        self, monkeypatch, block_pool, tmp_path, capsys,
+    ):
+        """A NaN in the last row of the flow's output is found by the
+        solver's check in a block on a pool thread; the run stops with
+        NonFiniteStateError, the CLI exits 2, and no thread is left."""
+        from hypdiff.cli import main
+
+        block_pool(2)
+        real_flow = diffusion.diffusion_flow
+
+        def flow(*args, **kwargs):
+            out = real_flow(*args, **kwargs)
+            out[-1, 0] = np.nan
+            return out
+
+        raised_in = []
+        real_finite = ball._finite
+
+        def finite(*arrays):
+            try:
+                return real_finite(*arrays)
+            except ball.NonFiniteError:
+                raised_in.append(threading.current_thread().name)
+                raise
+
+        monkeypatch.setattr(diffusion, "diffusion_flow", flow)
+        monkeypatch.setattr(ball, "_finite", finite)
+        start = threading.active_count()
+        g = erdos_renyi(self.N, 0.2, seed=5)
+        z0 = initial_state(self.N, self.DIM, K1, seed=5)
+        spec = SolverSpec(method="hrk4", tau=1.0, t_final=2.0)
+        with pytest.raises(NonFiniteStateError) as err:
+            run_diffusion(z0, g, DiffusivityConfig(), spec)
+        assert err.value.step_index == 0
+        assert isinstance(err.value.__cause__, ball.NonFiniteError)
+        assert raised_in and raised_in[0].startswith("hypdiff-block")
+        assert threading.active_count() == start
+        assert main(["diffuse", "--out", str(tmp_path), "--T", "2"]) == 2
+        assert capsys.readouterr().err == "numerical failure: non-finite state at step 0 (t=0)\n"
+        assert threading.active_count() == start
+
+    def test_energy_holds_no_edge_by_dim_array(self):
+        """One energy at n=5000, 25k edges, d=16 allocates the normalized
+        points, the edge distances and block temporaries only.  Measured
+        3.2 MB; the whole-array form peaked at 17.3 MB, and its two (m, d)
+        gathers alone take 6.4 MB."""
+        n, m, dim = 5000, 25000, 16
+        rng = np.random.default_rng(0)
+        pairs = np.sort(rng.integers(0, n, size=(2 * m, 2)), axis=1)
+        g = Graph(n, np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)[:m])
+        assert len(g.edges) == m
+        pts = initial_state(n, dim, K1, seed=0, scale=0.6).points
+        g.degrees  # cached before measuring
+        tracemalloc.start()
+        try:
+            dirichlet_energy(pts, g, K1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20, peak
 
 
 class TestResidualFlow:

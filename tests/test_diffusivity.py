@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypdiff import ball, diffusivity as dv
 from hypdiff.cli import bundled_graph_path
-from hypdiff.diffusion import _block_rows, diffusion_flow
+from hypdiff.blocks import block_rows
+from hypdiff.diffusion import diffusion_flow
 from hypdiff.diffusivity import (
     AttentionParams,
     DiffusivityConfig,
@@ -597,8 +598,10 @@ class TestGlobalAttention:
     @pytest.mark.parametrize("n", [1, 2, 34, 193, 333, 800, 801])
     def test_rows_equal_scaled_dense_attention(self, n):
         pts = self.state(n)
-        # 1-row blocks, the flow's blocks, and blocks that leave a short tail
-        block_rows = sorted({1, _block_rows(n, self.DIM), 7, max(1, n - 1)})
+        # 1-row blocks, the flow's blocks in one and in two threads, and
+        # blocks that leave a short tail
+        flow_rows = {block_rows(n, n * self.DIM, threads) for threads in (1, 2)}
+        all_rows = sorted({1, 7, max(1, n - 1)} | flow_rows)
         for heads in (1, 2, 3):
             seeded = AttentionParams.init(self.DIM, heads, seed=n + heads)
             for params in (seeded, zero_projections(seeded)):
@@ -607,7 +610,7 @@ class TestGlobalAttention:
                 for beta in (0.3, 0.5, 1.0):
                     att = GlobalAttention(pts, params, heads, K1, beta)
                     assert len(att.products) == heads
-                    for rows in block_rows:
+                    for rows in all_rows:
                         assert_bitwise(self.blocked(att, n, rows), beta * dense)
 
 

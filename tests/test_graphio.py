@@ -16,7 +16,7 @@ from hypdiff.graphio import (
 from hypdiff.diffusivity import OrcResult
 from hypdiff.graphs import Graph
 
-from _oracles import canonical_edges
+from _oracles import canonical_edges, load_edge_list_reference
 
 
 class TestEdgeList:
@@ -63,6 +63,74 @@ class TestEdgeList:
         loaded = load_edge_list(str(p))
         assert loaded.n == g.n
         assert loaded.edges == g.edges
+
+
+# Node-id tokens: mostly plain ASCII ids, and the forms Python's int()
+# accepts or rejects that a byte-level parser could get wrong.
+ID_TOKENS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.integers(0, 12).map(str),
+    st.integers(0, 12).map(str),
+    st.sampled_from([
+        "+3", "1_0", "-1", "-0", "007", "0" * 20 + "5", "\u0663", "\u0967\u0968", "\uff13",
+        "x", "1.5", "", str(2**63 - 1), str(2**63), "9" * 20, "1" * 18, "1" * 19,
+    ]),
+)
+GAPS = st.sampled_from([" ", "\t", "  ", " \t ", "\u3000", "\x1f", "\x0c", "\u2028", "\x85"])
+PADDING = st.sampled_from(["", "", " ", "\t", "\u3000", "\x0c"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list files of edge lines, blank lines, comments, node-count
+    directives and lines with a wrong field count, with any line ending."""
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["edge"] * 6 + ["blank", "comment", "nodes", "fields"]))
+        if kind == "edge":
+            body = draw(ID_TOKENS) + draw(GAPS) + draw(ID_TOKENS)
+        elif kind == "fields":
+            body = draw(GAPS).join(draw(st.lists(ID_TOKENS, min_size=1, max_size=3)))
+        elif kind == "comment":
+            body = "#" + draw(st.text(st.characters(codec="utf-8", exclude_characters="\r\n"),
+                                      max_size=8))
+        elif kind == "nodes":
+            body = "#" + draw(st.sampled_from(["", " "])) + "nodes" + draw(
+                st.sampled_from(["=", " = "])) + draw(ID_TOKENS)
+        else:
+            body = ""
+        lines.append(draw(PADDING) + body + draw(PADDING))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+class TestEdgeListParser:
+    """The array parser against the line-by-line reader it replaced."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(text=edge_list_texts())
+    @example(text="# nodes=12\n1\t2\n+3 1_0\n")  # tabs, a sign, an underscore
+    @example(text="\u0663 \u0661\n0 1\n")  # non-ASCII digits
+    @example(text="0 1\n1 99999999999999999999\n")  # an id beyond int64
+    @example(text="0 1\n1 9223372036854775808\n")  # 19 digits, beyond int64
+    @example(text="0 9223372036854775807\n")  # 19 digits, the largest int64
+    @example(text="# nodes=3\n0 1\n1 99999999999999999999\n")
+    @example(text="2 3\n4 4\n+5 5\n")  # a plain self-loop before a signed one
+    @example(text="+5 5\n4 4\n")  # and after it
+    @example(text="0 1\n# nodes=x\n2 2\n")  # a bad directive before a self-loop
+    @example(text="0 1\n# nodes=2\n5 3\n# nodes=9\n")  # the last directive counts
+    @example(text="# nodes=2\n0 1\n5 3\n")  # an edge beyond the node count
+    @example(text="")
+    def test_matches_line_by_line_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "property.edges"
+        path.write_bytes(text.encode("utf-8"))
+
+        def graph(load):
+            g = load(str(path))
+            return g.n, g.edges
+
+        want = outcome(lambda: graph(load_edge_list_reference))
+        assert outcome(lambda: graph(load_edge_list)) == want
 
 
 class TestFeatures:
