@@ -18,6 +18,13 @@ public function then calls a ``_``-prefixed kernel that takes a plain float
 other directly, so no input is validated twice.  Some kernels
 accept the squared row norms of their point arguments (``x2``, ``y2``) so
 that callers gathering rows of one point set compute them once per point.
+
+The kernels that take ``out`` and ``work`` write their result into ``out``
+(a new array when it is None) and take their temporaries from ``work``, a
+:class:`hypdiff.blocks.Scratch` (in a pooled pass, the running thread's);
+given none, a kernel makes one for the call.  Either way each evaluates its
+closed form with the same ufuncs in the same order, so the bits do not
+depend on the buffers.  ``out`` must not overlap the inputs.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .blocks import Scratch
 
 # Relative margin kept between any point and the ball boundary.  atanh blows
 # up at the boundary, so interior outputs are rescaled to (1 - EPS) * R.
@@ -86,48 +95,101 @@ def _finite_result(out: np.ndarray) -> np.ndarray:
 # Raw kernels: float k, finite float64 arrays, no checks
 # ---------------------------------------------------------------------------
 
-def _norm(x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(x, axis=-1, keepdims=True)
+def _shape(*shapes) -> tuple:
+    # np.broadcast_shapes, without its cost in the usual case of one shape
+    for shape in shapes:
+        if shape != shapes[0]:
+            return np.broadcast_shapes(*shapes)
+    return shapes[0]
 
 
-def _sqnorm(x: np.ndarray) -> np.ndarray:
-    return np.sum(x * x, axis=-1, keepdims=True)
+def _cols(*shapes) -> tuple:
+    # shape of the per-row scalars (keepdims) of arrays of these shapes
+    return _shape(*shapes)[:-1] + (1,)
 
 
-def _lambda(x2: np.ndarray, k: float) -> np.ndarray:
-    # conformal factor from the squared norm, with keepdims
-    return 2.0 / (1.0 + k * x2)
+def _dot(x, y, out=None, work=None):
+    # np.sum(x * y, axis=-1, keepdims=True), the product made in work
+    work = Scratch() if work is None else work
+    with work.frame():
+        xy = np.multiply(x, y, out=work.take(_shape(x.shape, y.shape)))
+        return np.add.reduce(xy, axis=-1, keepdims=True, out=out)
 
 
-def _project(x: np.ndarray, k: float, norm=None) -> np.ndarray:
-    # returns x itself when no row clamps: the multiply by 1.0 that it saves
-    # is exact, so the result is bitwise the same either way
-    n = _norm(x) if norm is None else norm
+def _sqnorm(x, out=None, work=None):
+    return _dot(x, x, out, work)
+
+
+def _norm(x, out=None, work=None):
+    # np.linalg.norm(x, axis=-1, keepdims=True) is sqrt(add.reduce(x * x))
+    out = _sqnorm(x, out, work)
+    return np.sqrt(out, out=out)
+
+
+def _lambda(x2, k, out=None):
+    # conformal factor 2 / (1 + k x2) from the squared norm, with keepdims
+    out = np.multiply(k, x2, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(2.0, out, out=out)
+
+
+def _clamp_factor(n, k):
+    """max_norm / n for the row norms n above the projection radius
+    max_norm, 1.0 for the others; None when no row is above it."""
     max_norm = (1.0 - BOUNDARY_EPS) / np.sqrt(-k)
-    clamp = n > max_norm
-    if not clamp.any():
-        return x
-    return x * np.where(clamp, max_norm / np.where(n == 0.0, 1.0, n), 1.0)
+    # fmax skips NaN norms, which clamp nothing
+    if not (n.size and np.fmax.reduce(n, axis=None) > max_norm):
+        return None
+    return np.where(n > max_norm, max_norm / np.where(n == 0.0, 1.0, n), 1.0)
 
 
-def _project_norm(x: np.ndarray, k: float):
-    """Projected x and the row norms of the projected array."""
-    n = _norm(x)
-    out = _project(x, k, n)
-    return out, (n if out is x else _norm(out))
+def _project(x, k, norm=None, out=None, work=None):
+    # returns x itself when no row clamps: the multiply by 1.0 that it saves
+    # is exact, so the result is bitwise the same either way; otherwise the
+    # product, written to out (which may be x)
+    work = Scratch() if work is None else work
+    with work.frame():
+        n = _norm(x, work.take(_cols(x.shape)), work) if norm is None else norm
+        factor = _clamp_factor(n, k)
+    return x if factor is None else np.multiply(x, factor, out=out)
 
 
-def _mobius_add(x, y, k, x2=None, y2=None):
-    # algebraic form without the ball projection; gyration applies it to
+def _project_norm(x, k, norm=None, work=None):
+    """Projects x in place; returns it and the row norms of the projected
+    array, written to norm if given."""
+    work = Scratch() if work is None else work
+    n = _norm(x, norm, work)
+    factor = _clamp_factor(n, k)
+    if factor is None:
+        return x, n
+    np.multiply(x, factor, out=x)
+    return x, _norm(x, n, work)
+
+
+def _mobius_add(x, y, k, x2=None, y2=None, out=None, work=None):
+    # ((1 - 2k<x,y> - k|y|^2) x + (1 + k|x|^2) y) / (1 - 2k<x,y> + k^2|x|^2|y|^2),
+    # the algebraic form without the ball projection; gyration applies it to
     # tangent vectors, which may lie far outside the ball
-    if x2 is None:
-        x2 = _sqnorm(x)
-    if y2 is None:
-        y2 = _sqnorm(y)
-    xy = np.sum(x * y, axis=-1, keepdims=True)
-    num = (1.0 - 2.0 * k * xy - k * y2) * x + (1.0 + k * x2) * y
-    den = 1.0 - 2.0 * k * xy + k * k * x2 * y2
-    return num / den
+    work = Scratch() if work is None else work
+    shape = _shape(x.shape, y.shape)
+    with work.frame():
+        if x2 is None:
+            x2 = _sqnorm(x, work.take(_cols(x.shape)), work)
+        if y2 is None:
+            y2 = _sqnorm(y, work.take(_cols(y.shape)), work)
+        wide = np.multiply(x, y, out=work.take(shape))
+        xy = np.add.reduce(wide, axis=-1, keepdims=True, out=work.take(_cols(shape)))
+        # 1 - 2k<x,y> starts both the denominator and the coefficient of x
+        den = np.multiply(2.0 * k, xy, out=xy)
+        np.subtract(1.0, den, out=den)
+        ky2 = np.multiply(k, y2, out=work.take(y2.shape))
+        num = np.multiply(np.subtract(den, ky2, out=work.take(den.shape)), x, out=out)
+        cy = np.multiply(k, x2, out=work.take(x2.shape))
+        np.add(1.0, cy, out=cy)
+        np.add(num, np.multiply(cy, y, out=wide), out=num)
+        kx2 = np.multiply(k * k, x2, out=cy)
+        np.add(den, np.multiply(kx2, y2, out=work.take(_cols(x2.shape, y2.shape))), out=den)
+        return np.divide(num, den, out=num)
 
 
 def _mobius_scalar(r, x, k):
@@ -140,70 +202,162 @@ def _mobius_scalar(r, x, k):
     return _project(np.where(n == 0.0, 0.0, out), k)
 
 
-def _exp_map(x, v, k, x2=None):
-    if x2 is None:
-        x2 = _sqnorm(x)
+def _exp_map(x, v, k, x2=None, out=None, work=None):
+    # project(where(|v| == 0, x + 0.0 v, project(x (+) gyro)))
+    work = Scratch() if work is None else work
+    shape = _shape(x.shape, v.shape)
     sq = np.sqrt(-k)
-    vn = _norm(v)
-    safe = np.where(vn == 0.0, 1.0, vn)
-    gyro = np.tanh(sq * _lambda(x2, k) * vn / 2.0) * v / (sq * safe)
-    moved = _project(_mobius_add(x, gyro, k, x2), k)
-    return _project(np.where(vn == 0.0, x + 0.0 * v, moved), k)
+    with work.frame():
+        if x2 is None:
+            x2 = _sqnorm(x, work.take(_cols(x.shape)), work)
+        vn = _norm(v, work.take(_cols(v.shape)), work)
+        zero = np.equal(vn, 0.0, out=work.take(vn.shape, bool))
+        safe = work.take(vn.shape)
+        np.copyto(safe, vn)
+        np.copyto(safe, 1.0, where=zero)
+        # gyro = tanh(sq lambda_x |v| / 2) v / (sq |v|)
+        lam = _lambda(x2, k, out=work.take(x2.shape))
+        t = np.multiply(np.multiply(sq, lam, out=lam), vn, out=work.take(_cols(x2.shape, vn.shape)))
+        np.divide(t, 2.0, out=t)
+        np.tanh(t, out=t)
+        gyro = np.multiply(t, v, out=work.take(shape))
+        np.divide(gyro, np.multiply(sq, safe, out=safe), out=gyro)
+        moved = _mobius_add(x, gyro, k, x2, out=out, work=work)
+        moved = _project(moved, k, out=moved, work=work)
+        if zero.any():
+            # exp_x(0) = x exactly: x + 0.0 * v on the zero-tangent rows
+            np.multiply(0.0, v, out=moved, where=zero)
+            np.add(x, moved, out=moved, where=zero)
+        return _project(moved, k, out=moved, work=work)
 
 
-def _log_map(x, y, k, x2=None, y2=None):
-    # sum((-x) * (-x)) equals sum(x * x) bitwise, so x2 serves both factors
-    if x2 is None:
-        x2 = _sqnorm(x)
+def _log_map(x, y, k, x2=None, y2=None, out=None, work=None):
+    # 2 / (sq lambda_x) atanh(sq |m|) m / |m| with m = project((-x) (+) y),
+    # 0 where y == x or m == 0.  sum((-x) * (-x)) equals sum(x * x)
+    # bitwise, so x2 serves both factors
+    work = Scratch() if work is None else work
+    shape = _shape(x.shape, y.shape)
+    cols = _cols(shape)
     sq = np.sqrt(-k)
-    same = np.all(x == y, axis=-1, keepdims=True)
-    m, mn = _project_norm(_mobius_add(-x, y, k, x2, y2), k)
-    degenerate = same | (mn == 0.0)
-    safe = np.where(degenerate, 1.0, mn)
-    arg = np.minimum(sq * mn, _ATANH_MAX)
-    coef = 2.0 / (sq * _lambda(x2, k)) * np.arctanh(arg) / safe
-    return np.where(degenerate, 0.0, coef * m)
+    with work.frame():
+        if x2 is None:
+            x2 = _sqnorm(x, work.take(_cols(x.shape)), work)
+        equal = np.equal(x, y, out=work.take(shape, bool))
+        same = np.logical_and.reduce(equal, axis=-1, keepdims=True, out=work.take(cols, bool))
+        m = _mobius_add(np.negative(x, out=work.take(x.shape)), y, k, x2, y2, out=out, work=work)
+        m, mn = _project_norm(m, k, work.take(cols), work)
+        degenerate = np.logical_or(same, np.equal(mn, 0.0, out=work.take(cols, bool)), out=same)
+        safe = work.take(cols)
+        np.copyto(safe, mn)
+        np.copyto(safe, 1.0, where=degenerate)
+        arg = np.multiply(sq, mn, out=mn)
+        np.minimum(arg, _ATANH_MAX, out=arg)
+        # coef = 2 / (sq lambda_x) atanh(arg) / safe
+        lam = _lambda(x2, k, out=work.take(x2.shape))
+        np.divide(2.0, np.multiply(sq, lam, out=lam), out=lam)
+        coef = np.multiply(lam, np.arctanh(arg, out=arg), out=arg)
+        np.divide(coef, safe, out=coef)
+        np.multiply(coef, m, out=m)
+        if degenerate.any():
+            np.copyto(m, 0.0, where=degenerate)
+        return m
 
 
-def _dlog(x, y, w, k):
+def _dlog(x, y, w, k, out=None, work=None):
+    work = Scratch() if work is None else work
+    shape = _shape(x.shape, y.shape, w.shape)
+    cols = _cols(shape)
     s = -k
     sq = np.sqrt(s)
-    a = -x
-    a2 = _sqnorm(a)
-    y2 = _sqnorm(y)
-    ay = np.sum(a * y, axis=-1, keepdims=True)
-    aw = np.sum(a * w, axis=-1, keepdims=True)
-    yw = np.sum(y * w, axis=-1, keepdims=True)
-    den = 1.0 - 2.0 * k * ay + k * k * a2 * y2
-    m = _mobius_add(a, y, k, a2, y2)
-    dnum = (-2.0 * k * aw - 2.0 * k * yw) * a + (1.0 + k * a2) * w
-    dden = -2.0 * k * aw + 2.0 * k * k * a2 * yw
-    u = (dnum - m * dden) / den
-    r = _norm(m)
-    safe = np.where(r == 0.0, 1.0, r)
-    mu = m / safe
-    u_rad = np.sum(mu * u, axis=-1, keepdims=True) * mu
-    u_tan = u - u_rad
-    coef_tan = np.where(r == 0.0, sq, np.arctanh(np.minimum(sq * r, _ATANH_MAX)) / safe)
-    coef_rad = sq / (1.0 - s * r * r)
-    return 2.0 / (sq * _lambda(a2, k)) * (coef_tan * u_tan + coef_rad * u_rad)
+    with work.frame():
+        a = np.negative(x, out=work.take(x.shape))
+        a2 = _sqnorm(a, work.take(_cols(a.shape)), work)
+        y2 = _sqnorm(y, work.take(_cols(y.shape)), work)
+        # den = 1 - 2k<a,y> + k^2 |a|^2 |y|^2
+        den = _dot(a, y, work.take(_cols(a.shape, y.shape)), work)
+        np.multiply(2.0 * k, den, out=den)
+        np.subtract(1.0, den, out=den)
+        kka2 = np.multiply(k * k, a2, out=work.take(a2.shape))
+        np.add(den, np.multiply(kka2, y2, out=work.take(_cols(a2.shape, y2.shape))), out=den)
+        m = _mobius_add(a, y, k, a2, y2, out=work.take(shape), work=work)
+        wide = work.take(shape)  # for one product at a time
+        # dnum = (-2k<a,w> - 2k<y,w>) a + (1 + k|a|^2) w
+        p = np.multiply(-2.0 * k, _dot(a, w, work.take(cols), work), out=work.take(cols))
+        yw = _dot(y, w, work.take(cols), work)
+        pq = np.subtract(p, np.multiply(2.0 * k, yw, out=work.take(cols)), out=work.take(cols))
+        u = np.multiply(pq, a, out=work.take(shape))
+        ca2 = np.multiply(k, a2, out=kka2)
+        np.add(1.0, ca2, out=ca2)
+        np.add(u, np.multiply(ca2, w, out=wide), out=u)
+        # dden = -2k<a,w> + 2k^2 |a|^2 <y,w>, whose first term is p
+        e = np.multiply(2.0 * k * k, a2, out=ca2)
+        dden = np.add(p, np.multiply(e, yw, out=yw), out=p)
+        # u = (dnum - m dden) / den
+        np.subtract(u, np.multiply(m, dden, out=wide), out=u)
+        np.divide(u, den, out=u)
+        r = _norm(m, work.take(_cols(m.shape)), work)
+        zero = np.equal(r, 0.0, out=work.take(r.shape, bool))
+        safe = work.take(r.shape)
+        np.copyto(safe, r)
+        np.copyto(safe, 1.0, where=zero)
+        mu = np.divide(m, safe, out=m)
+        u_rad = np.multiply(_dot(mu, u, work.take(cols), work), mu, out=wide)
+        u_tan = np.subtract(u, u_rad, out=u)
+        # coef_tan = where(r == 0, sq, atanh(min(sq r, MAX)) / safe)
+        coef_tan = np.multiply(sq, r, out=work.take(r.shape))
+        np.minimum(coef_tan, _ATANH_MAX, out=coef_tan)
+        np.arctanh(coef_tan, out=coef_tan)
+        np.divide(coef_tan, safe, out=coef_tan)
+        np.copyto(coef_tan, sq, where=zero)
+        # coef_rad = sq / (1 - s r r)
+        coef_rad = np.multiply(s, r, out=safe)
+        np.multiply(coef_rad, r, out=coef_rad)
+        np.subtract(1.0, coef_rad, out=coef_rad)
+        np.divide(sq, coef_rad, out=coef_rad)
+        # 2 / (sq lambda(a2)) (coef_tan u_tan + coef_rad u_rad)
+        np.multiply(coef_tan, u_tan, out=u_tan)
+        np.add(u_tan, np.multiply(coef_rad, u_rad, out=u_rad), out=u_tan)
+        lam = _lambda(a2, k, out=e)
+        np.divide(2.0, np.multiply(sq, lam, out=lam), out=lam)
+        return np.multiply(lam, u_tan, out=out)
 
 
-def _distance(x, y, k, x2=None, y2=None):
+def _distance(x, y, k, x2=None, y2=None, out=None, work=None):
+    # 2 / sq atanh(sq |project((-x) (+) y)|)
+    work = Scratch() if work is None else work
+    shape = _shape(x.shape, y.shape)
     sq = np.sqrt(-k)
-    _, mn = _project_norm(_mobius_add(-x, y, k, x2, y2), k)
-    arg = np.minimum(sq * mn, _ATANH_MAX)
-    return (2.0 / sq) * np.arctanh(arg)[..., 0]
+    with work.frame():
+        neg = np.negative(x, out=work.take(x.shape))
+        m = _mobius_add(neg, y, k, x2, y2, out=work.take(shape), work=work)
+        _, mn = _project_norm(m, k, work.take(_cols(shape)), work)
+        arg = np.multiply(sq, mn, out=mn)
+        np.minimum(arg, _ATANH_MAX, out=arg)
+        np.arctanh(arg, out=arg)
+        return np.multiply(2.0 / sq, arg[..., 0], out=out)
 
 
-def _gyration(a, b, c, k):
-    ab = _mobius_add(a, b, k)
-    abc = _mobius_add(a, _mobius_add(b, c, k), k)
-    return _mobius_add(-ab, abc, k)
+def _gyration(a, b, c, k, out=None, work=None):
+    work = Scratch() if work is None else work
+    with work.frame():
+        ab = _mobius_add(a, b, k, out=work.take(_shape(a.shape, b.shape)), work=work)
+        bc = _mobius_add(b, c, k, out=work.take(_shape(b.shape, c.shape)), work=work)
+        abc = _mobius_add(a, bc, k, out=work.take(_shape(a.shape, bc.shape)),
+                          work=work)
+        return _mobius_add(np.negative(ab, out=ab), abc, k, out=out, work=work)
 
 
-def _parallel_transport(x, y, v, k):
-    return _lambda(_sqnorm(x), k) / _lambda(_sqnorm(y), k) * _gyration(y, -x, v, k)
+def _parallel_transport(x, y, v, k, out=None, work=None):
+    # (lambda_x / lambda_y) gyr[y, -x] v
+    work = Scratch() if work is None else work
+    with work.frame():
+        lx = _sqnorm(x, work.take(_cols(x.shape)), work)
+        ly = _sqnorm(y, work.take(_cols(y.shape)), work)
+        _lambda(lx, k, out=lx)
+        _lambda(ly, k, out=ly)
+        ratio = np.divide(lx, ly, out=work.take(_cols(x.shape, y.shape)))
+        g = _gyration(y, np.negative(x, out=work.take(x.shape)), v, k, out=out, work=work)
+        return np.multiply(ratio, g, out=g)
 
 
 def _gyromidpoint(pts, weights, k):

@@ -6,11 +6,18 @@ blocks of contiguous rows of at most _DENSE_BLOCK_FLOATS floats, so that
 its temporaries stay cache-sized and memory stays bounded as n grows.  Each
 block writes only its own rows from per-row expressions, so a result is
 bitwise the same for any block size and any number of threads.
+
+A block computes its temporaries in the Scratch of the thread that runs it:
+reusable work arrays that a started BlockPool keeps per thread and drops
+when it stops, so the blocks of a run allocate (and fault in) their
+temporaries once instead of on every block.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,21 +38,86 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+class Scratch:
+    """Reusable work arrays of one thread, handed out from three stacks.
+
+    take(shape, dtype) returns an array backed by the next buffer of one
+    stack: bool arrays, columns of per-row scalars (last axis 1), and other
+    float arrays, so that a column never holds on to a buffer of whole rows.
+    The arrays taken inside a frame() are handed back when it closes, so a
+    kernel that takes its temporaries inside a frame leaves the stacks as it
+    found them, and the blocks of a pass, which repeat the same requests,
+    reuse the same buffers.  The buffer at each depth grows to the largest
+    array taken there, rounded up to a power of two but not past one block
+    of _DENSE_BLOCK_FLOATS floats unless the array is larger, so blocks that
+    differ a little in size (edge blocks end at node boundaries) share it.
+
+    An array taken here is valid until its frame closes: what a block
+    returns must be copied out (or written through ``out=``) before that.
+    A Scratch made for one kernel call, as the kernels do when given none,
+    is dropped with the call.
+    """
+
+    def __init__(self):
+        self._stacks = ([], [], [])  # raw byte buffers: bools, columns, rows
+        self._depths = [0, 0, 0]  # buffers taken from each stack
+        self._marks: list = []  # _depths when each open frame opened
+
+    def frame(self) -> "Scratch":
+        """Opens a frame, closed by leaving the ``with`` block it heads."""
+        self._marks.append(tuple(self._depths))
+        return self
+
+    def __enter__(self) -> "Scratch":
+        return self
+
+    def __exit__(self, *exc):
+        self._depths[:] = self._marks.pop()
+
+    def take(self, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """An uninitialised C-contiguous array of this shape and dtype."""
+        dtype = np.dtype(dtype)
+        kind = 0 if dtype == bool else 1 if shape[-1] == 1 else 2
+        stack, depth = self._stacks[kind], self._depths[kind]
+        nbytes = math.prod(shape) * dtype.itemsize
+        if depth == len(stack):
+            stack.append(np.empty(_buffer_size(nbytes), np.uint8))
+        elif len(stack[depth]) < nbytes:
+            stack[depth] = np.empty(_buffer_size(nbytes), np.uint8)
+        self._depths[kind] = depth + 1
+        return np.ndarray(shape, dtype, stack[depth])
+
+
+def _buffer_size(nbytes: int) -> int:
+    """nbytes rounded up to a power of two, but not past one block unless
+    it is larger."""
+    block = _DENSE_BLOCK_FLOATS * 8
+    return max(nbytes, min(1 << max(nbytes - 1, 0).bit_length(), block))
+
+
 class BlockPool:
-    """Threads that run the independent blocks of a pass.
+    """Threads that run the independent blocks of a pass, and each thread's
+    Scratch.
 
     One thread per CPU the process may run on, started on entering the pool
     as a context manager and joined on leaving it.  A pass runs in the
     calling thread outside that context, on a single CPU, or when it is one
     block.  Each block writes its own rows, so a pass gives the same bits
     either way.
+
+    While the pool is started, every thread that runs its blocks (its own
+    threads and the calling thread) keeps one Scratch for all passes; the
+    buffers are dropped when the pool stops.  Outside that context each
+    pass gets a Scratch of its own.
     """
 
     def __init__(self):
         self.threads = available_cpus()
         self._executor = None
+        self._local = None  # threading.local holding each thread's Scratch
 
     def __enter__(self) -> "BlockPool":
+        self._local = threading.local()
         if self.threads > 1:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -56,27 +128,43 @@ class BlockPool:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
+        self._local = None
+
+    def _scratch(self) -> Optional[Scratch]:
+        """The calling thread's Scratch while the pool is started, else None."""
+        if self._local is None:
+            return None
+        work = getattr(self._local, "work", None)
+        if work is None:
+            work = self._local.work = Scratch()
+        return work
 
     def run(self, block: Callable, items: Sequence):
-        """block(item) for every item; the first exception, in item order,
+        """block(item, work) for every item, with work the running thread's
+        Scratch, in a frame of its own; the first exception, in item order,
         reaches the caller unchanged."""
         if self._executor is None or len(items) < 2:
-            _run_serially(block, items)
+            _run_serially(block, items, self._scratch())
             return
         # pool threads start with numpy's default error state, not the caller's
         err = np.geterr()
 
         def guarded(item):
-            with np.errstate(**err):
-                block(item)
+            work = self._scratch()
+            with np.errstate(**err), work.frame():
+                block(item, work)
 
         for _ in self._executor.map(guarded, items):
             pass
 
 
-def _run_serially(block: Callable, items: Sequence):
+def _run_serially(block: Callable, items: Sequence, work: Optional[Scratch] = None):
+    """block(item, work) for every item in the calling thread; without a
+    Scratch, one is made for this pass."""
+    work = Scratch() if work is None else work
     for item in items:
-        block(item)
+        with work.frame():
+            block(item, work)
 
 
 def block_rows(n_rows: int, row_floats: int, threads: int = 1) -> int:
@@ -95,14 +183,14 @@ def block_rows(n_rows: int, row_floats: int, threads: int = 1) -> int:
     return -(-n_rows // count)
 
 
-def run_rows(block: Callable[[int, int], None], n_rows: int, row_floats: int,
+def run_rows(block: Callable[[int, int, Scratch], None], n_rows: int, row_floats: int,
              pool: Optional[BlockPool] = None):
-    """block(a, b) for the row ranges a..b-1 that cut 0..n_rows-1 into
-    blocks of block_rows rows; on the threads of ``pool`` while it is
+    """block(a, b, work) for the row ranges a..b-1 that cut 0..n_rows-1
+    into blocks of block_rows rows; on the threads of ``pool`` while it is
     started, else one block after another in the calling thread."""
     if pool is None:
         run, threads = _run_serially, 1
     else:
         run, threads = pool.run, pool.threads
     rows = block_rows(n_rows, row_floats, threads)
-    run(lambda a: block(a, min(a + rows, n_rows)), range(0, n_rows, rows))
+    run(lambda a, work: block(a, min(a + rows, n_rows), work), range(0, n_rows, rows))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import ball, blocks, diffusivity as dv, solvers
 from .ball import Curvature
-from .blocks import BlockPool, _run_serially
+from .blocks import BlockPool, Scratch, _run_serially
 from .graphs import Graph
 
 SIGMAS = ("identity", "tanh")
@@ -74,10 +74,11 @@ class ResidualSpec:
 
 
 def _apply_sigma(agg: np.ndarray, sigma: str) -> np.ndarray:
+    """agg with the activation applied in place."""
     if sigma == "identity":
         return agg
     if sigma == "tanh":
-        return np.tanh(agg)
+        return np.tanh(agg, out=agg)
     raise ValueError(f"unknown activation {sigma!r}, expected one of {SIGMAS}")
 
 
@@ -95,9 +96,10 @@ def diffusion_flow(
     weights of dmat); the optional dense global part aggregates over all
     pairs, its weights made by global_part(a, b) as a (b - a, n) array for
     each block of rows a..b-1 (e.g. GlobalAttention.rows).  Both passes run
-    in row blocks, and so does the closing exp map, on the threads of
-    ``pool`` while its context is open.  Aggregation order is fixed, so
-    results are bitwise reproducible and do not depend on the pool.
+    in row blocks, and so do the squared norms before them and the closing
+    exp map, on the threads of ``pool`` while its context is open, with
+    their temporaries in the running thread's Scratch.  Aggregation order is
+    fixed, so results are bitwise reproducible and do not depend on the pool.
     """
     n, dim = points.shape
     if dmat.n != n:
@@ -105,22 +107,31 @@ def diffusion_flow(
     run = _run_serially if pool is None else pool.run
     threads = 1 if pool is None else pool.threads
     k = ball._kappa_value(kappa)
-    sq = ball._sqnorm(points)
+    sq = np.empty((n, 1))
+    blocks.run_rows(lambda a, b, work: ball._sqnorm(points[a:b], sq[a:b], work), n, dim, pool)
     agg = _edge_aggregate(points, dmat, k, sq, run)
     if global_part is not None:
         rows = blocks.block_rows(n, n * dim, threads)
         agg += _global_aggregate(points, global_part, k, sq, rows, run)
     out = np.empty_like(points)
 
-    def close(a: int, b: int):
+    def close(a: int, b: int, work: Scratch):
         part = agg[a:b]
-        if not np.all(np.isfinite(part)):
-            bad = a + int(np.nonzero(~np.isfinite(part).all(axis=1))[0][0])
+        finite = np.isfinite(part, out=work.take(part.shape, bool))
+        if not finite.all():
+            bad = a + int(np.nonzero(~finite.all(axis=1))[0][0])
             raise FloatingPointError(f"non-finite tangent aggregate at node {bad}")
-        out[a:b] = ball._exp_map(points[a:b], _apply_sigma(part, sigma), k, sq[a:b])
+        ball._exp_map(points[a:b], _apply_sigma(part, sigma), k, sq[a:b], out=out[a:b], work=work)
 
     blocks.run_rows(close, n, dim, pool)
     return out
+
+
+def _gather(a: np.ndarray, index: np.ndarray, work: Scratch) -> np.ndarray:
+    """The rows index of a, in an array of work.  The indices are in range
+    (DiffusivityMatrix and Graph check them); under the default
+    mode="raise" np.take would first copy its `out`."""
+    return np.take(a, index, axis=0, out=work.take((index.size,) + a.shape[1:]), mode="clip")
 
 
 def _edge_aggregate(
@@ -138,10 +149,14 @@ def _edge_aggregate(
     src_all, dst_all = dmat.edge_index
     weights = dmat.edge_weights
 
-    def block(b: dv.EdgeBlock):
+    def block(b: dv.EdgeBlock, work: Scratch):
         src, dst, w = src_all[b.edges], dst_all[b.edges], weights[b.edges]
-        tang = ball._log_map(points[src], points[dst], k, sq[src], sq[dst])
-        rows = w[:, None] * tang if w.ndim == 1 else w * tang
+        tang = ball._log_map(
+            _gather(points, src, work), _gather(points, dst, work), k,
+            _gather(sq, src, work), _gather(sq, dst, work),
+            out=work.take((src.size, dim)), work=work,
+        )
+        rows = np.multiply(w[:, None] if w.ndim == 1 else w, tang, out=tang)
         sums = np.bincount(b.flat, weights=rows.ravel(), minlength=(b.hi - b.lo) * dim)
         out[b.lo : b.hi] = sums.reshape(b.hi - b.lo, dim)
 
@@ -160,16 +175,17 @@ def _global_aggregate(
     blocks give bitwise the result of one (n, n, d) pass, and no (n, n)
     array of weights is held.  sq holds the squared row norms of points.
     """
-    n = points.shape[0]
+    n, dim = points.shape
     out = np.empty_like(points)
     y, y2 = points[None, :, :], sq[None, :, :]
 
-    def block(a: int):
+    def block(a: int, work: Scratch):
         b = min(a + rows, n)
         w = weights(a, b)
         if w.shape != (b - a, n):
             raise ValueError(f"global part gave {w.shape} weights for rows {a}..{b - 1} of {n}")
-        tang = ball._log_map(points[a:b, None, :], y, k, sq[a:b, None, :], y2)
+        tang = ball._log_map(points[a:b, None, :], y, k, sq[a:b, None, :], y2,
+                             out=work.take((b - a, n, dim)), work=work)
         out[a:b] = np.einsum("ij,ijd->id", w, tang)
 
     run(block, range(0, n, rows))
@@ -200,8 +216,9 @@ def dirichlet_energy(
                                 exp_o(log_o(z_j)/sqrt(1+d_j)) )^2.
 
     The normalized images and then the edge distances are made in row
-    blocks (on the threads of ``pool`` while it is started), so no (edges,
-    d) array is held; the distances are summed once, in edge order.
+    blocks (on the threads of ``pool`` while it is started, with their
+    temporaries in the running thread's Scratch), so no (edges, d) array is
+    held; the distances are summed once, in edge order.
     """
     if not g.edges:
         return 0.0
@@ -212,21 +229,23 @@ def dirichlet_energy(
     normalized = np.empty_like(points)
     sq = np.empty((n, 1))
 
-    def normalize(a: int, b: int):
-        scaled = ball._log_map(o, points[a:b], k) / root[a:b]
-        normalized[a:b] = ball._exp_map(o, scaled, k)
-        sq[a:b] = ball._sqnorm(normalized[a:b])
+    def normalize(a: int, b: int, work: Scratch):
+        scaled = ball._log_map(o, points[a:b], k, out=work.take((b - a, dim)), work=work)
+        np.divide(scaled, root[a:b], out=scaled)
+        ball._exp_map(o, scaled, k, out=normalized[a:b], work=work)
+        ball._sqnorm(normalized[a:b], sq[a:b], work)
 
     src, dst = g.edge_array.T
     d = np.empty(src.size)
 
-    def distances(a: int, b: int):
+    def distances(a: int, b: int, work: Scratch):
         i, j = src[a:b], dst[a:b]
-        d[a:b] = ball._distance(normalized[i], normalized[j], k, sq[i], sq[j])
+        ball._distance(_gather(normalized, i, work), _gather(normalized, j, work), k,
+                       _gather(sq, i, work), _gather(sq, j, work), out=d[a:b], work=work)
 
     blocks.run_rows(normalize, n, dim, pool)
     blocks.run_rows(distances, src.size, dim, pool)
-    return 0.5 * float(np.sum(d * d))
+    return 0.5 * float(np.sum(np.multiply(d, d, out=d)))
 
 
 def initial_state(

@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import ball, blocks
-from .blocks import BlockPool
+from .blocks import BlockPool, Scratch
 
 FlowFn = Callable[[np.ndarray, float], np.ndarray]
 ObserveFn = Callable[[float, np.ndarray], None]
@@ -94,25 +94,38 @@ class SolverSpec:
             raise ValueError("orders must satisfy 1 <= s_min <= s_max <= 4")
 
 
+# fill(r, out, work) writes the rows r of a result into out, with its
+# temporaries in work
+FillFn = Callable[[slice, np.ndarray, Scratch], None]
+
+
 def _rows(
-    pool: Optional[BlockPool], like: np.ndarray, fill: Callable[[slice], np.ndarray],
+    pool: Optional[BlockPool], like: np.ndarray, fill: FillFn, state: bool = False,
 ) -> np.ndarray:
     """A new array shaped like `like` whose rows r, a slice of its leading
-    axis, are fill(r), made block by block by blocks.run_rows (on the
-    threads of ``pool`` while it is started).  One point, a 1-D array, is
+    axis, fill(r, rows, work) writes into its rows r, made block by block by
+    blocks.run_rows (on the threads of ``pool`` while it is started, each
+    block with the running thread's Scratch).  One point, a 1-D array, is
     made in one piece.
 
     Every solver kernel is a per-row expression, so the result is bitwise
     the same for any blocks; each block runs its whole chain of kernels.
+    A new `state` is checked in the block that makes it: a block whose rows
+    are not all finite raises NonFiniteError, the first in block order.
     """
-    if like.ndim < 2:
-        return fill(slice(None))
     out = np.empty(like.shape)
 
-    def block(a: int, b: int):
-        out[a:b] = fill(slice(a, b))
+    def block(r: slice, work: Scratch):
+        rows = out[r]
+        fill(r, rows, work)
+        if state and not np.isfinite(rows, out=work.take(rows.shape, bool)).all():
+            raise ball.NonFiniteError("non-finite state")
 
-    blocks.run_rows(block, like.shape[0], math.prod(like.shape[1:]), pool)
+    if like.ndim < 2:
+        block(slice(None), Scratch())
+    else:
+        blocks.run_rows(lambda a, b, work: block(slice(a, b), work),
+                        like.shape[0], math.prod(like.shape[1:]), pool)
     return out
 
 
@@ -127,17 +140,29 @@ def geodesic_interpolate(
         raise ValueError(f"interpolation ratio must lie in [0, 1], got {ratio}")
     k = ball._kappa_value(kappa)
     x, y = np.broadcast_arrays(*ball._finite(x, y))
-    return _rows(pool, x, lambda r: ball._exp_map(x[r], ratio * ball._log_map(x[r], y[r], k), k))
+
+    def fill(r: slice, out: np.ndarray, work: Scratch):
+        tang = ball._log_map(x[r], y[r], k, out=work.take(out.shape), work=work)
+        ball._exp_map(x[r], np.multiply(ratio, tang, out=tang), k, out=out, work=work)
+
+    return _rows(pool, x, fill)
 
 
 def heuler_step(
     h: np.ndarray, t: float, tau: float, flow: FlowFn, kappa, pool: Optional[BlockPool] = None,
 ) -> np.ndarray:
-    """One explicit Euler step exp_h(tau log_h(F(h, t)))."""
+    """One explicit Euler step exp_h(tau log_h(F(h, t))).
+
+    Raises ball.NonFiniteError if the new state is not finite."""
     k = ball._kappa_value(kappa)
     (h,) = ball._finite(h)
     slope = _field(h, h, t, flow, k, pool)
-    return _rows(pool, h, lambda r: ball._exp_map(h[r], tau * slope[r], k))
+
+    def fill(r: slice, out: np.ndarray, work: Scratch):
+        v = np.multiply(tau, slope[r], out=work.take(out.shape))
+        ball._exp_map(h[r], v, k, out=out, work=work)
+
+    return _rows(pool, h, fill, state=True)
 
 
 def _field(
@@ -154,10 +179,13 @@ def _field(
     if out.shape != at.shape:
         raise ValueError(f"flow output shape {out.shape} != state shape {at.shape}")
 
-    def fill(r: slice) -> np.ndarray:
+    def fill(r: slice, rows: np.ndarray, work: Scratch):
         (o,) = ball._finite(out[r])
-        slope = ball._log_map(at[r], o, k)
-        return slope if at is base else ball._dlog(base[r], at[r], slope, k)
+        if at is base:
+            ball._log_map(at[r], o, k, out=rows, work=work)
+        else:
+            slope = ball._log_map(at[r], o, k, out=work.take(rows.shape), work=work)
+            ball._dlog(base[r], at[r], slope, k, out=rows, work=work)
 
     return _rows(pool, at, fill)
 
@@ -169,24 +197,45 @@ def hrk4_step(
     """One 4th-order step; returns exp_h(tau * X) with X the weighted stage mix.
 
     g1, when given, is the first stage: the field log_h(F(h, t)), which a
-    caller that already holds it need not have evaluated again.
+    caller that already holds it need not have evaluated again.  Raises
+    ball.NonFiniteError if the new state is not finite.
     """
     k = ball._kappa_value(kappa)
     (h,) = ball._finite(h)
 
-    def stage(u: Callable[[slice], np.ndarray], ts: float) -> np.ndarray:
-        # u(r): the rows r of the stage's tangent at h
-        at = _rows(pool, h, lambda r: ball._exp_map(h[r], u(r), k))
-        return _field(h, at, ts, flow, k, pool)
+    def stage(u: Callable[[slice, np.ndarray], np.ndarray], ts: float) -> np.ndarray:
+        # u(r, v): the rows r of the stage's tangent at h, written into v
+        def fill(r: slice, out: np.ndarray, work: Scratch):
+            ball._exp_map(h[r], u(r, work.take(out.shape)), k, out=out, work=work)
+
+        return _field(h, _rows(pool, h, fill), ts, flow, k, pool)
+
+    def u2(r, v):  # tau g1 / 3
+        return np.divide(np.multiply(tau, g1[r], out=v), 3.0, out=v)
+
+    def u3(r, v):  # tau (-g1 / 3 + g2)
+        np.divide(np.negative(g1[r], out=v), 3.0, out=v)
+        return np.multiply(tau, np.add(v, g2[r], out=v), out=v)
+
+    def u4(r, v):  # tau (g1 - g2 + g3)
+        np.add(np.subtract(g1[r], g2[r], out=v), g3[r], out=v)
+        return np.multiply(tau, v, out=v)
 
     if g1 is None:
         g1 = _field(h, h, t, flow, k, pool)
-    g2 = stage(lambda r: tau * g1[r] / 3.0, t + tau / 3.0)
-    g3 = stage(lambda r: tau * (-g1[r] / 3.0 + g2[r]), t + 2.0 * tau / 3.0)
-    g4 = stage(lambda r: tau * (g1[r] - g2[r] + g3[r]), t + tau)
-    w1, w2, w3, w4 = _RK4_W
-    return _rows(pool, h, lambda r: ball._exp_map(
-        h[r], tau * (w1 * g1[r] + w2 * g2[r] + w3 * g3[r] + w4 * g4[r]), k))
+    g2 = stage(u2, t + tau / 3.0)
+    g3 = stage(u3, t + 2.0 * tau / 3.0)
+    g4 = stage(u4, t + tau)
+
+    def fill(r: slice, out: np.ndarray, work: Scratch):
+        # tau (w1 g1 + w2 g2 + w3 g3 + w4 g4)
+        mix, term = work.take(out.shape), work.take(out.shape)
+        np.multiply(_RK4_W[0], g1[r], out=mix)
+        for w, g in zip(_RK4_W[1:], (g2, g3, g4)):
+            np.add(mix, np.multiply(w, g[r], out=term), out=mix)
+        ball._exp_map(h[r], np.multiply(tau, mix, out=mix), k, out=out, work=work)
+
+    return _rows(pool, h, fill, state=True)
 
 
 def _grid(tau: float, t_final: float) -> Tuple[int, bool]:
@@ -242,12 +291,11 @@ def solve(
 
 
 def _checked_advance(h, t, spec, flow, k, step_index, queue, pool):
+    # a step checks its new state in the blocks that make it
     try:
-        h_next = _advance(h, t, spec, flow, k, step_index, queue, pool)
+        return _advance(h, t, spec, flow, k, step_index, queue, pool)
     except (ball.NonFiniteError, FloatingPointError) as exc:
         raise NonFiniteStateError(step_index, t) from exc
-    _check_finite(h_next, step_index, t)
-    return h_next
 
 
 def _advance(h, t, spec, flow, k, step_index, queue, pool):
@@ -279,20 +327,19 @@ def _ham_step(h, t, spec, flow, k, step_index, queue, pool):
 
 def _adams_step(coeffs, queue, h, tau, k, pool):
     """exp_h(tau * sum_i c_i PT(tangent_i)) over the queue's (tangent, base)
-    pairs, newest first, each transported from its base to h."""
-    def fill(r):
-        acc = None
-        for c, (tangent, base) in zip(coeffs, queue):
-            term = c * ball._parallel_transport(base[r], h[r], tangent[r], k)
-            acc = term if acc is None else acc + term
-        return ball._exp_map(h[r], tau * acc, k)
+    pairs, newest first, each transported from its base to h; a state,
+    checked like the other steps'."""
+    def fill(r: slice, out: np.ndarray, work: Scratch):
+        acc, term = work.take(out.shape), work.take(out.shape)
+        for i, (c, (tangent, base)) in enumerate(zip(coeffs, queue)):
+            pt = ball._parallel_transport(base[r], h[r], tangent[r], k,
+                                          out=term if i else acc, work=work)
+            np.multiply(c, pt, out=pt)
+            if i:
+                np.add(acc, term, out=acc)
+        ball._exp_map(h[r], np.multiply(tau, acc, out=acc), k, out=out, work=work)
 
-    return _rows(pool, h, fill)
-
-
-def _check_finite(h, step_index, t):
-    if not np.all(np.isfinite(h)):
-        raise NonFiniteStateError(step_index, t)
+    return _rows(pool, h, fill, state=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,20 @@
 """Shared fixtures."""
 
+import numpy as np
 import pytest
 
 from hypdiff import blocks
+
+
+class NanScratch(blocks.Scratch):
+    """A Scratch that hands out every array filled with NaN (all bits set;
+    True for bool arrays), so a kernel that reads a value it did not write
+    gives NaN instead of a stale value from an earlier block."""
+
+    def take(self, shape, dtype=np.float64):
+        out = super().take(shape, dtype)
+        out.view(np.uint8).fill(0xFF)
+        return out
 
 
 @pytest.fixture
@@ -18,3 +30,12 @@ def block_pool(monkeypatch):
         return blocks.BlockPool()
 
     return make
+
+
+@pytest.fixture
+def nan_block_pool(monkeypatch, block_pool):
+    """block_pool whose passes, pooled or serial, run on NanScratch buffers
+    for the rest of the test: a stale read from a reused buffer fails the
+    bitwise comparisons loudly."""
+    monkeypatch.setattr(blocks, "Scratch", NanScratch)
+    return block_pool

@@ -23,6 +23,7 @@ from hypdiff.ball import (
 )
 
 from _oracles import assert_bitwise
+from conftest import NanScratch
 
 K1 = -1.0
 
@@ -478,6 +479,96 @@ class TestRawKernels:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((200, 7))
         assert ball._sqnorm(-x).tobytes() == ball._sqnorm(x).tobytes()
+
+
+@st.composite
+def kernel_cases(draw):
+    """kappa in [-4, -1e-8], d in {1, 2, 16}, and (x, y, v, w) operands of
+    one kernel call in one of two layouts: broadcast rows (r, 1, d) against
+    columns (1, n, d), as in the dense pass, or (E, d) gathers of one point
+    set, as in the edge pass.  Points lie inside the ball or in its last
+    1e-5; gathers repeat points, so some pairs coincide; tangents (up to 10
+    radii long) have zero rows."""
+    kappa = -(10.0 ** draw(st.floats(-8.0, float(np.log10(4.0)))))
+    dim = draw(st.sampled_from([1, 2, 16]))
+    count = draw(st.integers(1, 6))
+    coords = draw(hnp.arrays(np.float64, (count, dim), elements=st.floats(-1.0, 1.0)))
+    fracs = draw(hnp.arrays(np.float64, (count,), elements=INSIDE))
+    pts = rim_points(coords, fracs, kappa)
+    if draw(st.booleans()):
+        r, n = draw(st.integers(1, count)), draw(st.integers(1, count))
+        x, y = pts[:r, None, :], pts[None, :n, :]
+        tangent_shape = (r, n, dim)
+    else:
+        pairs = draw(hnp.arrays(np.int64, (2, draw(st.integers(1, 8))),
+                                elements=st.integers(0, count - 1)))
+        x, y = pts[pairs[0]], pts[pairs[1]]
+        tangent_shape = x.shape
+    tangents = []
+    for _ in range(2):
+        v = draw(hnp.arrays(np.float64, tangent_shape, elements=st.floats(-1.0, 1.0)))
+        lengths = draw(hnp.arrays(np.float64, tangent_shape[:-1], elements=st.floats(0.0, 10.0)))
+        zero = draw(hnp.arrays(np.bool_, tangent_shape[:-1]))
+        rows = rim_points(v.reshape(-1, dim), np.where(zero, 0.0, lengths).ravel(), kappa)
+        tangents.append(rows.reshape(tangent_shape))
+    return kappa, x, y, *tangents
+
+
+class TestScratchKernels:
+    """Every kernel that takes scratch buffers gives the bits it gives
+    without them: with out= and a NanScratch, so that a value read before
+    it was written shows as NaN, and again on the same, reused buffers."""
+
+    KERNELS = {
+        "sqnorm": lambda k, x, y, v, w, **kw: ball._sqnorm(y, **kw),
+        "norm": lambda k, x, y, v, w, **kw: ball._norm(v, **kw),
+        "project": lambda k, x, y, v, w, **kw: ball._project(v.copy(), k, **kw),
+        "mobius_add": lambda k, x, y, v, w, **kw: ball._mobius_add(x, y, k, **kw),
+        "mobius_add_norms": lambda k, x, y, v, w, **kw: ball._mobius_add(
+            x, y, k, ball._sqnorm(x), ball._sqnorm(y), **kw),
+        "exp_map": lambda k, x, y, v, w, **kw: ball._exp_map(x, v, k, **kw),
+        "exp_map_norms": lambda k, x, y, v, w, **kw: ball._exp_map(
+            x, v, k, ball._sqnorm(x), **kw),
+        "exp_map_origin": lambda k, x, y, v, w, **kw: ball._exp_map(
+            np.zeros(v.shape[-1]), v, k, **kw),
+        "log_map": lambda k, x, y, v, w, **kw: ball._log_map(x, y, k, **kw),
+        "log_map_norms": lambda k, x, y, v, w, **kw: ball._log_map(
+            x, y, k, ball._sqnorm(x), ball._sqnorm(y), **kw),
+        "log_map_origin": lambda k, x, y, v, w, **kw: ball._log_map(
+            np.zeros(y.shape[-1]), y, k, **kw),
+        "dlog": lambda k, x, y, v, w, **kw: ball._dlog(x, y, w, k, **kw),
+        "distance": lambda k, x, y, v, w, **kw: ball._distance(
+            x, y, k, ball._sqnorm(x), ball._sqnorm(y), **kw),
+        "gyration": lambda k, x, y, v, w, **kw: ball._gyration(x, y, v, k, **kw),
+        "parallel_transport": lambda k, x, y, v, w, **kw: ball._parallel_transport(
+            x, y, v, k, **kw),
+    }
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(kernel_cases())
+    def test_buffers_give_the_same_bits(self, case):
+        kappa, x, y, v, w = case
+        work = NanScratch()
+        # gyration and transport overflow for points at the projection limit
+        with np.errstate(all="ignore"):
+            for name, kernel in self.KERNELS.items():
+                want = kernel(kappa, x, y, v, w)
+                for _ in range(2):
+                    out = np.full(np.shape(want), np.nan)
+                    got = kernel(kappa, x, y, v, w, out=out, work=work)
+                    assert_bitwise(got, want)
+                    assert name == "project" or got is out
+                    assert work._depths == [0, 0, 0]  # every frame handed its buffers back
+
+    def test_projection_writes_only_when_a_row_clamps(self):
+        x = np.array([[0.3, 0.4], [3.0, 4.0]])
+        out = np.full_like(x, np.nan)
+        inside = x[:1]
+        assert ball._project(inside, K1, out=out[:1], work=NanScratch()) is inside
+        assert np.isnan(out).all()  # nothing clamped, nothing written
+        got = ball._project(x, K1, out=out, work=NanScratch())
+        assert got is out
+        assert_bitwise(got, project_to_ball(x, K1))
 
 
 PUBLIC_CALLS = {

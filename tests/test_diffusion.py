@@ -1,8 +1,10 @@
 """Diffusion flows, residual blending, Dirichlet energy, and full runs."""
 
+import gc
 import sys
 import threading
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -25,7 +27,7 @@ from hypdiff.diffusion import (
 )
 from hypdiff.diffusivity import DiffusivityConfig, DiffusivityMatrix, isotropic_weights
 from hypdiff.graphs import Graph, erdos_renyi
-from hypdiff.solvers import NonFiniteStateError, SolverSpec, solve
+from hypdiff.solvers import NonFiniteStateError, SolverSpec, hrk4_step, solve
 
 from _oracles import (
     assert_bitwise, dense_log_aggregate, dirichlet_energy_reference, flow_reference, rk38_step,
@@ -263,8 +265,8 @@ class TestFusedAttention:
     # one node's row of log maps holds N * DIM floats: budgets of 1-row
     # blocks, of 5-row blocks with a 2-row tail, and of 36 rows with a 1-row tail
     @pytest.mark.parametrize("block_floats", [1, 5 * N * DIM, 36 * N * DIM])
-    def test_blocked_and_pooled_match_dense_reference(self, block_pool, block_floats):
-        block_pool(2, block_floats)
+    def test_blocked_and_pooled_match_dense_reference(self, nan_block_pool, block_floats):
+        nan_block_pool(2, block_floats)
         for heads in (1, 2):
             pts, dmat, att = self.case(heads)
             src, dst = dmat.edge_index
@@ -308,8 +310,8 @@ class TestBlockPool:
         return pts, dmat, glob
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_pooled_equals_serial(self, block_pool, threads):
-        pool = block_pool(threads)
+    def test_pooled_equals_serial(self, nan_block_pool, threads):
+        pool = nan_block_pool(threads)
         for seed, channels in [(1, False), (2, True)]:
             pts, dmat, glob = self.flow_case(seed, channels)
             want = diffusion_flow(pts, dmat, K1, global_part=row_source(glob))
@@ -403,11 +405,13 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("method, s_min", [("heuler", 2), ("hrk4", 2), ("ham", 1), ("ham", 2)])
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_pooled_solve_equals_serial(self, monkeypatch, block_pool, method, s_min, threads):
+    def test_pooled_solve_equals_serial(
+        self, monkeypatch, nan_block_pool, method, s_min, threads,
+    ):
         # 4 full steps, then one cut back by geodesic interpolation
         spec = SolverSpec(method=method, tau=0.5, t_final=2.3, s_min=s_min)
         want_final, want_states, want_energies = self.integrate(spec, None)
-        pool = block_pool(threads)
+        pool = nan_block_pool(threads)
         assert blocks.block_rows(self.N, self.DIM, threads) < self.N / 2
         checked = set()  # threads that checked rows of a flow output
         real = ball._finite
@@ -433,7 +437,7 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("block_floats", [1, 12, 48])
-    def test_blocked_energy_equals_one_shot(self, block_pool, threads, block_floats):
+    def test_blocked_energy_equals_one_shot(self, nan_block_pool, threads, block_floats):
         """An edgeless graph, a single edge, and 89 edges, which no budget
         here cuts into blocks of equal size."""
         graphs = [Graph.from_edges([], n=5), Graph.from_edges([(0, 1)], n=3),
@@ -442,7 +446,7 @@ class TestBlockEngine:
         for g in graphs:
             pts = 0.9 * initial_state(g.n, self.DIM, K1, seed=g.n, scale=0.6).points
             want.append(dirichlet_energy_reference(pts, g, K1))
-        pool = block_pool(threads, block_floats)
+        pool = nan_block_pool(threads, block_floats)
         m = len(graphs[-1].edges)
         assert block_floats == 1 or m % blocks.block_rows(m, self.DIM, threads) != 0
         for g, energy in zip(graphs, want):
@@ -493,6 +497,34 @@ class TestBlockEngine:
         assert capsys.readouterr().err == "numerical failure: non-finite state at step 0 (t=0)\n"
         assert threading.active_count() == start
 
+    def test_new_state_is_checked_in_the_blocks_that_make_it(self, monkeypatch, block_pool):
+        """heuler's second state gets NaN in its last row from the exp map
+        of a pool thread's block; that block raises, the solver stops with
+        the step's NonFiniteStateError, and the state is never observed."""
+        pool = block_pool(2)
+        h0 = 0.5 * initial_state(self.N, self.DIM, K1, seed=3).points
+        assert len(range(0, self.N, blocks.block_rows(self.N, self.DIM, 2))) >= 2
+        real = ball._exp_map
+        calls, poisoned = [], []
+
+        def exp_map(x, v, k, x2=None, out=None, work=None):
+            got = real(x, v, k, x2, out=out, work=work)
+            calls.append(len(x))
+            if sum(calls) >= 2 * self.N:  # the block that completes step 1
+                got[-1, 0] = np.nan
+                poisoned.append(threading.current_thread().name)
+            return got
+
+        monkeypatch.setattr(ball, "_exp_map", exp_map)
+        seen = []
+        spec = SolverSpec(method="heuler", tau=0.5, t_final=2.0)
+        with pool, pytest.raises(NonFiniteStateError) as err:
+            solve(h0, lambda h, t: h, spec, K1, observe=lambda t, h: seen.append(t), pool=pool)
+        assert err.value.step_index == 1 and err.value.t == 0.5
+        assert isinstance(err.value.__cause__, ball.NonFiniteError)
+        assert poisoned and poisoned[0].startswith("hypdiff-block")
+        assert seen == [0.0, 0.5]
+
     def test_energy_holds_no_edge_by_dim_array(self):
         """One energy at n=5000, 25k edges, d=16 allocates the normalized
         points, the edge distances and block temporaries only.  Measured
@@ -512,6 +544,193 @@ class TestBlockEngine:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 2**20, peak
+
+
+class RecordingScratch(blocks.Scratch):
+    """A Scratch that keeps a list of every instance made (strongly, or as
+    weak references), of the threads that made them, and, as weak
+    references, of every buffer it held."""
+
+    made = []
+    weak = False
+    buffer_refs = []
+    threads = []
+
+    def __init__(self):
+        super().__init__()
+        type(self).made.append(weakref.ref(self) if self.weak else self)
+        type(self).threads.append(threading.current_thread().name)
+
+    def take(self, shape, dtype=np.float64):
+        out = super().take(shape, dtype)
+        type(self).buffer_refs.append(weakref.ref(out.base))
+        return out
+
+    @classmethod
+    def record(cls, monkeypatch, weak):
+        """A fresh subclass that blocks.Scratch is for the rest of the test."""
+        recording = type("Recording", (cls,),
+                         {"made": [], "weak": weak, "buffer_refs": [], "threads": []})
+        monkeypatch.setattr(blocks, "Scratch", recording)
+        return recording
+
+
+class TestScratchBuffers:
+    """The pool's per-thread scratch buffers: reused across passes of
+    different kinds without changing a bit, never aliased by a result, and
+    gone with the pool."""
+
+    N, DIM = 37, 4
+
+    @classmethod
+    def case(cls):
+        g = erdos_renyi(cls.N, 0.2, seed=11)
+        dmat = isotropic_weights(g)
+        pts = 0.9 * initial_state(cls.N, cls.DIM, K1, seed=11, scale=0.6).points
+        glob = np.random.default_rng(11).uniform(0.0, 1.0, (cls.N, cls.N))
+        no_edges = DiffusivityMatrix(n=cls.N, edge_index=np.zeros((2, 0)), edge_weights=[])
+        return g, dmat, no_edges, pts, glob
+
+    @classmethod
+    def passes(cls, pool):
+        """The edge pass, then the dense pass, then one hrk4 step, all on pool."""
+        g, dmat, no_edges, pts, glob = cls.case()
+        edge = diffusion_flow(pts, dmat, K1, pool=pool)
+        dense = diffusion_flow(pts, no_edges, K1, global_part=row_source(glob), pool=pool)
+        flow = build_flow(g, DiffusivityConfig(), cls.DIM, K1, pool=pool)
+        step = hrk4_step(pts, 0.0, 0.5, flow, K1, pool=pool)
+        return edge, dense, step
+
+    # 1-row dense blocks and 12-edge edge blocks with short last ones; then
+    # 5-row dense blocks with a 2-row tail, and the solver's rows in one block
+    @pytest.mark.parametrize("block_floats", [48, 5 * N * DIM])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_back_to_back_passes_keep_their_bits(self, nan_block_pool, threads, block_floats):
+        g, dmat, _, pts, glob = self.case()
+        src, dst = dmat.edge_index
+        want_edge = flow_reference(pts, src, dst, dmat.edge_weights, None, K1)
+        want_dense = flow_reference(pts, src[:0], dst[:0], np.zeros(0), glob, K1)
+        serial = self.passes(None)
+        pool = nan_block_pool(threads, block_floats)
+        assert self.N % blocks.block_rows(self.N, self.DIM, threads) != 0 or block_floats > 48
+        with pool:
+            pooled = self.passes(pool)
+            again = self.passes(pool)  # on the buffers the first round left
+        for got in (serial, pooled, again):
+            assert_bitwise(got[0], want_edge)
+            assert_bitwise(got[1], want_dense)
+            assert_bitwise(got[2], serial[2])
+
+    def test_no_result_aliases_a_buffer(self, monkeypatch, block_pool):
+        """Flow outputs before and after the residual blend, solver states
+        (which the energy reads) and final states."""
+        recording = RecordingScratch.record(monkeypatch, weak=False)
+        pool = block_pool(2)
+        g, _, _, pts, _ = self.case()
+        results = []
+        real_flow = diffusion.diffusion_flow
+
+        def raw_flow(*args, **kwargs):
+            results.append(real_flow(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(diffusion, "diffusion_flow", raw_flow)
+        flow = build_flow(g, DiffusivityConfig(scheme="global", beta=0.5), self.DIM, K1,
+                          residual=ResidualSpec(), z0=pts, pool=pool)
+
+        def recorded_flow(points, t):
+            results.append(flow(points, t))
+            return results[-1]
+
+        def observe(t, state):
+            results.append(state)
+            dirichlet_energy(state, g, K1, pool)
+
+        with pool:
+            for method in ("heuler", "hrk4", "ham"):
+                spec = SolverSpec(method=method, tau=0.5, t_final=1.3, s_min=1)
+                results.append(solve(pts, recorded_flow, spec, K1, observe=observe, pool=pool))
+        assert any(name.startswith("hypdiff-block") for name in recording.threads)
+        assert len(results) > 40
+        buffers = [buf for work in recording.made for stack in work._stacks for buf in stack]
+        assert buffers
+        for got in results:
+            assert not any(np.shares_memory(got, buf) for buf in buffers)
+
+    @staticmethod
+    def run_global(monkeypatch, block_pool):
+        recording = RecordingScratch.record(monkeypatch, weak=True)
+        # the solver's (30, 4) passes are one block, run in the calling
+        # thread; the dense pass has one row per block, run on the pool
+        block_pool(2, 200)
+        g = erdos_renyi(30, 0.3, seed=5)
+        z0 = initial_state(30, 4, K1, seed=5)
+        spec = SolverSpec(method="hrk4", tau=0.5, t_final=1.0)
+        return recording, lambda: run_diffusion(z0, g, DiffusivityConfig(scheme="global"), spec)
+
+    def assert_released(self, recording, start):
+        gc.collect()  # a failed run's traceback frames are cycles
+        assert threading.active_count() == start
+        assert threading.current_thread().name in recording.threads
+        assert any(name.startswith("hypdiff-block") for name in recording.threads)
+        assert recording.buffer_refs
+        assert all(ref() is None for ref in recording.made)
+        assert all(ref() is None for ref in recording.buffer_refs)
+
+    def test_run_releases_threads_and_buffers(self, monkeypatch, block_pool):
+        start = threading.active_count()
+        recording, run = self.run_global(monkeypatch, block_pool)
+        real_exit = blocks.BlockPool.__exit__
+        alive_after_exit = []
+
+        def exit_(pool, *exc):
+            real_exit(pool, *exc)  # the run still holds the pool here
+            alive_after_exit.extend(ref() for ref in recording.made if ref() is not None)
+
+        monkeypatch.setattr(blocks.BlockPool, "__exit__", exit_)
+        run()
+        assert not alive_after_exit
+        self.assert_released(recording, start)
+
+    def test_failed_run_releases_threads_and_buffers(self, monkeypatch, block_pool):
+        start = threading.active_count()
+        recording, run = self.run_global(monkeypatch, block_pool)
+        real = ball._log_map
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(threading.current_thread().name)
+            if len(calls) > 50 and calls[-1].startswith("hypdiff-block"):
+                raise FloatingPointError("injected")  # past the first evaluation
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ball, "_log_map", failing)
+        with pytest.raises(NonFiniteStateError):
+            run()
+        assert len(calls) > 50
+        self.assert_released(recording, start)
+
+    def test_pooled_iso_evaluation_allocates_no_block_temporaries(self, block_pool):
+        """After a warm-up evaluation, a pooled iso-5k-sized flow evaluation
+        (n=5000, 25k edges, d=16) allocates its output, its aggregate and
+        squared norms, and each edge block's bincount sums only.  Measured
+        1.4 MB; with per-block temporaries it peaked at 5.6 MB."""
+        n, m, dim = 5000, 25000, 16
+        rng = np.random.default_rng(0)
+        pairs = np.sort(rng.integers(0, n, size=(2 * m, 2)), axis=1)
+        g = Graph(n, np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)[:m])
+        dmat = isotropic_weights(g)
+        pts = initial_state(n, dim, K1, seed=0, scale=0.6).points
+        pool = block_pool(2, blocks._DENSE_BLOCK_FLOATS)
+        with pool:
+            diffusion_flow(pts, dmat, K1, pool=pool)
+            tracemalloc.start()
+            try:
+                diffusion_flow(pts, dmat, K1, pool=pool)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2 * 2**20, peak
 
 
 class TestResidualFlow:
