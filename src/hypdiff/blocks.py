@@ -2,10 +2,11 @@
 
 Every per-row and per-edge array of a diffusion step (the flow's edge and
 dense passes, the solver's n x d kernels, the Dirichlet energy) is made in
-blocks of contiguous rows of at most _DENSE_BLOCK_FLOATS floats, so that
-its temporaries stay cache-sized and memory stays bounded as n grows.  Each
-block writes only its own rows from per-row expressions, so a result is
-bitwise the same for any block size and any number of threads.
+blocks of contiguous rows of at most _DENSE_BLOCK_FLOATS floats (twice that
+in the dense pass), so that its temporaries stay cache-sized and memory
+stays bounded as n grows.  Each block writes only its own rows from per-row
+expressions, so a result is bitwise the same for any block size and any
+number of threads.
 
 A block computes its temporaries in the Scratch of the thread that runs it:
 reusable work arrays that a started BlockPool keeps per thread and drops
@@ -22,11 +23,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-# Floats in one block: (rows, n, d) log maps in the dense global pass,
-# (edges, d) in the edge pass and the energy, (rows, d) in the solver.  A
-# block allocates a few arrays of this size (512 KB each), small enough to
-# stay in cache: at n=800, d=16 a dense pass took 170 ms against 210 ms
-# with 8 MB blocks and 315 ms with no blocks.
+# Floats in one block: (edges, d) in the edge pass and the energy, (rows, d)
+# in the solver; the dense global pass gives its (rows, n, d) log maps twice
+# this.  A block allocates a few arrays of this size (512 KB each), small
+# enough to stay in cache: at n=800, d=16 a dense pass took 170 ms against
+# 210 ms with 8 MB blocks and 315 ms with no blocks.
 _DENSE_BLOCK_FLOATS = 1 << 16
 
 
@@ -99,14 +100,18 @@ class BlockPool:
     """Threads that run the independent blocks of a pass, and each thread's
     Scratch.
 
-    One thread per CPU the process may run on, started on entering the pool
-    as a context manager and joined on leaving it.  A pass runs in the
-    calling thread outside that context, on a single CPU, or when it is one
-    block.  Each block writes its own rows, so a pass gives the same bits
-    either way.
+    One worker per CPU the process may run on: threads - 1 helper threads,
+    started on entering the pool as a context manager and joined on leaving
+    it, and the calling thread.  A pass of two or more blocks on a started
+    pool hands one drain task to each helper and drains in the calling
+    thread as well; the workers take the blocks in item order from one
+    shared cursor, so each thread wakes once per pass, not once per block.
+    A pass runs in the calling thread alone outside that context, on a
+    single CPU, or when it is one block.  Each block writes its own rows, so
+    a pass gives the same bits either way.
 
-    While the pool is started, every thread that runs its blocks (its own
-    threads and the calling thread) keeps one Scratch for all passes; the
+    While the pool is started, every thread that runs its blocks (its
+    helpers and the calling thread) keeps one Scratch for all passes; the
     buffers are dropped when the pool stops.  Outside that context each
     pass gets a Scratch of its own.
     """
@@ -121,7 +126,7 @@ class BlockPool:
         if self.threads > 1:
             from concurrent.futures import ThreadPoolExecutor
 
-            self._executor = ThreadPoolExecutor(self.threads, thread_name_prefix="hypdiff-block")
+            self._executor = ThreadPoolExecutor(self.threads - 1, thread_name_prefix="hypdiff-block")
         return self
 
     def __exit__(self, *exc):
@@ -142,20 +147,47 @@ class BlockPool:
     def run(self, block: Callable, items: Sequence):
         """block(item, work) for every item, with work the running thread's
         Scratch, in a frame of its own; the first exception, in item order,
-        reaches the caller unchanged."""
+        reaches the caller unchanged.
+
+        On a started pool a failed block stops the workers from taking more
+        items, and run() returns or raises only once every block it started
+        has finished.  Items are taken in order, so every item before the
+        first failing one has run.
+        """
         if self._executor is None or len(items) < 2:
             _run_serially(block, items, self._scratch())
             return
-        # pool threads start with numpy's default error state, not the caller's
+        # helper threads start with numpy's default error state, not the caller's
         err = np.geterr()
+        lock = threading.Lock()
+        taken = 0
+        failed = {}  # item index -> the exception its block raised
 
-        def guarded(item):
+        def drain():
+            nonlocal taken
             work = self._scratch()
-            with np.errstate(**err), work.frame():
-                block(item, work)
+            with np.errstate(**err):
+                while True:
+                    with lock:
+                        if failed or taken == len(items):
+                            return
+                        i, taken = taken, taken + 1
+                    try:
+                        with work.frame():
+                            block(items[i], work)
+                    except BaseException as exc:
+                        with lock:
+                            failed[i] = exc
+                        return
 
-        for _ in self._executor.map(guarded, items):
-            pass
+        helpers = [self._executor.submit(drain) for _ in range(self.threads - 1)]
+        try:
+            drain()
+        finally:
+            for helper in helpers:
+                helper.result()
+        if failed:
+            raise failed[min(failed)]
 
 
 def _run_serially(block: Callable, items: Sequence, work: Optional[Scratch] = None):
@@ -167,15 +199,18 @@ def _run_serially(block: Callable, items: Sequence, work: Optional[Scratch] = No
             block(item, work)
 
 
-def block_rows(n_rows: int, row_floats: int, threads: int = 1) -> int:
+def block_rows(n_rows: int, row_floats: int, threads: int = 1,
+               floats: Optional[int] = None) -> int:
     """Rows per block for n_rows rows of row_floats floats each.
 
-    A block holds at most _DENSE_BLOCK_FLOATS floats, or one row if a row is
-    larger.  A pass that needs more than one block is cut into near-equal
-    blocks, sized for the smallest multiple of `threads` blocks that keeps
-    each within the budget, so that no thread waits on one short last block.
+    A block holds at most `floats` floats (by default _DENSE_BLOCK_FLOATS),
+    or one row if a row is larger.  A pass that needs more than one block is
+    cut into near-equal blocks, sized for the smallest multiple of `threads`
+    blocks that keeps each within the budget, so that no thread waits on one
+    short last block.
     """
-    most = max(1, _DENSE_BLOCK_FLOATS // max(1, row_floats))
+    floats = _DENSE_BLOCK_FLOATS if floats is None else floats
+    most = max(1, floats // max(1, row_floats))
     count = -(-n_rows // most)
     if count <= 1:
         return max(1, n_rows)

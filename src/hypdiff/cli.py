@@ -4,7 +4,7 @@ Subcommands: ``diffuse``, ``convergence``, ``orc``, ``knn``.  Options come
 from an optional flat ``key=value`` config file plus flags; flags win.  Every
 effective parameter (defaults included) is echoed to ``run.json`` so a run
 can be reproduced exactly.  Exit codes: 0 success, 1 configuration error,
-2 numerical failure.
+2 numerical failure, 3 out of memory.
 """
 
 from __future__ import annotations
@@ -152,6 +152,18 @@ def _stability_warnings(trace) -> list:
     }]
 
 
+def _memory_message(exc: MemoryError, n: int, dcfg: dv.DiffusivityConfig) -> str:
+    """What did not fit: numpy's message names the allocation that failed,
+    and a run with a global part also holds its heads' n x n attention score
+    products at every flow evaluation."""
+    message = str(exc) or "an allocation failed"
+    if dcfg.scheme in ("global", "local_global") and dcfg.beta > 0.0:
+        need = dcfg.heads * n * n * 8
+        message += (f"; the global attention's {dcfg.heads} score products of "
+                    f"{n}x{n} floats need {need:,} bytes")
+    return message
+
+
 def cmd_diffuse(args) -> int:
     cfg = _effective_config(args)
     started = time.perf_counter()
@@ -178,8 +190,11 @@ def cmd_diffuse(args) -> int:
     residual = _residual_from(cfg)
     # a diverging run is reported once, as a NonFiniteStateError, and not
     # also by numpy warnings from inside the kernels
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        final, trace = diffusion.run_diffusion(z0, g, dcfg, spec, residual, sigma=cfg["sigma"])
+    try:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            final, trace = diffusion.run_diffusion(z0, g, dcfg, spec, residual, sigma=cfg["sigma"])
+    except MemoryError as exc:
+        raise MemoryError(_memory_message(exc, g.n, dcfg)) from exc
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
     graphio.save_matrix_csv(os.path.join(out_dir, "embeddings.csv"), final.points)
@@ -302,6 +317,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 3
     except (RuntimeError, FloatingPointError) as exc:
         # the library's RuntimeErrors are numerical: NonFiniteStateError, a
         # failed or uncertified ORC transport LP, a dead LP worker process

@@ -111,7 +111,11 @@ def diffusion_flow(
     blocks.run_rows(lambda a, b, work: ball._sqnorm(points[a:b], sq[a:b], work), n, dim, pool)
     agg = _edge_aggregate(points, dmat, k, sq, run)
     if global_part is not None:
-        rows = blocks.block_rows(n, n * dim, threads)
+        # twice the budget of the other passes: each block has a fixed cost
+        # to hand out, and at n=800, d=16 a pass on two threads took 152 ms
+        # in 5-row blocks and 133 ms in 10-row ones; 4x the budget raised the
+        # peak RSS of a global run by 8-13%
+        rows = blocks.block_rows(n, n * dim, threads, 2 * blocks._DENSE_BLOCK_FLOATS)
         agg += _global_aggregate(points, global_part, k, sq, rows, run)
     out = np.empty_like(points)
 
@@ -220,7 +224,7 @@ def dirichlet_energy(
     temporaries in the running thread's Scratch), so no (edges, d) array is
     held; the distances are summed once, in edge order.
     """
-    if not g.edges:
+    if not len(g.edge_array):
         return 0.0
     k = ball._kappa_value(kappa)
     n, dim = points.shape

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Tuple
 
@@ -14,44 +13,60 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on nodes 0..n-1 with a canonical edge list.
 
     Edges are deduplicated, stored as (u, v) with u < v, sorted; self-loops
-    are rejected.  ``edge_array`` holds the same edges as a read-only (m, 2)
-    int64 array.  ``directed_edges`` holds both orientations of every edge
+    are rejected.  ``edge_array`` holds them as a read-only (m, 2) int64
+    array, and ``edges``, made from it when first read, as a tuple of (u, v)
+    int pairs.  ``directed_edges`` holds both orientations of every edge
     as a (2, 2m) array sorted by (source, target), so the columns
     offsets[i]..offsets[i+1]-1 are the edges leaving node i in increasing
     order of target; every weight matrix and neighbourhood of the package
-    uses this order.
+    uses this order.  Graphs are immutable, and equal when their node counts
+    and canonical edges are.
     """
 
-    n: int
-    edges: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges):
+        if n < 0:
             raise ValueError("node count must be nonnegative")
         try:
-            given = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+            given = np.array(edges, dtype=np.int64).reshape(-1, 2)
         except OverflowError as exc:
             raise ValueError("node id outside the int64 range") from exc
         u, v = given.T
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= self.n))
+        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
         if bad.size:  # report the first bad edge in input order
             u, v = given[bad[0]].tolist()
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
-            raise ValueError(f"edge ({u}, {v}) outside node range [0, {self.n})")
+            raise ValueError(f"edge ({u}, {v}) outside node range [0, {n})")
         order = np.lexsort((hi, lo))
         lo, hi = lo[order], hi[order]
         first = np.ones(lo.size, dtype=bool)  # first of each run of equal edges
         first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        lo, hi = lo[first], hi[first]
-        object.__setattr__(self, "edges", tuple(zip(lo.tolist(), hi.tolist())))
-        object.__setattr__(self, "edge_array", _read_only(np.stack([lo, hi], axis=1)))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edge_array", _read_only(np.stack([lo[first], hi[first]], axis=1)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Graph")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edge_array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n}, edges={self.edges})"
+
+    @cached_property
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        lo, hi = self.edge_array.T.tolist()
+        return tuple(zip(lo, hi))
 
     @classmethod
     def from_edges(cls, edges: Iterable[Tuple[int, int]], n: int | None = None) -> "Graph":
@@ -86,7 +101,7 @@ class Graph:
         forward = src < dst
         # the (u, v) columns come in the order of edges, the (v, u) columns
         # in the order of the edges sorted by (v, u)
-        ids[forward] = np.arange(len(self.edges))
+        ids[forward] = np.arange(len(self.edge_array))
         ids[~forward] = np.lexsort(self.edge_array.T)
         return _read_only(ids)
 

@@ -105,6 +105,29 @@ class TestDiffuse:
         assert run("diffuse", "--out", str(tmp_path), "--T", "4") == 2
         assert "step 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raised, named", [
+        (MemoryError(), "an allocation failed"),
+        (MemoryError("Unable to allocate 18.1 KiB for an array with shape (34, 34)"),
+         "Unable to allocate 18.1 KiB for an array with shape (34, 34)"),
+    ], ids=["bare", "numpy-message"])
+    def test_out_of_memory_exits_3(self, monkeypatch, tmp_path, capsys, raised, named):
+        """One error line naming what did not fit, not a traceback; the
+        attention is made to fail without allocating anything large."""
+        from hypdiff import diffusivity as dv
+
+        def no_room(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(dv, "GlobalAttention", no_room)
+        rc = run("diffuse", "--scheme", "global", "--heads", "2", "--T", "1",
+                 "--out", str(tmp_path))
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: out of memory: {named}; the global attention's 2 score products "
+            "of 34x34 floats need 18,496 bytes\n"
+        )
+        assert not (tmp_path / "embeddings.csv").exists()
+
     def test_run_json_write_failure_keeps_previous_file(self, tmp_path):
         from hypdiff import cli
 

@@ -1,5 +1,6 @@
 """Diffusion flows, residual blending, Dirichlet energy, and full runs."""
 
+import contextlib
 import gc
 import sys
 import threading
@@ -243,9 +244,14 @@ class TestAggregation:
     def test_block_rows_stay_within_the_budget(self):
         for n, dim in [(1, 1), (800, 16), (5000, 16), (10**6, 64)]:
             for threads in (1, 2, 3):
-                rows = blocks.block_rows(n, n * dim, threads)
-                assert rows >= 1
-                assert rows == 1 or rows * n * dim <= blocks._DENSE_BLOCK_FLOATS
+                for floats in (None, 2 * blocks._DENSE_BLOCK_FLOATS):
+                    rows = blocks.block_rows(n, n * dim, threads, floats)
+                    budget = blocks._DENSE_BLOCK_FLOATS if floats is None else floats
+                    assert rows >= 1
+                    assert rows == 1 or rows * n * dim <= budget
+        # the dense pass at n=800, d=16 on two threads: 10-row blocks, not 5
+        assert blocks.block_rows(800, 800 * 16, 2) == 5
+        assert blocks.block_rows(800, 800 * 16, 2, 2 * blocks._DENSE_BLOCK_FLOATS) == 10
 
 
 class TestFusedAttention:
@@ -293,9 +299,46 @@ class TestFusedAttention:
         assert peak <= heads * n * n * 8 + 6 * 2**20, peak
 
 
+class PooledBlocks:
+    """Marks the blocks of pooled passes (two or more blocks on a started
+    pool of two or more threads), whichever thread runs them: ``inside`` is
+    True in a thread while it runs one, and ``raised`` lists the exceptions
+    that left them.  Patches BlockPool.run for the rest of the test."""
+
+    def __init__(self, monkeypatch):
+        self.local = threading.local()
+        self.raised = []
+        real = blocks.BlockPool.run
+
+        def run(pool, block, items):
+            if pool._executor is None or len(items) < 2:
+                return real(pool, block, items)
+
+            def marked(item, work):
+                self.local.inside = True
+                try:
+                    block(item, work)
+                except BaseException as exc:
+                    self.raised.append(exc)
+                    raise
+                finally:
+                    self.local.inside = False
+
+            return real(pool, marked, items)
+
+        monkeypatch.setattr(blocks.BlockPool, "run", run)
+
+    @property
+    def inside(self) -> bool:
+        return getattr(self.local, "inside", False)
+
+
 class TestBlockPool:
     """The flow passes on pool threads: the same bits as in one thread, the
-    caller's numpy error state, and no thread left behind by a run."""
+    caller's numpy error state, and no thread left behind by a run; and the
+    dispatch of a pass to the helper threads and the calling thread."""
+
+    TIMEOUT = 10.0  # seconds an event wait may take before the test fails
 
     @staticmethod
     def flow_case(seed, channels):
@@ -379,6 +422,127 @@ class TestBlockPool:
         assert seen and seen[0] > start
         assert threading.active_count() == start
 
+    def test_helper_and_caller_both_run_blocks(self, block_pool):
+        """Item 0 waits for item 1, so the pass ends only if two threads run
+        its blocks at once: the pool's one helper and the calling thread."""
+        pool = block_pool(2)
+        start = threading.active_count()
+        second = threading.Event()
+        ran = {}
+
+        def block(item, work):
+            if item == 0:
+                assert second.wait(self.TIMEOUT)
+            else:
+                second.set()
+            ran[item] = threading.current_thread().name
+            assert threading.active_count() <= start + 1
+
+        with pool:
+            pool.run(block, [0, 1])
+        assert sorted(ran) == [0, 1]
+        names = set(ran.values())
+        assert threading.current_thread().name in names
+        assert len(names) == 2 and any(name.startswith("hypdiff-block") for name in names)
+
+    def test_earliest_failing_item_reaches_caller(self, block_pool):
+        """Item 1 raises first; item 0, taken before it, raises after it: the
+        caller gets item 0's exception."""
+        pool = block_pool(2)
+        late_failed = threading.Event()
+
+        def block(item, work):
+            if item == 1:
+                try:
+                    raise KeyError("item 1")
+                finally:
+                    late_failed.set()
+            assert late_failed.wait(self.TIMEOUT)
+            raise ValueError("item 0")
+
+        with pool, pytest.raises(ValueError, match="item 0"):
+            pool.run(block, [0, 1])
+
+    def test_raises_only_after_every_started_block_finished(self, block_pool):
+        """The two items run at once; the calling thread's fails at once
+        while the helper's still runs, and run() waits for the helper's."""
+        pool = block_pool(2)
+        caller = threading.current_thread()
+        both, never = threading.Barrier(2, timeout=self.TIMEOUT), threading.Event()
+        running, finished = [], []
+
+        def block(item, work):
+            running.append(item)
+            try:
+                both.wait()
+                if threading.current_thread() is caller:
+                    raise ValueError("the caller's item")
+                never.wait(0.2)  # still running when the caller's item fails
+                finished.append(item)
+            finally:
+                running.remove(item)
+
+        with pool:
+            with pytest.raises(ValueError, match="the caller's item"):
+                pool.run(block, [0, 1])
+            assert running == [] and len(finished) == 1  # before the pool joins its helper
+
+    def test_helper_blocks_keep_the_callers_error_state(self, block_pool):
+        pool = block_pool(2)
+        second = threading.Event()
+        seen = {}
+
+        def block(item, work):
+            if item == 0:
+                assert second.wait(self.TIMEOUT)
+            else:
+                second.set()
+            seen[threading.current_thread().name] = np.geterr()
+
+        with pool, np.errstate(divide="raise", over="ignore", under="warn", invalid="raise"):
+            want = np.geterr()
+            pool.run(block, [0, 1])
+        assert want != np.geterr()  # not numpy's default
+        assert len(seen) == 2 and all(err == want for err in seen.values())
+
+    def test_every_item_runs_once_under_contention(self, block_pool):
+        """Four workers on the shared cursor, switching threads as often as
+        possible: a lost update of the cursor would run an item twice or
+        skip it."""
+        pool = block_pool(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pool:
+                for size in [2, 3, 50, 400] * 50:
+                    runs = [0] * size
+
+                    def block(item, work):
+                        runs[item] += 1  # each item writes only its own slot
+
+                    pool.run(block, range(size))
+                    assert runs == [1] * size
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_no_thread_left_after_a_pass(self, block_pool, fail):
+        pool = block_pool(3)
+        start = threading.active_count()
+        counts = []
+
+        def block(item, work):
+            counts.append(threading.active_count())
+            if fail and item == 3:
+                raise ValueError("item 3")
+
+        with pytest.raises(ValueError) if fail else contextlib.nullcontext():
+            with pool:
+                for _ in range(3):
+                    pool.run(block, range(8))
+        assert threading.active_count() == start
+        assert max(counts) <= start + 2  # the caller and two helpers
+
 
 class TestBlockEngine:
     """The solver's row kernels and the energy in blocks on the pool: the
@@ -413,11 +577,12 @@ class TestBlockEngine:
         want_final, want_states, want_energies = self.integrate(spec, None)
         pool = nan_block_pool(threads)
         assert blocks.block_rows(self.N, self.DIM, threads) < self.N / 2
-        checked = set()  # threads that checked rows of a flow output
+        marks = PooledBlocks(monkeypatch)
+        checked = []  # whether each check of flow output rows ran in a pooled block
         real = ball._finite
 
         def finite(*arrays):
-            checked.add(threading.current_thread().name)
+            checked.append(marks.inside)
             return real(*arrays)
 
         monkeypatch.setattr(ball, "_finite", finite)
@@ -433,7 +598,7 @@ class TestBlockEngine:
         for got, want in zip(states, want_states):
             assert_bitwise(got, want)
         assert [e.hex() for e in energies] == [e.hex() for e in want_energies]
-        assert any(name.startswith("hypdiff-block") for name in checked) == (threads > 1)
+        assert any(checked) == (threads > 1)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("block_floats", [1, 12, 48])
@@ -459,8 +624,9 @@ class TestBlockEngine:
         self, monkeypatch, block_pool, tmp_path, capsys,
     ):
         """A NaN in the last row of the flow's output is found by the
-        solver's check in a block on a pool thread; the run stops with
-        NonFiniteStateError, the CLI exits 2, and no thread is left."""
+        solver's check in a block of a pooled pass, not after the pass; the
+        run stops with NonFiniteStateError, the CLI exits 2, and no thread is
+        left."""
         from hypdiff.cli import main
 
         block_pool(2)
@@ -471,14 +637,15 @@ class TestBlockEngine:
             out[-1, 0] = np.nan
             return out
 
-        raised_in = []
+        marks = PooledBlocks(monkeypatch)
+        raised_in = []  # whether each failed check ran in a pooled block
         real_finite = ball._finite
 
         def finite(*arrays):
             try:
                 return real_finite(*arrays)
             except ball.NonFiniteError:
-                raised_in.append(threading.current_thread().name)
+                raised_in.append(marks.inside)
                 raise
 
         monkeypatch.setattr(diffusion, "diffusion_flow", flow)
@@ -491,7 +658,8 @@ class TestBlockEngine:
             run_diffusion(z0, g, DiffusivityConfig(), spec)
         assert err.value.step_index == 0
         assert isinstance(err.value.__cause__, ball.NonFiniteError)
-        assert raised_in and raised_in[0].startswith("hypdiff-block")
+        assert raised_in and raised_in[0]
+        assert err.value.__cause__ in marks.raised
         assert threading.active_count() == start
         assert main(["diffuse", "--out", str(tmp_path), "--T", "2"]) == 2
         assert capsys.readouterr().err == "numerical failure: non-finite state at step 0 (t=0)\n"
@@ -499,9 +667,11 @@ class TestBlockEngine:
 
     def test_new_state_is_checked_in_the_blocks_that_make_it(self, monkeypatch, block_pool):
         """heuler's second state gets NaN in its last row from the exp map
-        of a pool thread's block; that block raises, the solver stops with
-        the step's NonFiniteStateError, and the state is never observed."""
+        of a block of a pooled pass; that block raises, the solver stops
+        with the step's NonFiniteStateError, and the state is never
+        observed."""
         pool = block_pool(2)
+        marks = PooledBlocks(monkeypatch)
         h0 = 0.5 * initial_state(self.N, self.DIM, K1, seed=3).points
         assert len(range(0, self.N, blocks.block_rows(self.N, self.DIM, 2))) >= 2
         real = ball._exp_map
@@ -512,7 +682,7 @@ class TestBlockEngine:
             calls.append(len(x))
             if sum(calls) >= 2 * self.N:  # the block that completes step 1
                 got[-1, 0] = np.nan
-                poisoned.append(threading.current_thread().name)
+                poisoned.append(marks.inside)
             return got
 
         monkeypatch.setattr(ball, "_exp_map", exp_map)
@@ -522,7 +692,8 @@ class TestBlockEngine:
             solve(h0, lambda h, t: h, spec, K1, observe=lambda t, h: seen.append(t), pool=pool)
         assert err.value.step_index == 1 and err.value.t == 0.5
         assert isinstance(err.value.__cause__, ball.NonFiniteError)
-        assert poisoned and poisoned[0].startswith("hypdiff-block")
+        assert poisoned and poisoned[0]
+        assert err.value.__cause__ in marks.raised
         assert seen == [0.0, 0.5]
 
     def test_energy_holds_no_edge_by_dim_array(self):
@@ -661,7 +832,7 @@ class TestScratchBuffers:
     def run_global(monkeypatch, block_pool):
         recording = RecordingScratch.record(monkeypatch, weak=True)
         # the solver's (30, 4) passes are one block, run in the calling
-        # thread; the dense pass has one row per block, run on the pool
+        # thread; the dense pass has three rows per block, run on the pool
         block_pool(2, 200)
         g = erdos_renyi(30, 0.3, seed=5)
         z0 = initial_state(30, 4, K1, seed=5)
@@ -695,12 +866,13 @@ class TestScratchBuffers:
     def test_failed_run_releases_threads_and_buffers(self, monkeypatch, block_pool):
         start = threading.active_count()
         recording, run = self.run_global(monkeypatch, block_pool)
+        marks = PooledBlocks(monkeypatch)
         real = ball._log_map
         calls = []
 
         def failing(*args, **kwargs):
-            calls.append(threading.current_thread().name)
-            if len(calls) > 50 and calls[-1].startswith("hypdiff-block"):
+            calls.append(marks.inside)
+            if len(calls) > 50 and calls[-1]:
                 raise FloatingPointError("injected")  # past the first evaluation
             return real(*args, **kwargs)
 
@@ -708,6 +880,8 @@ class TestScratchBuffers:
         with pytest.raises(NonFiniteStateError):
             run()
         assert len(calls) > 50
+        assert marks.raised
+        marks.raised.clear()  # their tracebacks hold the failed blocks' frames
         self.assert_released(recording, start)
 
     def test_pooled_iso_evaluation_allocates_no_block_temporaries(self, block_pool):
