@@ -50,12 +50,7 @@ class Curvature:
     kappa: float
 
     def __post_init__(self):
-        if not np.isfinite(self.kappa) or self.kappa >= 0.0:
-            raise ValueError(f"curvature must be a finite negative real, got {self.kappa}")
-
-    @property
-    def scale(self) -> float:
-        return -self.kappa
+        _kappa_value(self.kappa)
 
     @property
     def radius(self) -> float:
@@ -143,13 +138,13 @@ def _clamp_factor(n, k):
     return np.where(n > max_norm, max_norm / np.where(n == 0.0, 1.0, n), 1.0)
 
 
-def _project(x, k, norm=None, out=None, work=None):
+def _project(x, k, out=None, work=None):
     # returns x itself when no row clamps: the multiply by 1.0 that it saves
     # is exact, so the result is bitwise the same either way; otherwise the
     # product, written to out (which may be x)
     work = Scratch() if work is None else work
     with work.frame():
-        n = _norm(x, work.take(_cols(x.shape)), work) if norm is None else norm
+        n = _norm(x, work.take(_cols(x.shape)), work)
         factor = _clamp_factor(n, k)
     return x if factor is None else np.multiply(x, factor, out=out)
 

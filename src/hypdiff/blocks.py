@@ -107,8 +107,9 @@ class BlockPool:
     thread as well; the workers take the blocks in item order from one
     shared cursor, so each thread wakes once per pass, not once per block.
     A pass runs in the calling thread alone outside that context, on a
-    single CPU, or when it is one block.  Each block writes its own rows, so
-    a pass gives the same bits either way.
+    single CPU, or when it is one block; a caller without a pool runs its
+    passes on an unstarted one, so run() is the one loop over blocks.  Each
+    block writes its own rows, so a pass gives the same bits either way.
 
     While the pool is started, every thread that runs its blocks (its
     helpers and the calling thread) keeps one Scratch for all passes; the
@@ -135,10 +136,11 @@ class BlockPool:
             self._executor = None
         self._local = None
 
-    def _scratch(self) -> Optional[Scratch]:
-        """The calling thread's Scratch while the pool is started, else None."""
+    def _scratch(self) -> Scratch:
+        """The calling thread's Scratch while the pool is started, else a
+        new one."""
         if self._local is None:
-            return None
+            return Scratch()
         work = getattr(self._local, "work", None)
         if work is None:
             work = self._local.work = Scratch()
@@ -149,14 +151,13 @@ class BlockPool:
         Scratch, in a frame of its own; the first exception, in item order,
         reaches the caller unchanged.
 
-        On a started pool a failed block stops the workers from taking more
-        items, and run() returns or raises only once every block it started
-        has finished.  Items are taken in order, so every item before the
-        first failing one has run.
+        A failed block stops the workers from taking more items, and run()
+        returns or raises only once every block it started has finished.
+        Items are taken in order, so every item before the first failing one
+        has run.  The failed blocks' frames are cleared before the raise: the
+        traceback keeps its lines but no longer holds their locals (their
+        thread's Scratch among them).
         """
-        if self._executor is None or len(items) < 2:
-            _run_serially(block, items, self._scratch())
-            return
         # helper threads start with numpy's default error state, not the caller's
         err = np.geterr()
         lock = threading.Lock()
@@ -180,23 +181,22 @@ class BlockPool:
                             failed[i] = exc
                         return
 
-        helpers = [self._executor.submit(drain) for _ in range(self.threads - 1)]
+        helpers = []
+        if self._executor is not None and len(items) > 1:
+            helpers = [self._executor.submit(drain) for _ in range(self.threads - 1)]
         try:
             drain()
         finally:
             for helper in helpers:
                 helper.result()
         if failed:
+            # imported on failure only: imported with this module, it shifted
+            # the heap so that a 5000-node run's peak RSS rose by 1 MB
+            import traceback
+
+            for exc in failed.values():
+                traceback.clear_frames(exc.__traceback__)
             raise failed[min(failed)]
-
-
-def _run_serially(block: Callable, items: Sequence, work: Optional[Scratch] = None):
-    """block(item, work) for every item in the calling thread; without a
-    Scratch, one is made for this pass."""
-    work = Scratch() if work is None else work
-    for item in items:
-        with work.frame():
-            block(item, work)
 
 
 def block_rows(n_rows: int, row_floats: int, threads: int = 1,
@@ -219,13 +219,10 @@ def block_rows(n_rows: int, row_floats: int, threads: int = 1,
 
 
 def run_rows(block: Callable[[int, int, Scratch], None], n_rows: int, row_floats: int,
-             pool: Optional[BlockPool] = None):
+             pool: Optional[BlockPool] = None, floats: Optional[int] = None):
     """block(a, b, work) for the row ranges a..b-1 that cut 0..n_rows-1
-    into blocks of block_rows rows; on the threads of ``pool`` while it is
-    started, else one block after another in the calling thread."""
-    if pool is None:
-        run, threads = _run_serially, 1
-    else:
-        run, threads = pool.run, pool.threads
-    rows = block_rows(n_rows, row_floats, threads)
-    run(lambda a, work: block(a, min(a + rows, n_rows), work), range(0, n_rows, rows))
+    into blocks of block_rows rows of at most `floats` floats, run by
+    ``pool`` (an unstarted BlockPool when None)."""
+    pool = BlockPool() if pool is None else pool
+    rows = block_rows(n_rows, row_floats, pool.threads, floats)
+    pool.run(lambda a, work: block(a, min(a + rows, n_rows), work), range(0, n_rows, rows))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import ball, blocks, diffusivity as dv, solvers
 from .ball import Curvature
-from .blocks import BlockPool, Scratch, _run_serially
+from .blocks import BlockPool, Scratch
 from .graphs import Graph
 
 SIGMAS = ("identity", "tanh")
@@ -104,19 +104,13 @@ def diffusion_flow(
     n, dim = points.shape
     if dmat.n != n:
         raise ValueError("diffusivity matrix size does not match state")
-    run = _run_serially if pool is None else pool.run
-    threads = 1 if pool is None else pool.threads
+    pool = BlockPool() if pool is None else pool
     k = ball._kappa_value(kappa)
     sq = np.empty((n, 1))
     blocks.run_rows(lambda a, b, work: ball._sqnorm(points[a:b], sq[a:b], work), n, dim, pool)
-    agg = _edge_aggregate(points, dmat, k, sq, run)
+    agg = _edge_aggregate(points, dmat, k, sq, pool)
     if global_part is not None:
-        # twice the budget of the other passes: each block has a fixed cost
-        # to hand out, and at n=800, d=16 a pass on two threads took 152 ms
-        # in 5-row blocks and 133 ms in 10-row ones; 4x the budget raised the
-        # peak RSS of a global run by 8-13%
-        rows = blocks.block_rows(n, n * dim, threads, 2 * blocks._DENSE_BLOCK_FLOATS)
-        agg += _global_aggregate(points, global_part, k, sq, rows, run)
+        agg += _global_aggregate(points, global_part, k, sq, pool)
     out = np.empty_like(points)
 
     def close(a: int, b: int, work: Scratch):
@@ -139,11 +133,11 @@ def _gather(a: np.ndarray, index: np.ndarray, work: Scratch) -> np.ndarray:
 
 
 def _edge_aggregate(
-    points: np.ndarray, dmat: dv.DiffusivityMatrix, k: float, sq: np.ndarray,
-    run: Callable = _run_serially,
+    points: np.ndarray, dmat: dv.DiffusivityMatrix, k: float, sq: np.ndarray, pool: BlockPool,
 ) -> np.ndarray:
     """sum over edges (i, j) of a_ij log_{z_i}(z_j) for every node i, one
-    block of source nodes at a time (see DiffusivityMatrix.edge_blocks).
+    block of source nodes at a time (see DiffusivityMatrix.edge_blocks), run
+    by pool.
 
     Bitwise the sequential np.add.at of all weighted edge rows from zeros.
     sq holds the squared row norms of points.
@@ -164,16 +158,15 @@ def _edge_aggregate(
         sums = np.bincount(b.flat, weights=rows.ravel(), minlength=(b.hi - b.lo) * dim)
         out[b.lo : b.hi] = sums.reshape(b.hi - b.lo, dim)
 
-    run(block, dmat.edge_blocks(dim, blocks._DENSE_BLOCK_FLOATS))
+    pool.run(block, dmat.edge_blocks(dim, blocks._DENSE_BLOCK_FLOATS))
     return out
 
 
 def _global_aggregate(
-    points: np.ndarray, weights: RowSource, k: float, sq: np.ndarray, rows: int,
-    run: Callable = _run_serially,
+    points: np.ndarray, weights: RowSource, k: float, sq: np.ndarray, pool: BlockPool,
 ) -> np.ndarray:
-    """sum_j w_ij log_{z_i}(z_j) for every node i, `rows` nodes at a time,
-    with the rows a..b-1 of w made by weights(a, b) inside the block.
+    """sum_j w_ij log_{z_i}(z_j) for every node i, in row blocks run by
+    pool, with the rows a..b-1 of w made by weights(a, b) inside the block.
 
     Each entry depends only on its own row of log maps and weights, so the
     blocks give bitwise the result of one (n, n, d) pass, and no (n, n)
@@ -183,8 +176,7 @@ def _global_aggregate(
     out = np.empty_like(points)
     y, y2 = points[None, :, :], sq[None, :, :]
 
-    def block(a: int, work: Scratch):
-        b = min(a + rows, n)
+    def block(a: int, b: int, work: Scratch):
         w = weights(a, b)
         if w.shape != (b - a, n):
             raise ValueError(f"global part gave {w.shape} weights for rows {a}..{b - 1} of {n}")
@@ -192,7 +184,11 @@ def _global_aggregate(
                              out=work.take((b - a, n, dim)), work=work)
         out[a:b] = np.einsum("ij,ijd->id", w, tang)
 
-    run(block, range(0, n, rows))
+    # twice the budget of the other passes: each block has a fixed cost to
+    # hand out, and at n=800, d=16 a pass on two threads took 152 ms in 5-row
+    # blocks and 133 ms in 10-row ones; 4x the budget raised the peak RSS of
+    # a global run by 8-13%
+    blocks.run_rows(block, n, n * dim, pool, floats=2 * blocks._DENSE_BLOCK_FLOATS)
     return out
 
 

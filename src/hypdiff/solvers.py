@@ -106,7 +106,7 @@ def _rows(
     axis, fill(r, rows, work) writes into its rows r, made block by block by
     blocks.run_rows (on the threads of ``pool`` while it is started, each
     block with the running thread's Scratch).  One point, a 1-D array, is
-    made in one piece.
+    made in one block.
 
     Every solver kernel is a per-row expression, so the result is bitwise
     the same for any blocks; each block runs its whole chain of kernels.
@@ -122,7 +122,8 @@ def _rows(
             raise ball.NonFiniteError("non-finite state")
 
     if like.ndim < 2:
-        block(slice(None), Scratch())
+        pool = BlockPool() if pool is None else pool
+        pool.run(lambda _, work: block(slice(None), work), (None,))
     else:
         blocks.run_rows(lambda a, b, work: block(slice(a, b), work),
                         like.shape[0], math.prod(like.shape[1:]), pool)
@@ -386,7 +387,7 @@ def convergence_study(methods, taus, kappa=-1.0, t_final=1.0):
     """
     taus = [float(t) for t in taus]
     if len(taus) < 2:
-        raise ValueError("need at least two step sizes to fit an order")
+        raise ValueError("need at least two tau values to fit an order")
     rates = (1.0, 0.7)
     h0 = np.array([0.3, 0.1, -0.2, 0.15])
     flow = rotation_flow(rates, kappa)

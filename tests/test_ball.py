@@ -339,7 +339,7 @@ class TestProject:
             with pytest.raises(ball.NonFiniteError):
                 project_to_ball(np.array([0.1, bad]), K1)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(deadline=None, max_examples=300)
     @given(
         log_scale=st.floats(-8.0, float(np.log10(4.0))),
         coords=hnp.arrays(
@@ -426,7 +426,7 @@ class TestRawKernels:
     """Each raw kernel, with norms reused from gathers where it accepts
     them, gives the public function's bits."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(deadline=None, max_examples=200)
     @given(point_sets())
     def test_match_public_functions(self, case):
         k, (x, y, v) = case
@@ -462,7 +462,7 @@ class TestRawKernels:
         eta = np.array([1.0, 0.6])
         assert_bitwise(ball._gyromidpoint(stack, eta, k), gyromidpoint(stack, eta, kappa))
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(deadline=None, max_examples=200)
     @given(point_sets(count=1, fractions=OUTSIDE))
     def test_projection_skips_only_exact_multiplies(self, case):
         """_project returns its input when no row clamps, and otherwise
@@ -544,7 +544,7 @@ class TestScratchKernels:
             x, y, v, k, **kw),
     }
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(deadline=None, max_examples=300)
     @given(kernel_cases())
     def test_buffers_give_the_same_bits(self, case):
         kappa, x, y, v, w = case
@@ -609,3 +609,116 @@ class TestValidationBoundary:
         assert out is not x and not np.shares_memory(out, x)
         out[0, 0] = 5.0
         np.testing.assert_array_equal(x, before)
+
+
+# Radius fraction of the points of the identity properties.  Past 0.9955 R
+# two points can be so far apart that log_map and distance saturate: they
+# project the intermediate (-x) (+) y onto the rim margin, which caps every
+# distance at 2 atanh(1 - 1e-5) / sqrt(|kappa|) (ROADMAP aim 3).  Points up
+# to 0.99 R never reach that cap.
+IDENTITY_RIM = 0.99
+EPS = np.finfo(np.float64).eps
+
+
+@st.composite
+def identity_cases(draw):
+    """kappa with |kappa| in [1e-8, 10], d in {1, 2, 16}, and three (rows, d)
+    sets x, y, c of radius fractions up to IDENTITY_RIM; y is drawn on its
+    own or on the ray of x or of -x, where the Mobius sums come closest to
+    the rim.  c serves as a point set and as a tangent set."""
+    kappa = -(10.0 ** draw(st.floats(-8.0, 1.0)))
+    rows = draw(st.integers(1, 4))
+    dim = draw(st.sampled_from([1, 2, 16]))
+
+    def points():
+        coords = draw(hnp.arrays(np.float64, (rows, dim), elements=st.floats(-1.0, 1.0)))
+        fracs = draw(hnp.arrays(np.float64, (rows,), elements=st.floats(0.0, IDENTITY_RIM)))
+        return rim_points(coords, fracs, kappa)
+
+    x, y, c = points(), points(), points()
+    ray = draw(st.sampled_from([None, 1.0, -1.0]))
+    if ray is not None:
+        y = ray * rim_points(x, np.linalg.norm(y, axis=-1) * np.sqrt(-kappa), kappa)
+    return kappa, x, y, c
+
+
+def half_lambda(p, kappa):
+    """lambda_p / 2 = 1 / (1 - |p|^2 / R^2) for each row of p."""
+    return 1.0 / (1.0 + kappa * np.sum(p * p, axis=-1))
+
+
+# the worst cases: points opposite each other or on one ray, at 0.99 R
+OPPOSITE = (-1.0, np.array([[0.99, 0.0]]), np.array([[-0.99, 0.0]]), np.array([[0.0, 0.99]]))
+ALIGNED = (-10.0, np.full((1, 16), 0.99 / np.sqrt(160.0)),
+           np.full((1, 16), 0.99 / np.sqrt(160.0)), np.full((1, 16), -0.9 / np.sqrt(160.0)))
+
+
+class TestIdentityProperties:
+    """Gyrovector identities over the whole drawn domain, each within a
+    rounding bound in units of eps * R.
+
+    The bounds grow towards the rim.  A Mobius sum divides by
+    1 - 2k<x,y> + k^2 |x|^2 |y|^2, which for operands at radius fractions f
+    can be as small as about (1 - f^2)^2; its rounding error, of a few eps
+    times R, is amplified by the inverse of that, (lambda / 2)^2.  Each
+    constant is about five times the worst ratio of error to that factor
+    measured over 3.6 million draws of this domain with random, aligned and
+    opposite points.
+    """
+
+    @settings(deadline=None, max_examples=300)
+    @given(identity_cases())
+    @example(case=OPPOSITE)
+    @example(case=ALIGNED)
+    def test_exp_inverts_log(self, case):
+        """exp_x(log_x(y)) = y.  One sum (-x) (+) y, one x (+) (...): the
+        factor is max(lambda_x, lambda_y)^2 / 4; worst ratio measured 28."""
+        kappa, x, y, _ = case
+        radius = 1.0 / np.sqrt(-kappa)
+        back = exp_map(x, log_map(x, y, kappa), kappa)
+        tol = 128 * EPS * radius * np.maximum(half_lambda(x, kappa), half_lambda(y, kappa)) ** 2
+        assert np.all(np.linalg.norm(back - y, axis=-1) <= tol)
+
+    @settings(deadline=None, max_examples=300)
+    @given(identity_cases())
+    @example(case=OPPOSITE)
+    @example(case=ALIGNED)
+    def test_mobius_left_cancellation(self, case):
+        """(-x) (+) (x (+) y) = y, with the same factor as the exp/log pair;
+        worst ratio measured 25."""
+        kappa, x, y, _ = case
+        radius = 1.0 / np.sqrt(-kappa)
+        back = mobius_add(-x, mobius_add(x, y, kappa), kappa)
+        tol = 128 * EPS * radius * np.maximum(half_lambda(x, kappa), half_lambda(y, kappa)) ** 2
+        assert np.all(np.linalg.norm(back - y, axis=-1) <= tol)
+
+    @settings(deadline=None, max_examples=300)
+    @given(identity_cases())
+    @example(case=OPPOSITE)
+    @example(case=ALIGNED)
+    def test_gyration_is_a_euclidean_isometry(self, case):
+        """|gyr[x, y] c| = |c|.  The gyration composes four Mobius sums, two
+        of which take both points, so the factor is (lambda_x lambda_y / 4)^2;
+        worst ratio measured 370.  c stays inside the ball: at -y R^2 / |y|^2,
+        outside it, y (+) c has a pole, so the composed form loses the
+        linearity that the map has."""
+        kappa, x, y, c = case
+        radius = 1.0 / np.sqrt(-kappa)
+        got = np.linalg.norm(gyration(x, y, c, kappa), axis=-1)
+        tol = 2048 * EPS * radius * (half_lambda(x, kappa) * half_lambda(y, kappa)) ** 2
+        assert np.all(np.abs(got - np.linalg.norm(c, axis=-1)) <= tol)
+
+    @settings(deadline=None, max_examples=300)
+    @given(identity_cases())
+    @example(case=OPPOSITE)
+    @example(case=ALIGNED)
+    def test_transport_preserves_the_metric(self, case):
+        """lambda_y |PT_{x->y}(v)| = lambda_x |v|: the transport is the
+        gyration gyr[y, -x] v scaled by lambda_x / lambda_y, so the bound is
+        the gyration's times lambda_x; worst ratio measured 270."""
+        kappa, x, y, v = case
+        radius = 1.0 / np.sqrt(-kappa)
+        lx, ly = conformal_factor(x, kappa), conformal_factor(y, kappa)
+        got = ly * np.linalg.norm(parallel_transport(x, y, v, kappa), axis=-1)
+        tol = 2048 * EPS * radius * lx * (half_lambda(x, kappa) * half_lambda(y, kappa)) ** 2
+        assert np.all(np.abs(got - lx * np.linalg.norm(v, axis=-1)) <= tol)

@@ -139,7 +139,7 @@ def integer_transport_problems(draw):
 
 
 class TestTransportProperty:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(deadline=None, max_examples=200)
     @given(integer_transport_problems())
     def test_matches_enumeration_with_certified_gap(self, problem):
         supply, demand, cost = problem
@@ -210,7 +210,7 @@ class TestLinprogMatchesScipy:
         for (supply, demand, cost), (_, _, duals) in zip(_edge_problems(g, 0.5), want):
             assert_bitwise(dv.linprog(cost, supply, demand).row_dual, duals)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(deadline=None, max_examples=300)
     @given(lazy_walk_transport_problems())
     @example((np.array([1.0]), np.array([1.0]), np.array([[2.0]])))
     @example((np.array([1.0]), np.full(3, 1 / 3), np.array([[0.0, 3.0, 1.0]])))

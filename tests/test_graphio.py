@@ -107,7 +107,7 @@ def edge_list_texts(draw):
 class TestEdgeListParser:
     """The array parser against the line-by-line reader it replaced."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @settings(deadline=None, max_examples=500)
     @given(text=edge_list_texts())
     @example(text="# nodes=12\n1\t2\n+3 1_0\n")  # tabs, a sign, an underscore
     @example(text="\u0663 \u0661\n0 1\n")  # non-ASCII digits
@@ -300,7 +300,7 @@ def outcome(build):
 class TestGraphCanonicalisation:
     """The numpy canonicalisation against the per-edge Python loop."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(deadline=None, max_examples=300)
     @given(
         edges=st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)), max_size=25),
         n=st.none() | st.integers(-1, 9),
@@ -322,7 +322,7 @@ class TestGraphCanonicalisation:
         with pytest.raises(ValueError, match="int64 range"):
             load_edge_list(str(p))
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(deadline=None, max_examples=200)
     @given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40))
     def test_neighbors_match_dict_adjacency(self, pairs):
         g = Graph.from_edges([(u, v) for u, v in pairs if u != v], n=12)
