@@ -116,7 +116,7 @@ def _writeback(cfg: dict, residual, wall: float, out_dir: str, warnings=()):
     payload["wall_time_s"] = wall
     payload["warnings"] = list(warnings)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    graphio.atomic_write(os.path.join(out_dir, "run.json"), text)
+    graphio.atomic_write(os.path.join(out_dir, "run.json"), [text])
 
 
 # A diffusion dissipates the Dirichlet energy.  A rise on this many grid
@@ -220,7 +220,7 @@ def cmd_convergence(args) -> int:
     lines.extend(
         f"{m},{tau:.17g},{err:.17g},{order:.17g}" for m, tau, err, order in rows
     )
-    graphio.atomic_write(os.path.join(out_dir, "convergence.csv"), "\n".join(lines) + "\n")
+    graphio.atomic_write(os.path.join(out_dir, "convergence.csv"), ["\n".join(lines) + "\n"])
     return 0
 
 

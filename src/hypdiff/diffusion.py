@@ -146,6 +146,7 @@ def _edge_aggregate(
     out = np.zeros_like(points)
     src_all, dst_all = dmat.edge_index
     weights = dmat.edge_weights
+    channels = np.arange(dim, dtype=np.int64)
 
     def block(b: dv.EdgeBlock, work: Scratch):
         src, dst, w = src_all[b.edges], dst_all[b.edges], weights[b.edges]
@@ -155,7 +156,11 @@ def _edge_aggregate(
             out=work.take((src.size, dim)), work=work,
         )
         rows = np.multiply(w[:, None] if w.ndim == 1 else w, tang, out=tang)
-        sums = np.bincount(b.flat, weights=rows.ravel(), minlength=(b.hi - b.lo) * dim)
+        # the bin (src - lo) * dim + c of every entry of rows
+        base = np.multiply(src[:, None], dim, out=work.take((src.size, 1), np.int64))
+        np.subtract(base, b.lo * dim, out=base)
+        bins = np.add(base, channels, out=work.take((src.size, dim), np.int64))
+        sums = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=(b.hi - b.lo) * dim)
         out[b.lo : b.hi] = sums.reshape(b.hi - b.lo, dim)
 
     pool.run(block, dmat.edge_blocks(dim, blocks._DENSE_BLOCK_FLOATS))

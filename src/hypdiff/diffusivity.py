@@ -91,14 +91,12 @@ class EdgeBlock(NamedTuple):
     """The directed edges whose sources are the nodes lo..hi-1.
 
     edges selects them from the matrix's edge arrays (a slice when the
-    sources are sorted), in edge order within each source; flat holds the
-    bincount bin (src - lo) * d + c of every entry of their (edges, d) rows.
+    sources are sorted), in edge order within each source.
     """
 
     lo: int
     hi: int
     edges: object  # slice or index array
-    flat: np.ndarray
 
 
 @dataclass
@@ -129,12 +127,14 @@ class DiffusivityMatrix:
         """The edges cut at source-node boundaries into blocks of at most
         max_floats // dim edges; a node with more edges gets a block of its own.
 
-        Every node's edges lie in one block, in edge order, so a bincount over
-        a block's flat bins adds each node's entries one at a time in edge
-        order from 0.0, as np.add.at over all edges does: the blocks give
-        bitwise the sums of one sequential scatter-add, into disjoint rows.
-        Nodes without edges belong to no block.  Built once per (dim,
-        max_floats) and cached.
+        Every node's edges lie in one block, in edge order, so a bincount of
+        a block's (edges, dim) rows into the bins (src - lo) * dim + c adds
+        each node's entries one at a time in edge order from 0.0, as
+        np.add.at over all edges does: the blocks give bitwise the sums of
+        one sequential scatter-add, into disjoint rows.  Nodes without edges
+        belong to no block.  Built once per (dim, max_floats) and cached:
+        node ranges and edge slices only, or, for unsorted sources, one int64
+        index per edge.
         """
         key = (dim, max_floats)
         if key in self._edge_blocks:
@@ -150,8 +150,7 @@ class DiffusivityMatrix:
             last = int(ends[hi - 1])
             if last > first:
                 edges = slice(first, last) if order is None else order[first:last]
-                flat = ((src[edges] - lo)[:, None] * dim + np.arange(dim)).ravel()
-                blocks.append(EdgeBlock(lo, hi, edges, flat))
+                blocks.append(EdgeBlock(lo, hi, edges))
             lo = hi
         self._edge_blocks[key] = tuple(blocks)
         return self._edge_blocks[key]

@@ -11,21 +11,29 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .graphs import Graph
 
 KNN_METRICS = ("euclidean", "cosine")
+# Values formatted and written at a time by the CSV writers (1024 rows of 16
+# columns), so that a write holds one chunk's Python floats and text, not
+# the whole file's.
+_CSV_CHUNK_VALUES = 1 << 14
 
 
-def atomic_write(path: str, text: str):
-    """Write text to path through a temporary file and an atomic rename."""
+def atomic_write(path: str, chunks: Iterable[str]):
+    """Write the concatenated chunks of text to path through a temporary
+    file and an atomic rename; on any failure path keeps its old content
+    and the temporary file is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -70,7 +78,7 @@ def load_edge_list(path: str) -> Graph:
         if stripped.startswith("#"):
             directive = stripped[1:].strip().replace(" ", "")
             if directive.startswith("nodes="):
-                n_override = int(directive[len("nodes="):])
+                n_override = _node_count(path, i + 1, directive[len("nodes="):])
             continue
         odd_edges.append((i, _parse_line(path, i + 1, stripped)))
     if loops.size:  # the first error is this plain self-loop
@@ -121,6 +129,18 @@ def _plain_edges(text: str):
     return np.flatnonzero(plain), ids.reshape(-1, 2), odd
 
 
+def _node_count(path: str, lineno: int, text: str) -> int:
+    """The count of a `# nodes=` directive on line lineno."""
+    try:
+        n = int(text)
+        if n >= 0:
+            return n
+    except ValueError:
+        pass
+    raise ValueError(
+        f"{path}:{lineno}: invalid node count {text!r}, expected a nonnegative integer")
+
+
 def _parse_line(path: str, lineno: int, stripped: str):
     """(u, v) of one stripped, non-comment line of an edge list."""
     parts = stripped.split()
@@ -141,7 +161,7 @@ def save_edge_list(path: str, g: Graph):
     """Write a Graph so that load_edge_list round-trips it exactly."""
     lines = [f"# nodes={g.n}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
-    atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def load_features(path: str) -> np.ndarray:
@@ -167,14 +187,20 @@ def load_features(path: str) -> np.ndarray:
     return out
 
 
-def _csv_text(header, row_format: str, n_rows: int, values) -> str:
-    """An optional header line, then n_rows copies of row_format filled from
-    the flat values with one `%` operation; the cells are byte-identical to
-    per-cell f-strings with the same format spec, at about half the cost."""
-    lines = [header] if header else []
-    if n_rows:
-        lines.append("\n".join([row_format] * n_rows) % tuple(values))
-    return "\n".join(lines) + "\n"
+def _csv_chunks(header: Optional[str], row_format: str, width: int, n_rows: int,
+                values: Callable[[int, int], list]) -> Iterator[str]:
+    """An optional header line, then n_rows lines of row_format, in chunks
+    of whole rows of about _CSV_CHUNK_VALUES values.  values(a, b) gives the
+    `width` values of each of the rows a..b-1, flat, and each chunk is filled
+    with one `%` operation; the cells are byte-identical to per-cell
+    f-strings with the same format spec, at about half the cost.  Without a
+    header and rows the text is one empty line."""
+    if header is not None or not n_rows:
+        yield (header or "") + "\n"
+    rows = max(1, _CSV_CHUNK_VALUES // max(1, width))
+    for a in range(0, n_rows, rows):
+        b = min(a + rows, n_rows)
+        yield "\n".join([row_format] * (b - a)) % tuple(values(a, b)) + "\n"
 
 
 def save_matrix_csv(path: str, matrix: np.ndarray):
@@ -182,23 +208,24 @@ def save_matrix_csv(path: str, matrix: np.ndarray):
     matrix = np.atleast_2d(np.asarray(matrix))
     n_rows, n_cols = matrix.shape
     row_format = ",".join(["%.17g"] * n_cols)
-    atomic_write(path, _csv_text(None, row_format, n_rows, matrix.ravel().tolist()))
+    atomic_write(path, _csv_chunks(None, row_format, n_cols, n_rows,
+                                   lambda a, b: matrix[a:b].ravel().tolist()))
 
 
 def save_energy_csv(path: str, trace):
     """Write an energy trace as `t,energy` CSV."""
-    values = [x for t, e in trace for x in (t, e)]
-    atomic_write(path, _csv_text("t,energy", "%.17g,%.17g", len(trace), values))
+    atomic_write(path, _csv_chunks("t,energy", "%.17g,%.17g", 2, len(trace), lambda a, b: [
+        x for t, e in trace[a:b] for x in (t, e)]))
 
 
 def save_orc_csv(path: str, orc):
     """Write per-edge curvature results as `u,v,curvature,wasserstein` CSV."""
-    values = [
-        x for (u, v), k, w in zip(orc.edges, orc.curvature, orc.wasserstein)
-        for x in (u, v, k, w)
-    ]
-    atomic_write(path, _csv_text(
-        "u,v,curvature,wasserstein", "%s,%s,%.17g,%.17g", len(orc.edges), values))
+    def values(a, b):
+        return [x for (u, v), k, w in zip(orc.edges[a:b], orc.curvature[a:b], orc.wasserstein[a:b])
+                for x in (u, v, k, w)]
+
+    atomic_write(path, _csv_chunks(
+        "u,v,curvature,wasserstein", "%s,%s,%.17g,%.17g", 4, len(orc.edges), values))
 
 
 def knn_graph(features: np.ndarray, k: int, metric: str = "euclidean") -> Graph:

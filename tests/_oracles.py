@@ -398,7 +398,14 @@ def load_edge_list_reference(path):
             if stripped.startswith("#"):
                 directive = stripped[1:].strip().replace(" ", "")
                 if directive.startswith("nodes="):
-                    n_override = int(directive[len("nodes="):])
+                    count = directive[len("nodes="):]
+                    try:
+                        n_override = int(count)
+                    except ValueError:
+                        n_override = -1
+                    if n_override < 0:
+                        raise ValueError(f"{path}:{lineno}: invalid node count {count!r}, "
+                                         "expected a nonnegative integer")
                 continue
             parts = stripped.split()
             if len(parts) != 2:

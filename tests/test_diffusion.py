@@ -224,9 +224,11 @@ class TestAggregation:
             covered = np.concatenate([np.arange(src.size)[b.edges] for b in blocks])
             assert_bitwise(covered, np.arange(src.size))
             for b in blocks:
+                assert b.lo < b.hi
                 assert np.all((src[b.edges] >= b.lo) & (src[b.edges] < b.hi))
-                counts = np.bincount(src[b.edges] - b.lo)
-                assert len(b.flat) <= max(block_floats, dim * counts.max())
+                # within the budget, or one node whose edges exceed it
+                size = np.arange(src.size)[b.edges].size
+                assert size * dim <= max(block_floats, dim) or b.hi - b.lo == 1
             assert all(p.hi <= q.lo for p, q in zip(blocks, blocks[1:]))
 
     def test_no_edges_no_blocks(self):
@@ -895,12 +897,7 @@ class TestScratchBuffers:
         (n=5000, 25k edges, d=16) allocates its output, its aggregate and
         squared norms, and each edge block's bincount sums only.  Measured
         1.4 MB; with per-block temporaries it peaked at 5.6 MB."""
-        n, m, dim = 5000, 25000, 16
-        rng = np.random.default_rng(0)
-        pairs = np.sort(rng.integers(0, n, size=(2 * m, 2)), axis=1)
-        g = Graph(n, np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)[:m])
-        dmat = isotropic_weights(g)
-        pts = initial_state(n, dim, K1, seed=0, scale=0.6).points
+        dmat, pts = self.iso_sized()
         pool = block_pool(2, blocks._DENSE_BLOCK_FLOATS)
         with pool:
             diffusion_flow(pts, dmat, K1, pool=pool)
@@ -911,6 +908,35 @@ class TestScratchBuffers:
             finally:
                 tracemalloc.stop()
         assert peak <= 2 * 2**20, peak
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_cached_edge_blocks_hold_no_rows(self, block_pool, shuffled):
+        """After a pooled iso-5k-sized flow evaluation, the edge blocks it
+        cached hold node ranges and edge slices, or for unsorted sources one
+        int64 index per edge: at most 8 bytes per edge, where a bincount bin
+        per (edge, channel) entry took 8 * d."""
+        dmat, pts = self.iso_sized()
+        if shuffled:
+            perm = np.random.default_rng(1).permutation(dmat.edge_index.shape[1])
+            dmat = DiffusivityMatrix(n=dmat.n, edge_index=dmat.edge_index[:, perm],
+                                     edge_weights=dmat.edge_weights[perm])
+        pool = block_pool(2, blocks._DENSE_BLOCK_FLOATS)
+        with pool:
+            diffusion_flow(pts, dmat, K1, pool=pool)
+        cached = dmat.edge_blocks(pts.shape[1], blocks._DENSE_BLOCK_FLOATS)
+        assert len(cached) > 1
+        held = sum(x.nbytes for b in cached for x in b if isinstance(x, np.ndarray))
+        assert held <= 8 * dmat.edge_index.shape[1], held
+
+    @staticmethod
+    def iso_sized():
+        """Isotropic weights of 5000 nodes and 25k random edges, and points
+        with d=16."""
+        n, m, dim = 5000, 25000, 16
+        rng = np.random.default_rng(0)
+        pairs = np.sort(rng.integers(0, n, size=(2 * m, 2)), axis=1)
+        g = Graph(n, np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)[:m])
+        return isotropic_weights(g), initial_state(n, dim, K1, seed=0, scale=0.6).points
 
 
 class TestResidualFlow:

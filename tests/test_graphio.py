@@ -1,9 +1,13 @@
 """File formats and kNN construction."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hypdiff import graphio
 from hypdiff.graphio import (
     knn_graph,
     load_edge_list,
@@ -50,6 +54,14 @@ class TestEdgeList:
         p.write_text("0 1\n0 1 2\n")
         with pytest.raises(ValueError, match=":2"):
             load_edge_list(str(p))
+
+    @pytest.mark.parametrize("count", ["abc", "-3", ""])
+    def test_bad_node_count_names_line(self, tmp_path, count):
+        p = tmp_path / "g.edges"
+        p.write_text(f"0 1\n# nodes={count}\n1 2\n")
+        with pytest.raises(ValueError) as err:
+            load_edge_list(str(p))
+        assert str(err.value).startswith(f"{p}:2: invalid node count '{count}'")
 
     def test_nodes_override(self, tmp_path):
         p = tmp_path / "g.edges"
@@ -178,7 +190,12 @@ class TestCsvBytes:
         matrix = np.atleast_2d(np.asarray(matrix))
         return "\n".join(",".join(f"{x:.17g}" for x in row) for row in matrix) + "\n"
 
-    @pytest.mark.parametrize("shape", [(13, 1), (1, 13), (1, 1), (0, 4), (3, 0)])
+    CHUNK_ROWS = graphio._CSV_CHUNK_VALUES // 16  # rows of one chunk at d=16
+
+    @pytest.mark.parametrize("shape", [
+        (13, 1), (1, 13), (1, 1), (0, 4), (3, 0), (CHUNK_ROWS - 1, 16), (CHUNK_ROWS, 16),
+        (CHUNK_ROWS + 1, 16), (graphio._CSV_CHUNK_VALUES + 1, 1), (2 * CHUNK_ROWS + 1, 0),
+    ])
     def test_matrix_edge_values(self, tmp_path, shape):
         size = shape[0] * shape[1]
         values = (self.EDGE_VALUES * (size // len(self.EDGE_VALUES) + 1))[:size]
@@ -194,6 +211,51 @@ class TestCsvBytes:
                   rng.standard_normal(7)):
             save_matrix_csv(str(p), m)
             assert p.read_bytes() == self.fstring_matrix(m).encode()
+
+    def test_matrix_write_streams_chunks(self, tmp_path):
+        """A (20000, 16) matrix is formatted a chunk of rows at a time: the
+        whole text and its 320k Python floats took about 20 MB."""
+        m = np.random.default_rng(5).standard_normal((20000, 16))
+        p = tmp_path / "m.csv"
+        tracemalloc.start()
+        try:
+            save_matrix_csv(str(p), m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20, peak
+        assert p.read_bytes() == self.fstring_matrix(m).encode()
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        """A write that fails after the first chunk leaves the destination
+        as it was and no temporary file behind."""
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"old\n")
+        writes = []
+
+        class FailingFile:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                writes.append(len(text))
+                if len(writes) > 1:
+                    raise OSError(28, "No space left on device")
+                return self.f.write(text)
+
+        fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda *args, **kw: FailingFile(fdopen(*args, **kw)))
+        with pytest.raises(OSError, match="No space"):
+            save_matrix_csv(str(p), np.ones((3 * self.CHUNK_ROWS, 16)))
+        assert len(writes) == 2 and writes[0] > 0
+        assert p.read_bytes() == b"old\n"
+        assert sorted(os.listdir(tmp_path)) == ["m.csv"]
 
     @pytest.mark.parametrize("rows", [0, 1, 5])
     def test_energy_and_orc(self, tmp_path, rows):
