@@ -22,13 +22,14 @@ from . import diffusion, diffusivity as dv, graphio, solvers
 from .ball import Curvature
 
 DEFAULT_TAUS = "0.2,0.1,0.05,0.025"
+DEFAULT_DIM = 16
 
 # key -> (converter, default); None defaults mean "not set"
 CONFIG_SCHEMA = {
     "graph": (str, None),
     "features": (str, None),
     "kappa": (float, -1.0),
-    "dim": (int, 16),
+    "dim": (int, None),  # DEFAULT_DIM, or the column count of --features
     "scheme": (str, "isotropic"),
     "beta": (float, 0.5),
     "heads": (int, 1),
@@ -176,8 +177,15 @@ def cmd_diffuse(args) -> int:
             raise ConfigError(
                 f"feature rows ({feats.shape[0]}) do not match graph nodes ({g.n})"
             )
+        if cfg["dim"] not in (None, feats.shape[1]):
+            raise ConfigError(
+                f"dim ({cfg['dim']}) does not match the feature columns ({feats.shape[1]})"
+            )
+        cfg["dim"] = feats.shape[1]
         z0 = diffusion.features_to_state(feats, curv)
     else:
+        if cfg["dim"] is None:
+            cfg["dim"] = DEFAULT_DIM
         z0 = diffusion.initial_state(g.n, cfg["dim"], curv, cfg["seed"])
     dcfg = dv.DiffusivityConfig(
         scheme=cfg["scheme"], beta=cfg["beta"], heads=cfg["heads"],

@@ -136,7 +136,7 @@ def _edge_aggregate(
     points: np.ndarray, dmat: dv.DiffusivityMatrix, k: float, sq: np.ndarray, pool: BlockPool,
 ) -> np.ndarray:
     """sum over edges (i, j) of a_ij log_{z_i}(z_j) for every node i, one
-    block of source nodes at a time (see DiffusivityMatrix.edge_blocks), run
+    range of source nodes at a time (see DiffusivityMatrix.node_ranges), run
     by pool.
 
     Bitwise the sequential np.add.at of all weighted edge rows from zeros.
@@ -145,11 +145,13 @@ def _edge_aggregate(
     dim = points.shape[1]
     out = np.zeros_like(points)
     src_all, dst_all = dmat.edge_index
-    weights = dmat.edge_weights
+    weights, offsets = dmat.edge_weights, dmat.offsets
     channels = np.arange(dim, dtype=np.int64)
 
-    def block(b: dv.EdgeBlock, work: Scratch):
-        src, dst, w = src_all[b.edges], dst_all[b.edges], weights[b.edges]
+    def block(nodes: Tuple[int, int], work: Scratch):
+        lo, hi = nodes
+        edges = slice(offsets[lo], offsets[hi])
+        src, dst, w = src_all[edges], dst_all[edges], weights[edges]
         tang = ball._log_map(
             _gather(points, src, work), _gather(points, dst, work), k,
             _gather(sq, src, work), _gather(sq, dst, work),
@@ -158,12 +160,12 @@ def _edge_aggregate(
         rows = np.multiply(w[:, None] if w.ndim == 1 else w, tang, out=tang)
         # the bin (src - lo) * dim + c of every entry of rows
         base = np.multiply(src[:, None], dim, out=work.take((src.size, 1), np.int64))
-        np.subtract(base, b.lo * dim, out=base)
+        np.subtract(base, lo * dim, out=base)
         bins = np.add(base, channels, out=work.take((src.size, dim), np.int64))
-        sums = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=(b.hi - b.lo) * dim)
-        out[b.lo : b.hi] = sums.reshape(b.hi - b.lo, dim)
+        sums = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=(hi - lo) * dim)
+        out[lo:hi] = sums.reshape(hi - lo, dim)
 
-    pool.run(block, dmat.edge_blocks(dim, blocks._DENSE_BLOCK_FLOATS))
+    pool.run(block, dmat.node_ranges(dim, blocks._DENSE_BLOCK_FLOATS))
     return out
 
 
@@ -294,28 +296,21 @@ def build_flow(
     if residual is not None and z0 is None:
         raise ValueError("residual flow needs the initial state")
     params = dv.AttentionParams.init(dim, cfg.heads, cfg.seed)
-    if cfg.scheme == "isotropic":
+    if cfg.scheme in ("isotropic", "global"):
         static = dv.isotropic_weights(g)
-        needs_global = False
-    elif cfg.scheme == "local":
+    else:
         orc = dv.orc_curvatures(g, cfg.alpha)
         static = dv.local_diffusivity(g, orc, params, cfg.channel_mode)
-        needs_global = False
-    else:
-        # the edge part of beta * global + (1 - beta) * local; the global part
-        # is computed at every evaluation
-        if cfg.scheme == "global":
-            local = dv.isotropic_weights(g)
-        else:  # local_global
-            orc = dv.orc_curvatures(g, cfg.alpha)
-            local = dv.local_diffusivity(g, orc, params, cfg.channel_mode)
-        static = replace(local, edge_weights=(1.0 - cfg.beta) * local.edge_weights)
-        needs_global = cfg.beta > 0.0
+    # the global schemes mix beta * global + (1 - beta) * edge part; the
+    # global part is computed at every evaluation
+    beta = cfg.beta if cfg.scheme in ("global", "local_global") else 0.0
+    if beta > 0.0:
+        static = replace(static, edge_weights=(1.0 - beta) * static.edge_weights)
 
     def flow(points: np.ndarray, t: float) -> np.ndarray:
         glob = None
-        if needs_global:
-            glob = dv.GlobalAttention(points, params, cfg.heads, kappa, cfg.beta).rows
+        if beta > 0.0:
+            glob = dv.GlobalAttention(points, params, cfg.heads, kappa, beta).rows
         out = diffusion_flow(points, static, kappa, sigma, glob, pool)
         if residual is not None:
             out = residual_flow(out, points, z0, residual, kappa)

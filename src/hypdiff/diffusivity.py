@@ -16,8 +16,7 @@ distance costs; optimality is certified by the LP dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -87,29 +86,21 @@ class AttentionParams:
         )
 
 
-class EdgeBlock(NamedTuple):
-    """The directed edges whose sources are the nodes lo..hi-1.
-
-    edges selects them from the matrix's edge arrays (a slice when the
-    sources are sorted), in edge order within each source.
-    """
-
-    lo: int
-    hi: int
-    edges: object  # slice or index array
-
-
 @dataclass
 class DiffusivityMatrix:
     """Sparse per-edge weights.
 
-    edge_index: (2, M) directed pairs (both orientations of each edge);
-    edge_weights: (M,) scalar or (M, d) per-channel, all nonnegative.
+    edge_index: (2, M) directed pairs (both orientations of each edge),
+    stored stably sorted by source (a sorted one, such as
+    Graph.directed_edges, is kept without a copy); edge_weights: (M,) scalar
+    or (M, d) per-channel, all nonnegative, in the same order.  offsets:
+    (n + 1,) int64, as in Graph: node i's edges are offsets[i]..offsets[i+1]-1.
     """
 
     n: int
     edge_index: np.ndarray
     edge_weights: np.ndarray
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.edge_index = np.asarray(self.edge_index, dtype=np.int64).reshape(2, -1)
@@ -120,45 +111,35 @@ class DiffusivityMatrix:
             0 <= self.edge_index.min() and self.edge_index.max() < self.n
         ):
             raise ValueError("edge index out of range")
-        if np.any(self.edge_weights < 0):
+        if not np.all(self.edge_weights >= 0):
             raise ValueError("diffusivity weights must be nonnegative")
-
-    def edge_blocks(self, dim: int, max_floats: int) -> Tuple[EdgeBlock, ...]:
-        """The edges cut at source-node boundaries into blocks of at most
-        max_floats // dim edges; a node with more edges gets a block of its own.
-
-        Every node's edges lie in one block, in edge order, so a bincount of
-        a block's (edges, dim) rows into the bins (src - lo) * dim + c adds
-        each node's entries one at a time in edge order from 0.0, as
-        np.add.at over all edges does: the blocks give bitwise the sums of
-        one sequential scatter-add, into disjoint rows.  Nodes without edges
-        belong to no block.  Built once per (dim, max_floats) and cached:
-        node ranges and edge slices only, or, for unsorted sources, one int64
-        index per edge.
-        """
-        key = (dim, max_floats)
-        if key in self._edge_blocks:
-            return self._edge_blocks[key]
         src = self.edge_index[0]
-        max_edges = max(1, max_floats // dim)
-        order = None if np.all(src[:-1] <= src[1:]) else np.argsort(src, kind="stable")
-        ends = np.cumsum(np.bincount(src, minlength=self.n))  # edge offset after each node
-        blocks, lo = [], 0
-        while lo < self.n:
-            first = int(ends[lo - 1]) if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, first + max_edges, side="right")))
-            last = int(ends[hi - 1])
-            if last > first:
-                edges = slice(first, last) if order is None else order[first:last]
-                blocks.append(EdgeBlock(lo, hi, edges))
-            lo = hi
-        self._edge_blocks[key] = tuple(blocks)
-        return self._edge_blocks[key]
+        self.offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=self.n))])
+        if np.any(src[1:] < src[:-1]):
+            order = np.argsort(src, kind="stable")
+            self.edge_index, self.edge_weights = self.edge_index[:, order], self.edge_weights[order]
 
-    @cached_property
-    def _edge_blocks(self) -> dict:
-        # (dim, max_floats) -> tuple of EdgeBlock
-        return {}
+    def node_ranges(self, dim: int, max_floats: int) -> List[Tuple[int, int]]:
+        """The nodes cut into ranges lo..hi-1 whose edges
+        offsets[lo]..offsets[hi]-1 number at most max_floats // dim; a node
+        with more edges gets a range of its own.  Nodes without edges lie in
+        no range.
+
+        Every node's edges lie in one range, in edge order, so a bincount of
+        a range's (edges, dim) rows into the bins (src - lo) * dim + c adds
+        each node's entries one at a time in edge order from 0.0, as
+        np.add.at over all edges does: the ranges give bitwise the sums of
+        one sequential scatter-add, into disjoint rows.
+        """
+        max_edges = max(1, max_floats // dim)
+        ranges, lo = [], 0
+        while lo < self.n:
+            first = int(self.offsets[lo])
+            hi = max(lo + 1, int(np.searchsorted(self.offsets, first + max_edges, "right")) - 1)
+            if self.offsets[hi] > first:
+                ranges.append((lo, hi))
+            lo = hi
+        return ranges
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import os
-import tempfile
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -27,9 +26,10 @@ _CSV_CHUNK_VALUES = 1 << 14
 def atomic_write(path: str, chunks: Iterable[str]):
     """Write the concatenated chunks of text to path through a temporary
     file and an atomic rename; on any failure path keeps its old content
-    and the temporary file is removed."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    and the temporary file is removed.  The file is created with mode 0666
+    less the umask, as open() would create it."""
+    tmp = f"{os.path.abspath(path)}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
             for chunk in chunks:

@@ -30,6 +30,16 @@ class Graph:
     def __init__(self, n: int, edges):
         if n < 0:
             raise ValueError("node count must be nonnegative")
+        given = np.asarray(edges)
+        if given.dtype.kind == "f":  # ids given as floats must be whole numbers
+            pairs = given.reshape(-1, 2)
+            whole = np.isfinite(pairs) & (pairs == np.trunc(pairs))
+            bad = np.flatnonzero(~whole.all(axis=1))
+            if bad.size:
+                u, v = pairs[bad[0]].tolist()
+                raise ValueError(f"non-integer node id in edge ({u}, {v})")
+            if np.any(np.abs(pairs) >= 2.0**63):
+                raise ValueError("node id outside the int64 range")
         try:
             given = np.array(edges, dtype=np.int64).reshape(-1, 2)
         except OverflowError as exc:
@@ -70,10 +80,11 @@ class Graph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[Tuple[int, int]], n: int | None = None) -> "Graph":
-        edges = [(int(u), int(v)) for u, v in edges]
+        edges = list(edges)
         if n is None:
-            n = 1 + max((max(u, v) for u, v in edges), default=-1)
-        return cls(n=n, edges=tuple(edges))
+            top = max((max(u, v) for u, v in edges), default=-1)
+            n = 1 + int(top) if abs(top) < float("inf") else 0  # Graph names a nonfinite id
+        return cls(n=n, edges=edges)
 
     @cached_property
     def degrees(self) -> np.ndarray:

@@ -177,6 +177,33 @@ class TestDiffuse:
         assert run("diffuse", "--out", str(out), "--T", "1", "--features", str(feats)) == 0
         emb = np.loadtxt(out / "embeddings.csv", delimiter=",")
         assert emb.shape == (34, 3)
+        assert json.loads((out / "run.json").read_text())["dim"] == 3
+
+    def test_features_dim_mismatch_exits_1(self, tmp_path, capsys):
+        feats = tmp_path / "f.csv"
+        feats.write_text("\n".join("0.01,0.02,0.03" for _ in range(34)) + "\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("dim=4\n")
+        out = tmp_path / "run"
+        assert run("diffuse", "--out", str(out), "--features", str(feats), "--dim", "16") == 1
+        assert "dim (16) does not match the feature columns (3)" in capsys.readouterr().err
+        assert run("diffuse", "--out", str(out), "--features", str(feats),
+                   "--config", str(cfg)) == 1
+        assert "dim (4) does not match the feature columns (3)" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("diffuse", "--out", str(out), "--T", "1", "--features", str(feats),
+                   "--dim", "3") == 0
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_outputs_take_the_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "run"
+        old = os.umask(umask)
+        try:
+            assert run("diffuse", "--out", str(out), "--T", "1") == 0
+        finally:
+            os.umask(old)
+        for name in ("embeddings.csv", "energy.csv", "run.json"):
+            assert (out / name).stat().st_mode & 0o777 == mode, name
 
 
 class TestConvergence:

@@ -196,7 +196,7 @@ class TestAggregation:
             assert not np.signbit(out).any()
 
     def test_hub_spanning_several_blocks(self):
-        """A hub with more edges than a block holds keeps them in one block;
+        """A hub with more edges than a block holds keeps them in one range;
         isolated nodes and a reversed edge order are summed as np.add.at does."""
         n, dim = 12, 3
         hub = [(0, j) for j in range(1, 9)] + [(5, 6), (6, 5), (9, 5)]
@@ -206,34 +206,33 @@ class TestAggregation:
         for weights in (rng.uniform(0, 2, src.size), rng.uniform(0, 2, (src.size, dim))):
             dmat = DiffusivityMatrix(n=n, edge_index=[src, dst], edge_weights=weights)
             want = scatter_add(n, src, self.weighted_log_rows(pts, src, dst, weights))
-            blocks = dmat.edge_blocks(dim, 2 * dim)
-            assert [(b.lo, b.hi) for b in blocks] == [(0, 1), (1, 9), (9, 12)]
+            ranges = dmat.node_ranges(dim, 2 * dim)
+            assert ranges == [(0, 1), (1, 9), (9, 12)]
+            assert [dmat.offsets[hi] - dmat.offsets[lo] for lo, hi in ranges] == [8, 2, 1]
             assert_bitwise(self.edge_sums(pts, dmat, 2 * dim), want)
 
-    def test_source_index_built_once_per_dimension(self):
-        dmat = isotropic_weights(erdos_renyi(12, 0.3, seed=2))
-        blocks = dmat.edge_blocks(3, 64)
-        assert dmat.edge_blocks(3, 64) is blocks
-        assert dmat.edge_blocks(4, 64) is not blocks
-
     def test_blocks_cut_at_source_boundaries(self):
-        dmat = isotropic_weights(erdos_renyi(40, 0.2, seed=9))
-        src = dmat.edge_index[0]
+        g = erdos_renyi(40, 0.2, seed=9)
+        dmat = isotropic_weights(g)
+        src, offsets = dmat.edge_index[0], dmat.offsets
+        assert_bitwise(offsets, g.offsets)
         for dim, block_floats in [(1, 1), (3, 17), (16, 256), (16, 1 << 16)]:
-            blocks = dmat.edge_blocks(dim, block_floats)
-            covered = np.concatenate([np.arange(src.size)[b.edges] for b in blocks])
-            assert_bitwise(covered, np.arange(src.size))
-            for b in blocks:
-                assert b.lo < b.hi
-                assert np.all((src[b.edges] >= b.lo) & (src[b.edges] < b.hi))
+            ranges = dmat.node_ranges(dim, block_floats)
+            # the ranges' edges cover all edges, in order
+            edges = [(offsets[lo], offsets[hi]) for lo, hi in ranges]
+            assert edges[0][0] == 0 and edges[-1][1] == src.size
+            assert all(p[1] == q[0] for p, q in zip(edges, edges[1:]))
+            for (lo, hi), (first, last) in zip(ranges, edges):
+                assert lo < hi and first < last
+                assert np.all((src[first:last] >= lo) & (src[first:last] < hi))
                 # within the budget, or one node whose edges exceed it
-                size = np.arange(src.size)[b.edges].size
-                assert size * dim <= max(block_floats, dim) or b.hi - b.lo == 1
-            assert all(p.hi <= q.lo for p, q in zip(blocks, blocks[1:]))
+                assert (last - first) * dim <= max(block_floats, dim) or hi - lo == 1
+            assert all(p[1] <= q[0] for p, q in zip(ranges, ranges[1:]))
 
     def test_no_edges_no_blocks(self):
         dmat = DiffusivityMatrix(n=4, edge_index=np.zeros((2, 0)), edge_weights=[])
-        assert dmat.edge_blocks(2, 64) == ()
+        assert dmat.offsets.tolist() == [0] * 5
+        assert dmat.node_ranges(2, 64) == []
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 5, 7, 16])
     def test_blocked_dense_pass_matches_one_shot(self, block_pool, rows):
@@ -377,7 +376,7 @@ class TestBlockPool:
         # self pairs have a zero log map, and inf * 0 is an invalid operation
         bad = DiffusivityMatrix(n=dmat.n, edge_index=[dmat.edge_index[0]] * 2,
                                 edge_weights=np.full(dmat.edge_weights.size, np.inf))
-        assert len(bad.edge_blocks(4, blocks._DENSE_BLOCK_FLOATS)) >= 4
+        assert len(bad.node_ranges(4, blocks._DENSE_BLOCK_FLOATS)) >= 4
         with np.errstate(all="raise"):
             with pytest.raises(FloatingPointError) as serial:
                 diffusion_flow(pts, bad, K1)
@@ -910,11 +909,10 @@ class TestScratchBuffers:
         assert peak <= 2 * 2**20, peak
 
     @pytest.mark.parametrize("shuffled", [False, True])
-    def test_cached_edge_blocks_hold_no_rows(self, block_pool, shuffled):
-        """After a pooled iso-5k-sized flow evaluation, the edge blocks it
-        cached hold node ranges and edge slices, or for unsorted sources one
-        int64 index per edge: at most 8 bytes per edge, where a bincount bin
-        per (edge, channel) entry took 8 * d."""
+    def test_matrix_holds_edges_and_offsets_only(self, block_pool, shuffled):
+        """After a pooled iso-5k-sized flow evaluation, the matrix holds its
+        edges, weights and offsets, and no per-edge index or bincount bins,
+        also when its edges were given with shuffled sources."""
         dmat, pts = self.iso_sized()
         if shuffled:
             perm = np.random.default_rng(1).permutation(dmat.edge_index.shape[1])
@@ -923,10 +921,11 @@ class TestScratchBuffers:
         pool = block_pool(2, blocks._DENSE_BLOCK_FLOATS)
         with pool:
             diffusion_flow(pts, dmat, K1, pool=pool)
-        cached = dmat.edge_blocks(pts.shape[1], blocks._DENSE_BLOCK_FLOATS)
-        assert len(cached) > 1
-        held = sum(x.nbytes for b in cached for x in b if isinstance(x, np.ndarray))
-        assert held <= 8 * dmat.edge_index.shape[1], held
+        assert len(dmat.node_ranges(pts.shape[1], blocks._DENSE_BLOCK_FLOATS)) > 1
+        assert sorted(vars(dmat)) == ["edge_index", "edge_weights", "n", "offsets"]
+        m = dmat.edge_index.shape[1]
+        assert (dmat.edge_index.nbytes, dmat.edge_weights.nbytes) == (16 * m, 8 * m)
+        assert dmat.offsets.nbytes == 8 * (dmat.n + 1)
 
     @staticmethod
     def iso_sized():

@@ -660,6 +660,29 @@ class TestMatrixValidation:
                 n=2, edge_index=[[0, 1], [1, 0]], edge_weights=[-0.1, 0.2]
             )
 
+    def test_nan_weights_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiffusivityMatrix(n=2, edge_index=[[0, 1], [1, 0]], edge_weights=[np.nan, 1.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiffusivityMatrix(n=2, edge_index=[[0, 1], [1, 0]],
+                              edge_weights=[[0.5, 1.0], [1.0, np.nan]])
+
+    def test_unsorted_edges_stored_stably_sorted(self):
+        src, dst = [2, 0, 2, 1, 0, 2], [0, 2, 1, 2, 1, 0]
+        weights = np.arange(6.0)[:, None] * [1.0, 2.0, 3.0]
+        dmat = DiffusivityMatrix(n=4, edge_index=[src, dst], edge_weights=weights)
+        # equal sources keep their given order, and the weights move with them
+        order = [1, 4, 3, 0, 2, 5]
+        assert dmat.edge_index.tolist() == [[src[e] for e in order], [dst[e] for e in order]]
+        assert_bitwise(dmat.edge_weights, weights[order])
+        assert dmat.offsets.tolist() == [0, 2, 3, 6, 6]
+
+    def test_sorted_graph_edges_kept_without_a_copy(self):
+        g = erdos_renyi(30, 0.2, seed=5)
+        dmat = isotropic_weights(g)
+        assert np.shares_memory(dmat.edge_index, g.directed_edges)
+        assert_bitwise(dmat.offsets, g.offsets)
+
     def test_global_shape_checked(self):
         # the dense global part goes to the flow next to the edge weights
         dmat = DiffusivityMatrix(n=2, edge_index=[[0, 1], [1, 0]], edge_weights=[0.1, 0.2])

@@ -384,6 +384,25 @@ class TestGraphCanonicalisation:
         with pytest.raises(ValueError, match="int64 range"):
             load_edge_list(str(p))
 
+    def test_non_integer_id_rejected(self):
+        with pytest.raises(ValueError, match=r"non-integer node id in edge \(0.0, 1.5\)"):
+            Graph(3, [(0, 1), (0, 1.5), (1, 2.5)])
+        with pytest.raises(ValueError, match=r"non-integer node id in edge \(0.0, 1.7\)"):
+            Graph.from_edges([(0, 1.7)])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-integer"):
+                Graph(3, np.array([[0.0, bad]]))
+            with pytest.raises(ValueError, match="non-integer"):
+                Graph.from_edges([(0, bad)])
+        with pytest.raises(ValueError, match="int64 range"):
+            Graph(3, np.array([[0.0, 2.0**63]]))
+
+    def test_integral_floats_and_numpy_ints_accepted(self):
+        want = Graph(3, [(0, 2), (1, 2)])
+        assert Graph(3, [(0, 2.0), (1.0, 2)]) == want
+        assert Graph.from_edges([(np.int32(0), np.int64(2)), (1.0, 2.0)]) == want
+        assert Graph(3, np.array([[0.0, 2.0], [1.0, 2.0]])) == want
+
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40))
     def test_neighbors_match_dict_adjacency(self, pairs):
