@@ -11,7 +11,7 @@ branches (zero tangent, coincident points) return exact identities instead of
 evaluating the closed forms.
 
 Validation happens once, at the public functions: they turn the curvature
-into a float (``ValueError`` unless finite and negative) and every array into
+into a float (``ValueError`` unless in [-9.48e153, 0)) and every array into
 float64, raising :class:`NonFiniteError` on NaN or inf coordinates.  Each
 public function then calls a ``_``-prefixed kernel that takes a plain float
 ``k`` and finite float64 arrays and checks nothing; the kernels call each
@@ -62,9 +62,10 @@ class NonFiniteError(ValueError):
 
 
 def _kappa_value(kappa) -> float:
-    k = kappa.kappa if isinstance(kappa, Curvature) else float(kappa)
-    if not np.isfinite(k) or k >= 0.0:
-        raise ValueError(f"curvature must be a finite negative real, got {k}")
+    # the kernels form 2 k^2, which overflows past |k| = 9.48e153
+    k = float(kappa.kappa if isinstance(kappa, Curvature) else kappa)
+    if not np.isfinite(2.0 * k * k) or k >= 0.0:
+        raise ValueError(f"curvature must be a negative real with |kappa| <= 9.48e153, got {k}")
     return k
 
 

@@ -47,9 +47,6 @@ CONFIG_SCHEMA = {
     "out": (str, "out"),
 }
 
-RESIDUAL_DEFAULT = (1.0, 0.6, 0.1)
-
-
 class ConfigError(Exception):
     pass
 
@@ -106,7 +103,7 @@ def _residual_from(cfg: dict):
         return None
     filled = tuple(
         default if given is None else given
-        for given, default in zip(etas, RESIDUAL_DEFAULT)
+        for given, default in zip(etas, diffusion.ResidualSpec().eta)
     )
     return diffusion.ResidualSpec(eta=filled)
 

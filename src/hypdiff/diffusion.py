@@ -206,11 +206,11 @@ def residual_flow(
     spec: ResidualSpec,
     kappa,
 ) -> np.ndarray:
-    """Node-wise gyromidpoint of {dynamic, current, initial} states."""
+    """Node-wise gyromidpoint of the finite {dynamic, current, initial} states."""
     if not (z_dot.shape == z_t.shape == z_0.shape):
         raise ValueError("residual states must share one shape")
     stack = np.stack([z_dot, z_t, z_0], axis=0)
-    return ball.gyromidpoint(stack, np.asarray(spec.eta), kappa)
+    return ball._gyromidpoint(stack, np.asarray(spec.eta, float), ball._kappa_value(kappa))
 
 
 def dirichlet_energy(

@@ -146,11 +146,12 @@ class DiffusivityMatrix:
 class OrcResult:
     """Per-edge coarse Ollivier-Ricci curvature and transport cost.
 
-    Aligned with graph.edges; K = 1 - W since adjacent nodes are at hop
-    distance 1.  dual_gap records |primal - dual| of each transport LP.
+    edges: the graph's edge_array, (m, 2) int64 rows (u, v) with u < v, to
+    which the other arrays are aligned.  K = 1 - W since adjacent nodes are
+    at hop distance 1.  dual_gap records |primal - dual| of each transport LP.
     """
 
-    edges: Tuple[Tuple[int, int], ...]
+    edges: np.ndarray
     curvature: np.ndarray
     wasserstein: np.ndarray
     dual_gap: np.ndarray
@@ -317,7 +318,7 @@ def _worker_count(n_edges: int) -> int:
 
 def _edge_transport(g: Graph, alpha: float, idx: int) -> Tuple[float, float]:
     """(W, dual gap) of the transport LP of edge idx."""
-    u, v = g.edges[idx]
+    u, v = g.edge_array[idx].tolist()
     su, mu = _measure(g, u, alpha)
     sv, mv = _measure(g, v, alpha)
     return transport_cost(mu, mv, _ground_costs(g, su, sv))
@@ -340,7 +341,7 @@ def _edge_transports(g: Graph, alpha: float) -> List[Tuple[float, float]]:
     the imported HiGHS binding; only edge indices and (W, gap) pairs cross
     the pipes, and pickled floats keep their bits.
     """
-    edges = range(len(g.edges))
+    edges = range(len(g.edge_array))
     workers = _worker_count(len(edges))
     if workers > 1:
         import multiprocessing
@@ -378,7 +379,7 @@ def orc_curvatures(g: Graph, alpha: float = 0.5) -> OrcResult:
     wvals = np.array([w for w, _ in solved], dtype=np.float64)
     gaps = np.array([gap for _, gap in solved], dtype=np.float64)
     # hop distance between endpoints is 1
-    return OrcResult(edges=g.edges, curvature=1.0 - wvals, wasserstein=wvals, dual_gap=gaps)
+    return OrcResult(edges=g.edge_array, curvature=1.0 - wvals, wasserstein=wvals, dual_gap=gaps)
 
 
 def _curvature_scores(orc: OrcResult, params: AttentionParams) -> np.ndarray:
@@ -403,7 +404,7 @@ def local_diffusivity(
     """
     if channel_mode not in CHANNEL_MODES:
         raise ValueError(f"unknown channel mode {channel_mode!r}")
-    if orc.edges != g.edges:
+    if not np.array_equal(orc.edges, g.edge_array):
         raise ValueError("curvatures were computed for another edge list")
     raw = _curvature_scores(orc, params)[g.edge_ids]
     if channel_mode == "scalar":
@@ -454,7 +455,7 @@ class GlobalAttention:
                  beta: float = 1.0):
         self.n, dim = points.shape
         self.beta = beta
-        tang = ball.log_map(np.zeros(dim), points, kappa)
+        tang = ball._log_map(np.zeros(dim), points, ball._kappa_value(kappa))
         q = tang @ params.w_query
         k = tang @ params.w_key
         self.products = [
@@ -471,10 +472,3 @@ class GlobalAttention:
         out /= len(self.products)
         out *= self.beta
         return out
-
-
-def global_diffusivity(
-    points: np.ndarray, params: AttentionParams, heads: int, kappa
-) -> np.ndarray:
-    """Dense (n, n) row-stochastic sigmoid attention (see GlobalAttention)."""
-    return GlobalAttention(points, params, heads, kappa).rows(0, points.shape[0])

@@ -160,7 +160,7 @@ def _parse_line(path: str, lineno: int, stripped: str):
 def save_edge_list(path: str, g: Graph):
     """Write a Graph so that load_edge_list round-trips it exactly."""
     lines = [f"# nodes={g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    lines.extend(f"{u} {v}" for u, v in g.edge_array.tolist())
     atomic_write(path, ["\n".join(lines) + "\n"])
 
 
@@ -221,8 +221,8 @@ def save_energy_csv(path: str, trace):
 def save_orc_csv(path: str, orc):
     """Write per-edge curvature results as `u,v,curvature,wasserstein` CSV."""
     def values(a, b):
-        return [x for (u, v), k, w in zip(orc.edges[a:b], orc.curvature[a:b], orc.wasserstein[a:b])
-                for x in (u, v, k, w)]
+        rows = zip(np.asarray(orc.edges[a:b]).tolist(), orc.curvature[a:b], orc.wasserstein[a:b])
+        return [x for (u, v), k, w in rows for x in (u, v, k, w)]
 
     atomic_write(path, _csv_chunks(
         "u,v,curvature,wasserstein", "%s,%s,%.17g,%.17g", 4, len(orc.edges), values))

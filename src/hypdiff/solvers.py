@@ -139,9 +139,11 @@ def geodesic_interpolate(
     """
     if not (0.0 <= ratio <= 1.0):
         raise ValueError(f"interpolation ratio must lie in [0, 1], got {ratio}")
-    k = ball._kappa_value(kappa)
     x, y = np.broadcast_arrays(*ball._finite(x, y))
+    return _interpolate(x, y, ratio, ball._kappa_value(kappa), pool)
 
+
+def _interpolate(x, y, ratio, k, pool):
     def fill(r: slice, out: np.ndarray, work: Scratch):
         tang = ball._log_map(x[r], y[r], k, out=work.take(out.shape), work=work)
         ball._exp_map(x[r], np.multiply(ratio, tang, out=tang), k, out=out, work=work)
@@ -149,14 +151,11 @@ def geodesic_interpolate(
     return _rows(pool, x, fill)
 
 
-def heuler_step(
-    h: np.ndarray, t: float, tau: float, flow: FlowFn, kappa, pool: Optional[BlockPool] = None,
-) -> np.ndarray:
+def _heuler_step(h: np.ndarray, t: float, tau: float, flow: FlowFn, k: float,
+                 pool: Optional[BlockPool] = None) -> np.ndarray:
     """One explicit Euler step exp_h(tau log_h(F(h, t))).
 
     Raises ball.NonFiniteError if the new state is not finite."""
-    k = ball._kappa_value(kappa)
-    (h,) = ball._finite(h)
     slope = _field(h, h, t, flow, k, pool)
 
     def fill(r: slice, out: np.ndarray, work: Scratch):
@@ -191,8 +190,8 @@ def _field(
     return _rows(pool, at, fill)
 
 
-def hrk4_step(
-    h: np.ndarray, t: float, tau: float, flow: FlowFn, kappa,
+def _hrk4_step(
+    h: np.ndarray, t: float, tau: float, flow: FlowFn, k: float,
     g1: Optional[np.ndarray] = None, pool: Optional[BlockPool] = None,
 ) -> np.ndarray:
     """One 4th-order step; returns exp_h(tau * X) with X the weighted stage mix.
@@ -201,9 +200,6 @@ def hrk4_step(
     caller that already holds it need not have evaluated again.  Raises
     ball.NonFiniteError if the new state is not finite.
     """
-    k = ball._kappa_value(kappa)
-    (h,) = ball._finite(h)
-
     def stage(u: Callable[[slice, np.ndarray], np.ndarray], ts: float) -> np.ndarray:
         # u(r, v): the rows r of the stage's tangent at h, written into v
         def fill(r: slice, out: np.ndarray, work: Scratch):
@@ -265,6 +261,10 @@ def solve(
     The n x d kernels of every step run in row blocks, on the threads of
     ``pool`` while the caller holds it started; the states do not depend on
     the pool.
+
+    The solver's one entry: kappa and h0 are checked here, once.  The steps
+    call the raw ball kernels with the float k and check only the flow's
+    output and each new state, raising NonFiniteStateError.
     """
     h = ball.project_to_ball(h0, kappa)
     k = ball._kappa_value(kappa)
@@ -276,43 +276,38 @@ def solve(
     observe = observe or (lambda t, state: None)
     observe(0.0, h)
     queue: List[Tuple[np.ndarray, np.ndarray]] = []  # head first: (tangent, base)
-    if spec.method == "ham":
-        queue.append((_field(h, h, 0.0, flow, k, pool), h))
-
     for i in range(n_full):
-        h = _checked_advance(h, i * spec.tau, spec, flow, k, i, queue, pool)
+        h = _advance(h, i * spec.tau, spec, flow, k, i, queue, pool)
         observe((i + 1) * spec.tau, h)
 
     if partial:
         t = n_full * spec.tau
-        overshoot = _checked_advance(h, t, spec, flow, k, n_full, queue, pool)
-        h = geodesic_interpolate(h, overshoot, (spec.t_final - t) / spec.tau, k, pool)
+        overshoot = _advance(h, t, spec, flow, k, n_full, queue, pool)
+        h = _interpolate(h, overshoot, (spec.t_final - t) / spec.tau, k, pool)
         observe(spec.t_final, h)
     return h
 
 
-def _checked_advance(h, t, spec, flow, k, step_index, queue, pool):
-    # a step checks its new state in the blocks that make it
+def _advance(h, t, spec, flow, k, step_index, queue, pool):
+    # the one place where a failed check inside a step becomes NonFiniteStateError
     try:
-        return _advance(h, t, spec, flow, k, step_index, queue, pool)
+        if spec.method == "heuler":
+            return _heuler_step(h, t, spec.tau, flow, k, pool)
+        if spec.method == "hrk4":
+            return _hrk4_step(h, t, spec.tau, flow, k, pool=pool)
+        return _ham_step(h, t, spec, flow, k, step_index, queue, pool)
     except (ball.NonFiniteError, FloatingPointError) as exc:
         raise NonFiniteStateError(step_index, t) from exc
 
 
-def _advance(h, t, spec, flow, k, step_index, queue, pool):
-    if spec.method == "heuler":
-        return heuler_step(h, t, spec.tau, flow, k, pool)
-    if spec.method == "hrk4":
-        return hrk4_step(h, t, spec.tau, flow, k, pool=pool)
-    return _ham_step(h, t, spec, flow, k, step_index, queue, pool)
-
-
 def _ham_step(h, t, spec, flow, k, step_index, queue, pool):
     tau = spec.tau
+    if not queue:  # the first step: the field at h, t=0, heads the queue
+        queue.append((_field(h, h, t, flow, k, pool), h))
     if step_index < spec.s_min:
         # warm-up: identical hrk4 states, queue collects the field slopes.  The
         # head of the queue is the field at h at time t, the step's first stage.
-        h_next = hrk4_step(h, t, tau, flow, k, g1=queue[0][0], pool=pool)
+        h_next = _hrk4_step(h, t, tau, flow, k, g1=queue[0][0], pool=pool)
         t_next = (step_index + 1) * tau  # the t the solver hands the next step
         queue.insert(0, (_field(h_next, h_next, t_next, flow, k, pool), h_next))
         return h_next

@@ -50,6 +50,19 @@ class TestCurvature:
     def test_radius(self):
         assert Curvature(-4.0).radius == pytest.approx(0.5)
 
+    def test_kernel_constants_stay_finite(self):
+        # the kernels form 2 kappa^2, which overflows past |kappa| = 9.48e153
+        x, y, w = np.array([0.3, 0.1]), np.array([-0.2, 0.4]), np.array([1.0, -0.5])
+        kappa = -9e153
+        r = 1.0 / np.sqrt(-kappa)
+        got = dlog(r * x, r * y, r * w, kappa) / r
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, dlog(x, y, w, K1), rtol=1e-9)
+        with pytest.raises(ValueError, match="9.48e153"):
+            Curvature(-1e154)
+        with pytest.raises(ValueError, match="9.48e153"):
+            dlog(x, y, w, -1e154)
+
 
 class TestMobiusAdd:
     def test_identity_element(self):

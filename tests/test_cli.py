@@ -91,6 +91,10 @@ class TestDiffuse:
         assert run("diffuse", "--features", str(feats)) == 1
         assert "match" in capsys.readouterr().err
 
+    def test_overflowing_curvature_exits_1(self, tmp_path, capsys):
+        assert run("diffuse", "--kappa=-1.4e154", "--out", str(tmp_path)) == 1
+        assert "9.48e153" in capsys.readouterr().err
+
     def test_bad_method_exits_1(self):
         assert run("diffuse", "--method", "rk45") == 1
 

@@ -5,6 +5,7 @@ import gc
 import sys
 import threading
 import tracemalloc
+import types
 import weakref
 from unittest import mock
 
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hypdiff import ball, blocks, diffusion, diffusivity as dv
+from hypdiff import ball, blocks, diffusion, diffusivity as dv, solvers
 from hypdiff.ball import Curvature
+from hypdiff.cli import bundled_graph_path
 from hypdiff.diffusion import (
     EmbeddingState,
     ResidualSpec,
@@ -27,8 +29,9 @@ from hypdiff.diffusion import (
     run_diffusion,
 )
 from hypdiff.diffusivity import DiffusivityConfig, DiffusivityMatrix, isotropic_weights
+from hypdiff.graphio import load_edge_list
 from hypdiff.graphs import Graph, erdos_renyi
-from hypdiff.solvers import NonFiniteStateError, SolverSpec, hrk4_step, solve
+from hypdiff.solvers import NonFiniteStateError, SolverSpec, _hrk4_step, solve
 
 from _oracles import (
     assert_bitwise, dense_log_aggregate, dirichlet_energy_reference, flow_reference, rk38_step,
@@ -775,7 +778,7 @@ class TestScratchBuffers:
         edge = diffusion_flow(pts, dmat, K1, pool=pool)
         dense = diffusion_flow(pts, no_edges, K1, global_part=row_source(glob), pool=pool)
         flow = build_flow(g, DiffusivityConfig(), cls.DIM, K1, pool=pool)
-        step = hrk4_step(pts, 0.0, 0.5, flow, K1, pool=pool)
+        step = _hrk4_step(pts, 0.0, 0.5, flow, K1.kappa, pool=pool)
         return edge, dense, step
 
     # 1-row dense blocks and 12-edge edge blocks with short last ones; then
@@ -1106,6 +1109,50 @@ class TestRunDiffusion:
         g = erdos_renyi(5, 0.5, seed=1)
         with pytest.raises(ValueError):
             build_flow(g, DiffusivityConfig(), 2, K1, residual=ResidualSpec())
+
+
+class TestValidationBoundary:
+    """Arrays are checked where they enter a run; inside it, the flow, the
+    attention and the steps call the raw ball kernels."""
+
+    def test_only_the_entries_and_the_flow_output_are_checked(self, monkeypatch, block_pool):
+        field_block = next(c for c in solvers._field.__code__.co_consts
+                           if isinstance(c, types.CodeType) and c.co_name == "fill")
+        callers = set()
+        real = ball._finite
+
+        def finite(*arrays):
+            callers.add(sys._getframe(1).f_code)
+            return real(*arrays)
+
+        monkeypatch.setattr(ball, "_finite", finite)
+        block_pool(2)
+        g = load_edge_list(bundled_graph_path())
+        runs = [  # the second ends with an interpolated step
+            (DiffusivityConfig(scheme="global"), SolverSpec(method="ham", tau=0.5, t_final=2.0),
+             ResidualSpec()),
+            (DiffusivityConfig(scheme="isotropic"),
+             SolverSpec(method="hrk4", tau=0.5, t_final=1.75), None),
+        ]
+        for dcfg, spec, residual in runs:
+            run_diffusion(initial_state(g.n, 8, K1, seed=3), g, dcfg, spec, residual)
+        assert callers == {ball.project_to_ball.__code__, ball.exp_map.__code__, field_block}
+
+    def test_nan_row_in_a_global_flow_is_a_state_error(self):
+        g = load_edge_list(bundled_graph_path())
+        flow = build_flow(g, DiffusivityConfig(scheme="global"), 8, K1)
+
+        def with_nan_row(points, t):
+            points = points.copy()
+            points[5] = np.nan
+            return flow(points, t)
+
+        z0 = initial_state(g.n, 8, K1, seed=3)
+        with pytest.raises(NonFiniteStateError) as err:
+            solve(z0.points, with_nan_row, SolverSpec(method="hrk4"), K1)
+        assert err.value.step_index == 0
+        assert isinstance(err.value.__cause__, FloatingPointError)
+        assert "non-finite tangent aggregate" in str(err.value.__cause__)
 
 
 class TestEnergyMonotonicityStudy:

@@ -9,9 +9,9 @@ from hypdiff.solvers import (
     AM_COEFFS,
     NonFiniteStateError,
     SolverSpec,
+    _heuler_step,
+    _hrk4_step,
     geodesic_interpolate,
-    heuler_step,
-    hrk4_step,
     rotation_flow,
     rotation_solution,
     solve,
@@ -67,7 +67,7 @@ class TestSolverSpec:
 
 class TestHEuler:
     def test_identity_flow_fixed_point(self):
-        out = heuler_step(H0, 0.0, 0.5, identity_flow, K1)
+        out = _heuler_step(H0, 0.0, 0.5, identity_flow, K1)
         np.testing.assert_allclose(out, H0, atol=1e-15)
 
     def test_projective_identity_at_unit_step(self):
@@ -77,7 +77,7 @@ class TestHEuler:
         def flow(h, t):
             return ball.exp_map(h, target, K1)
 
-        out = heuler_step(H0, 0.0, 1.0, flow, K1)
+        out = _heuler_step(H0, 0.0, 1.0, flow, K1)
         np.testing.assert_allclose(out, flow(H0, 0.0), atol=1e-12)
 
     def test_geodesic_flow_single_step_exact(self):
@@ -86,14 +86,14 @@ class TestHEuler:
         h0 = np.array([0.2, -0.1, 0.15, 0.05])
         v0 = np.array([0.3, 0.2, -0.1, 0.1])
         flow = geodesic_flow(h0, v0, K1)
-        out = heuler_step(h0, 0.0, 0.1, flow, K1)
+        out = _heuler_step(h0, 0.0, 0.1, flow, K1)
         exact = ball.exp_map(h0, 0.1 * v0, K1)
         assert ball.distance(out, exact, K1) < 1e-12
 
 
 class TestHRK4:
     def test_identity_flow_fixed_point(self):
-        out = hrk4_step(H0, 0.0, 0.5, identity_flow, K1)
+        out = _hrk4_step(H0, 0.0, 0.5, identity_flow, K1)
         np.testing.assert_allclose(out, H0, atol=1e-14)
 
     def test_flat_limit_matches_classical_38_rule(self):
@@ -109,7 +109,7 @@ class TestHRK4:
             return ball.exp_map(h, field(h, t), kflat)
 
         y0 = np.array([0.1, -0.2, 0.15, 0.05])
-        got = hrk4_step(y0, 0.3, 0.2, flow, kflat)
+        got = _hrk4_step(y0, 0.3, 0.2, flow, kflat)
         want = rk38_step(y0, 0.3, 0.2, field)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
@@ -241,7 +241,7 @@ class TestSolve:
         assert times == [0.0, 1.0, 1.5]
         np.testing.assert_array_equal(states[-1], final)
         h1 = states[1]
-        overshoot = heuler_step(h1, 1.0, 1.0, flow, K1)
+        overshoot = _heuler_step(h1, 1.0, 1.0, flow, K1)
         np.testing.assert_array_equal(
             final, geodesic_interpolate(h1, overshoot, 0.5, K1)
         )
@@ -293,6 +293,20 @@ class TestSolve:
             solve(H0, flow, spec, K1)
         assert err.value.step_index == 1
         assert isinstance(err.value.__cause__, FloatingPointError)
+
+    @pytest.mark.parametrize("method", solvers.METHODS)
+    @pytest.mark.parametrize("failure", ["nan", "raise"])
+    def test_nonfinite_first_slope_is_a_state_error(self, method, failure):
+        # ham takes its first slope, at t=0, before its first step
+        def flow(h, t):
+            if failure == "raise":
+                raise FloatingPointError("overflow encountered in multiply")
+            return np.full_like(h, np.nan)
+
+        spec = SolverSpec(method=method, tau=0.5, t_final=1.0)
+        with pytest.raises(NonFiniteStateError) as err:
+            solve(H0, flow, spec, K1)
+        assert err.value.step_index == 0
 
     def test_observer_does_not_change_result(self):
         rng = np.random.default_rng(7)
