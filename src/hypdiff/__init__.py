@@ -1,6 +1,5 @@
 """Poincare-ball geometry, projective hyperbolic PDE solvers, and graph diffusion."""
 
-from .ball import Curvature
 from .diffusion import EmbeddingState, ResidualSpec, run_diffusion
 from .diffusivity import AttentionParams, DiffusivityConfig, DiffusivityMatrix, OrcResult
 from .graphs import Graph
@@ -8,7 +7,6 @@ from .solvers import SolverSpec
 
 __all__ = [
     "AttentionParams",
-    "Curvature",
     "DiffusivityConfig",
     "DiffusivityMatrix",
     "EmbeddingState",

@@ -29,8 +29,6 @@ depend on the buffers.  ``out`` must not overlap the inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blocks import Scratch
@@ -42,19 +40,10 @@ BOUNDARY_EPS = 1e-5
 # Largest argument ever handed to atanh.
 _ATANH_MAX = 1.0 - 1e-15
 
-
-@dataclass(frozen=True)
-class Curvature:
-    """Sectional curvature of the ball, kappa < 0."""
-
-    kappa: float
-
-    def __post_init__(self):
-        _kappa_value(self.kappa)
-
-    @property
-    def radius(self) -> float:
-        return 1.0 / np.sqrt(-self.kappa)
+# Smallest gyromidpoint denominator.  For kappa < 0 every lambda_j - 1 >= 1,
+# so the denominator is at least sum |eta_j|: a bound on that sum (see
+# diffusion.ResidualSpec) keeps it from vanishing at any scale of eta.
+_TINY = np.finfo(np.float64).tiny
 
 
 class NonFiniteError(ValueError):
@@ -63,7 +52,7 @@ class NonFiniteError(ValueError):
 
 def _kappa_value(kappa) -> float:
     # the kernels form 2 k^2, which overflows past |k| = 9.48e153
-    k = float(kappa.kappa if isinstance(kappa, Curvature) else kappa)
+    k = float(kappa)
     if not np.isfinite(2.0 * k * k) or k >= 0.0:
         raise ValueError(f"curvature must be a negative real with |kappa| <= 9.48e153, got {k}")
     return k
@@ -360,7 +349,7 @@ def _gyromidpoint(pts, weights, k):
     eta = weights.reshape((pts.shape[0],) + (1,) * (pts.ndim - 1))
     lam = _lambda(_sqnorm(pts), k)
     den = np.sum(np.abs(eta) * (lam - 1.0), axis=0)
-    if np.any(np.abs(den) < 1e-15):
+    if np.any(den < _TINY):
         raise ValueError("ill-posed gyromidpoint weights: denominator vanishes")
     inner = np.sum(eta * lam * pts, axis=0) / den
     return _mobius_scalar(0.5, inner, k)
@@ -479,8 +468,9 @@ def gyromidpoint(points: np.ndarray, weights: np.ndarray, kappa) -> np.ndarray:
 
     (1/2) (x) ( sum_j eta_j lambda_j z_j / sum_j |eta_j| (lambda_j - 1) ).
     Recovers the weighted arithmetic mean as kappa -> 0.  For kappa < 0 every
-    lambda_j - 1 >= 1, so the denominator only degenerates when the weights
-    are all (numerically) zero.
+    lambda_j - 1 >= 1, so the denominator is at least sum_j |eta_j|, and
+    ``ValueError`` is raised only when it falls below the smallest normal
+    float, as it does for all-zero weights.
     """
     k = _kappa_value(kappa)
     pts, eta = _finite(points, weights)

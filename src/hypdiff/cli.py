@@ -19,7 +19,6 @@ from importlib import resources
 import numpy as np
 
 from . import diffusion, diffusivity as dv, graphio, solvers
-from .ball import Curvature
 
 DEFAULT_TAUS = "0.2,0.1,0.05,0.025"
 DEFAULT_DIM = 16
@@ -165,7 +164,6 @@ def _memory_message(exc: MemoryError, n: int, dcfg: dv.DiffusivityConfig) -> str
 def cmd_diffuse(args) -> int:
     cfg = _effective_config(args)
     started = time.perf_counter()
-    curv = Curvature(cfg["kappa"])
     graph_path = cfg["graph"] or bundled_graph_path()
     g = graphio.load_edge_list(graph_path)
     if cfg["features"]:
@@ -179,11 +177,11 @@ def cmd_diffuse(args) -> int:
                 f"dim ({cfg['dim']}) does not match the feature columns ({feats.shape[1]})"
             )
         cfg["dim"] = feats.shape[1]
-        z0 = diffusion.features_to_state(feats, curv)
+        z0 = diffusion.features_to_state(feats, cfg["kappa"])
     else:
         if cfg["dim"] is None:
             cfg["dim"] = DEFAULT_DIM
-        z0 = diffusion.initial_state(g.n, cfg["dim"], curv, cfg["seed"])
+        z0 = diffusion.initial_state(g.n, cfg["dim"], cfg["kappa"], cfg["seed"])
     dcfg = dv.DiffusivityConfig(
         scheme=cfg["scheme"], beta=cfg["beta"], heads=cfg["heads"],
         alpha=cfg["alpha"], seed=cfg["seed"],

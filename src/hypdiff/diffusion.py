@@ -24,7 +24,6 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import ball, blocks, diffusivity as dv, solvers
-from .ball import Curvature
 from .blocks import BlockPool, Scratch
 from .graphs import Graph
 
@@ -37,17 +36,16 @@ RowSource = Callable[[int, int], np.ndarray]
 
 @dataclass
 class EmbeddingState:
-    """n x d matrix of ball points at diffusion time t."""
+    """n x d matrix of ball points, on the ball of curvature kappa."""
 
     points: np.ndarray
-    curvature: Curvature
-    t: float = 0.0
+    kappa: float
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2:
             raise ValueError("embedding state must be an (n, d) matrix")
-        self.points = ball.project_to_ball(pts, self.curvature)
+        self.points = ball.project_to_ball(pts, self.kappa)
 
     @property
     def n(self) -> int:
@@ -69,8 +67,10 @@ class ResidualSpec:
             raise ValueError("residual needs exactly three weights")
         if not np.all(np.isfinite(self.eta)):
             raise ValueError("residual weights must be finite")
-        if np.sum(np.abs(self.eta)) == 0.0:
-            raise ValueError("residual weights must not all vanish")
+        # the blend does not depend on the scale of eta, but the
+        # gyromidpoint's denominator, at least sum |eta|, must stay normal
+        if np.sum(np.abs(self.eta)) < ball._TINY:
+            raise ValueError("residual weights must not all vanish (sum of |eta| below 2.2e-308)")
 
 
 def _apply_sigma(agg: np.ndarray, sigma: str) -> np.ndarray:
@@ -256,20 +256,22 @@ def dirichlet_energy(
 
 
 def initial_state(
-    n: int, dim: int, curvature: Curvature, seed: int, scale: float = 0.1
+    n: int, dim: int, kappa: float, seed: int, scale: float = 0.1
 ) -> EmbeddingState:
-    """Seeded Gaussian tangent vectors at the origin mapped into the ball."""
+    """Seeded Gaussian tangent vectors at the origin mapped into the ball.
+    Raises ValueError for a kappa outside [-9.48e153, 0)."""
     rng = np.random.default_rng(seed)
     tang = scale * rng.standard_normal((n, dim))
-    pts = ball.exp_map(np.zeros(dim), tang, curvature)
-    return EmbeddingState(points=pts, curvature=curvature, t=0.0)
+    pts = ball.exp_map(np.zeros(dim), tang, kappa)
+    return EmbeddingState(points=pts, kappa=kappa)
 
 
-def features_to_state(features: np.ndarray, curvature: Curvature) -> EmbeddingState:
-    """Map raw feature rows into the ball by exp at the origin."""
+def features_to_state(features: np.ndarray, kappa: float) -> EmbeddingState:
+    """Map raw feature rows into the ball by exp at the origin.  Raises
+    ValueError for a kappa outside [-9.48e153, 0)."""
     features = np.asarray(features, dtype=np.float64)
-    pts = ball.exp_map(np.zeros(features.shape[1]), features, curvature)
-    return EmbeddingState(points=pts, curvature=curvature, t=0.0)
+    pts = ball.exp_map(np.zeros(features.shape[1]), features, kappa)
+    return EmbeddingState(points=pts, kappa=kappa)
 
 
 def build_flow(
@@ -300,7 +302,7 @@ def build_flow(
         static = dv.isotropic_weights(g)
     else:
         orc = dv.orc_curvatures(g, cfg.alpha)
-        static = dv.local_diffusivity(g, orc, params, cfg.channel_mode)
+        static = dv.local_diffusivity(g, orc, params)
     # the global schemes mix beta * global + (1 - beta) * edge part; the
     # global part is computed at every evaluation
     beta = cfg.beta if cfg.scheme in ("global", "local_global") else 0.0
@@ -338,7 +340,7 @@ def run_diffusion(
     """
     if z0.n != g.n:
         raise ValueError(f"state has {z0.n} rows but graph has {g.n} nodes")
-    kappa = z0.curvature
+    kappa = z0.kappa
     pool = BlockPool()
     flow = build_flow(
         g, dcfg, z0.dim, kappa, sigma=sigma, residual=residual, z0=z0.points, pool=pool,
@@ -350,5 +352,4 @@ def run_diffusion(
 
     with pool:
         final = solvers.solve(z0.points, flow, spec, kappa, observe=observe, pool=pool)
-    state = EmbeddingState(points=final, curvature=kappa, t=spec.t_final)
-    return state, energies
+    return EmbeddingState(points=final, kappa=kappa), energies

@@ -4,7 +4,7 @@ Four schemes:
 
 * ``isotropic``     - degree weights 1/sqrt(d_i d_j) on edges.
 * ``local``         - Ollivier-Ricci curvature scores fed through a small
-  MLP and softmax-normalized over each neighborhood (optionally per channel).
+  MLP and softmax-normalized over each neighborhood, per channel.
 * ``global``        - dense sigmoid-kernel attention over all node pairs,
   mixed with the isotropic part by beta.
 * ``local_global``  - beta * global + (1 - beta) * local.
@@ -25,7 +25,6 @@ from . import ball, blocks
 from .graphs import Graph
 
 SCHEMES = ("isotropic", "local", "global", "local_global")
-CHANNEL_MODES = ("scalar", "per_channel")
 
 LEAKY_SLOPE = 0.01
 DUAL_TOL = 1e-9
@@ -38,7 +37,6 @@ class DiffusivityConfig:
     heads: int = 1
     alpha: float = 0.5
     seed: int = 0
-    channel_mode: str = "per_channel"
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -49,8 +47,6 @@ class DiffusivityConfig:
             raise ValueError("heads must be a positive integer")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.channel_mode not in CHANNEL_MODES:
-            raise ValueError(f"unknown channel mode {self.channel_mode!r}")
 
 
 @dataclass
@@ -389,26 +385,16 @@ def _curvature_scores(orc: OrcResult, params: AttentionParams) -> np.ndarray:
     return hidden @ params.mlp_w2.T + params.mlp_b2
 
 
-def local_diffusivity(
-    g: Graph,
-    orc: OrcResult,
-    params: AttentionParams,
-    channel_mode: str = "per_channel",
-) -> DiffusivityMatrix:
+def local_diffusivity(g: Graph, orc: OrcResult, params: AttentionParams) -> DiffusivityMatrix:
     """Curvature-attention weights, softmax-normalized over each neighborhood.
 
-    per_channel: softmax runs independently on every hidden channel, giving a
-    weight vector per directed edge whose per-channel neighborhood sums are 1.
-    scalar: channel scores are averaged before a single softmax.
+    The softmax runs independently on every hidden channel, giving a weight
+    vector per directed edge whose per-channel neighborhood sums are 1.
     orc must hold the curvatures of g's edges.
     """
-    if channel_mode not in CHANNEL_MODES:
-        raise ValueError(f"unknown channel mode {channel_mode!r}")
     if not np.array_equal(orc.edges, g.edge_array):
         raise ValueError("curvatures were computed for another edge list")
     raw = _curvature_scores(orc, params)[g.edge_ids]
-    if channel_mode == "scalar":
-        raw = raw.mean(axis=1, keepdims=True)
     weights = np.zeros_like(raw)
     bounds = g.offsets.tolist()
     for a, b in zip(bounds[:-1], bounds[1:]):
@@ -417,8 +403,6 @@ def local_diffusivity(
         s = raw[a:b]
         s = np.exp(s - s.max(axis=0, keepdims=True))
         weights[a:b] = s / s.sum(axis=0, keepdims=True)
-    if channel_mode == "scalar":
-        weights = weights[:, 0]
     return DiffusivityMatrix(n=g.n, edge_index=g.directed_edges, edge_weights=weights)
 
 

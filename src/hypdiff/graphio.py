@@ -251,9 +251,7 @@ def knn_graph(features: np.ndarray, k: int, metric: str = "euclidean") -> Graph:
     else:
         raise ValueError(f"unknown metric {metric!r}, expected one of {KNN_METRICS}")
     np.fill_diagonal(dist, np.inf)
-    edges = []
-    idx = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((idx, dist[i]))
-        edges.extend((i, int(j)) for j in order[:k])
-    return Graph.from_edges(edges, n=n)
+    # a stable sort keeps equal distances in index order
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    sources = np.repeat(np.arange(n, dtype=np.int64), k)
+    return Graph(n, np.stack([sources, nearest.ravel()], axis=1))

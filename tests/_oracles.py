@@ -347,7 +347,7 @@ def canonical_edges(n, edges):
     return tuple(sorted(canon))
 
 
-def local_diffusivity_reference(g, orc, params, channel_mode):
+def local_diffusivity_reference(g, orc, params):
     """(edge_index, weights) of the curvature attention: the MLP scores
     looked up per directed edge in a dict keyed by the undirected edge, then
     a softmax over each node's edges found by scanning the sources."""
@@ -364,8 +364,6 @@ def local_diffusivity_reference(g, orc, params, channel_mode):
     for col in range(m):
         i, j = int(ei[0, col]), int(ei[1, col])
         raw[col] = scores[(min(i, j), max(i, j))]
-    if channel_mode == "scalar":
-        raw = raw.mean(axis=1, keepdims=True)
     weights = np.zeros_like(raw)
     for i in range(g.n):
         cols = np.nonzero(ei[0] == i)[0]
@@ -374,9 +372,29 @@ def local_diffusivity_reference(g, orc, params, channel_mode):
         s = raw[cols]
         s = np.exp(s - s.max(axis=0, keepdims=True))
         weights[cols] = s / s.sum(axis=0, keepdims=True)
-    if channel_mode == "scalar":
-        weights = weights[:, 0]
     return ei, weights
+
+
+def knn_edges_reference(features, k, metric):
+    """Directed (i, j) pairs of the kNN rule, one node at a time: each row's
+    distances lexsorted with the index as tie-break, the first k kept.  The
+    distance matrices use the library's closed forms, so ties are the same."""
+    x = np.asarray(features, dtype=np.float64)
+    n = x.shape[0]
+    if metric == "euclidean":
+        sq = np.sum(x * x, axis=1)
+        dist = np.maximum(sq[:, None] + sq[None, :] - 2.0 * x @ x.T, 0.0)
+    else:
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        unit = x / np.where(norms == 0.0, 1.0, norms)
+        dist = 1.0 - unit @ unit.T
+    np.fill_diagonal(dist, np.inf)
+    edges = []
+    idx = np.arange(n)
+    for i in range(n):
+        order = np.lexsort((idx, dist[i]))
+        edges.extend((i, int(j)) for j in order[:k])
+    return edges
 
 
 # ---------------------------------------------------------------------------

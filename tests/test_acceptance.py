@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from hypdiff import ball, solvers
-from hypdiff.ball import Curvature
 from hypdiff.cli import main as cli_main
 from hypdiff.diffusion import ResidualSpec, initial_state, run_diffusion
 from hypdiff.diffusivity import (
@@ -122,7 +121,7 @@ def test_criterion_04_solver_orders(report):
 def test_criterion_05_flat_limit_diffusion(report):
     from hypdiff.diffusivity import DiffusivityConfig
 
-    curv = Curvature(-1e-6)
+    curv = -1e-6
     g = erdos_renyi(50, 0.1, seed=3)
     z0 = initial_state(50, 8, curv, seed=3)
     spec = SolverSpec(method="hrk4", tau=1.0, t_final=4.0)
@@ -191,12 +190,13 @@ def test_criterion_06_orc_correctness(report):
 def test_criterion_07_global_attention_rows(report):
     rng = np.random.default_rng(107)
     worst = 0.0
+    least = np.inf
     for n, dim, heads in ((1, 3, 1), (17, 4, 2), (60, 8, 3)):
         pts = ball.project_to_ball(0.4 * rng.standard_normal((n, dim)), -1.0)
         params = AttentionParams.init(dim, heads, seed=n)
         gmat = GlobalAttention(pts, params, heads, -1.0).rows(0, n)
         worst = max(worst, float(np.abs(gmat.sum(axis=1) - 1.0).max()))
-        positive = gmat.min() > 0.0
+        least = min(least, float(gmat.min()))
     pts = ball.project_to_ball(0.4 * rng.standard_normal((9, 5)), -1.0)
     zero = AttentionParams(
         w_query=np.zeros((5, 5)), w_key=np.zeros((5, 5)),
@@ -206,10 +206,11 @@ def test_criterion_07_global_attention_rows(report):
     uniform = np.array_equal(
         GlobalAttention(pts, zero, 1, -1.0).rows(0, 9), np.full((9, 9), 1.0 / 9.0)
     )
-    ok = worst <= 1e-12 and positive and uniform
+    ok = worst <= 1e-12 and least > 0.0 and uniform
     report(
         7,
-        f"global attention: max row-sum defect {worst:.1e}, zero-params uniform: {uniform}",
+        f"global attention: max row-sum defect {worst:.1e}, min entry {least:.1e}, "
+        f"zero-params uniform: {uniform}",
         ok,
     )
 
@@ -218,7 +219,7 @@ def test_criterion_08_energy_behavior(report):
     from hypdiff.diffusivity import DiffusivityConfig
 
     started = time.perf_counter()
-    curv = Curvature(-1.0)
+    curv = -1.0
     g = erdos_renyi(50, 0.1, seed=3)
     z0 = initial_state(50, 8, curv, seed=3)
     dcfg = DiffusivityConfig(scheme="isotropic")

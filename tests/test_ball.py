@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from hypdiff import ball
 from hypdiff.ball import (
-    Curvature,
     conformal_factor,
     distance,
     dlog,
@@ -40,15 +39,13 @@ def random_points(rng, count, dim, kappa, max_frac=0.7):
 
 class TestCurvature:
     def test_rejects_nonnegative(self):
+        x = np.array([0.1, 0.2])
         with pytest.raises(ValueError):
-            Curvature(0.0)
+            project_to_ball(x, 0.0)
         with pytest.raises(ValueError):
-            Curvature(1.0)
+            project_to_ball(x, 1.0)
         with pytest.raises(ValueError):
-            Curvature(float("nan"))
-
-    def test_radius(self):
-        assert Curvature(-4.0).radius == pytest.approx(0.5)
+            project_to_ball(x, float("nan"))
 
     def test_kernel_constants_stay_finite(self):
         # the kernels form 2 kappa^2, which overflows past |kappa| = 9.48e153
@@ -59,7 +56,7 @@ class TestCurvature:
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, dlog(x, y, w, K1), rtol=1e-9)
         with pytest.raises(ValueError, match="9.48e153"):
-            Curvature(-1e154)
+            project_to_ball(x, -1e154)
         with pytest.raises(ValueError, match="9.48e153"):
             dlog(x, y, w, -1e154)
 
@@ -315,6 +312,18 @@ class TestGyromidpoint:
         pts = np.array([[0.1, 0.0], [0.2, 0.0]])
         with pytest.raises(ValueError):
             gyromidpoint(pts, np.array([0.0, 0.0]), K1)
+        with pytest.raises(ValueError):  # a subnormal sum of |eta|
+            gyromidpoint(pts, np.array([5e-324, 0.0]), K1)
+
+    def test_weight_scale_free(self):
+        # the denominator is at least sum |eta|, so any normal sum is well-posed
+        rng = np.random.default_rng(22)
+        pts = 0.3 * rng.standard_normal((3, 4, 2))
+        w = np.array([1.0, 0.6, 0.1])
+        for scale in (1e-20, 1e-300):
+            np.testing.assert_allclose(
+                gyromidpoint(pts, scale * w, K1), gyromidpoint(pts, w, K1), atol=1e-15
+            )
 
     def test_nodewise_batch(self):
         rng = np.random.default_rng(21)
@@ -443,7 +452,7 @@ class TestRawKernels:
     @given(point_sets())
     def test_match_public_functions(self, case):
         k, (x, y, v) = case
-        kappa = Curvature(k)
+        kappa = k
         pts = np.concatenate([x, y])  # gathers from one point set
         sq = ball._sqnorm(pts)
         i = np.arange(len(x))

@@ -95,6 +95,28 @@ class TestDiffuse:
         assert run("diffuse", "--kappa=-1.4e154", "--out", str(tmp_path)) == 1
         assert "9.48e153" in capsys.readouterr().err
 
+    def test_zero_curvature_exits_1_before_the_run(self, tmp_path, monkeypatch, capsys):
+        from hypdiff import diffusivity as dv
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("ORC LPs solved for an invalid curvature")
+
+        monkeypatch.setattr(dv, "orc_curvatures", no_lp)
+        out = tmp_path / "run"
+        assert run("diffuse", "--kappa", "0", "--scheme", "local", "--out", str(out)) == 1
+        assert "curvature must be a negative real" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tiny_residual_weights_match_unit_weights(self, tmp_path):
+        # the gyromidpoint blend does not depend on the scale of eta
+        runs = {}
+        for eta in ("1", "1e-20"):
+            out = tmp_path / eta
+            flags = [f"--eta{i}={eta}" for i in (1, 2, 3)]
+            assert run("diffuse", "--out", str(out), "--tau", "0.25", "--T", "2", *flags) == 0
+            runs[eta] = np.loadtxt(out / "embeddings.csv", delimiter=",")
+        np.testing.assert_allclose(runs["1e-20"], runs["1"], rtol=0, atol=1e-15)
+
     def test_bad_method_exits_1(self):
         assert run("diffuse", "--method", "rk45") == 1
 

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hypdiff import ball, blocks, diffusion, diffusivity as dv, solvers
-from hypdiff.ball import Curvature
 from hypdiff.cli import bundled_graph_path
 from hypdiff.diffusion import (
     EmbeddingState,
@@ -38,8 +37,8 @@ from _oracles import (
     row_source, scatter_add,
 )
 
-K1 = Curvature(-1.0)
-KSMALL = Curvature(-1e-6)
+K1 = -1.0
+KSMALL = -1e-6
 
 
 def two_point_state(kappa=K1):
@@ -48,12 +47,12 @@ def two_point_state(kappa=K1):
 
 class TestEmbeddingState:
     def test_projects_rows(self):
-        st = EmbeddingState(points=np.array([[5.0, 0.0]]), curvature=K1)
+        st = EmbeddingState(points=np.array([[5.0, 0.0]]), kappa=K1)
         assert np.linalg.norm(st.points[0]) < 1.0
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
-            EmbeddingState(points=np.zeros(3), curvature=K1)
+            EmbeddingState(points=np.zeros(3), kappa=K1)
 
 
 class TestResidualSpec:
@@ -65,6 +64,8 @@ class TestResidualSpec:
             ResidualSpec(eta=(1.0, 2.0))
         with pytest.raises(ValueError):
             ResidualSpec(eta=(0.0, 0.0, 0.0))
+        with pytest.raises(ValueError):  # a subnormal sum of |eta|
+            ResidualSpec(eta=(5e-324, 0.0, 0.0))
 
 
 class TestDiffusionFlow:
@@ -778,7 +779,7 @@ class TestScratchBuffers:
         edge = diffusion_flow(pts, dmat, K1, pool=pool)
         dense = diffusion_flow(pts, no_edges, K1, global_part=row_source(glob), pool=pool)
         flow = build_flow(g, DiffusivityConfig(), cls.DIM, K1, pool=pool)
-        step = _hrk4_step(pts, 0.0, 0.5, flow, K1.kappa, pool=pool)
+        step = _hrk4_step(pts, 0.0, 0.5, flow, K1, pool=pool)
         return edge, dense, step
 
     # 1-row dense blocks and 12-edge edge blocks with short last ones; then

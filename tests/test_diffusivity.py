@@ -85,8 +85,6 @@ class TestConfig:
             DiffusivityConfig(heads=0)
         with pytest.raises(ValueError):
             DiffusivityConfig(alpha=-0.2)
-        with pytest.raises(ValueError):
-            DiffusivityConfig(channel_mode="rows")
 
 
 class TestIsotropic:
@@ -432,7 +430,7 @@ class TestLocalDiffusivity:
         # cycle graph: all edges share one curvature value by symmetry
         orc = orc_curvatures(CYCLE4, alpha=0.5)
         params = AttentionParams.init(4, 1, seed=0)
-        w = weight_lookup(local_diffusivity(CYCLE4, orc, params, "per_channel"))
+        w = weight_lookup(local_diffusivity(CYCLE4, orc, params))
         for val in w.values():
             np.testing.assert_allclose(val, 0.5, atol=1e-12)
 
@@ -444,7 +442,7 @@ class TestLocalDiffusivity:
             mlp_w1=np.zeros(3), mlp_b1=np.zeros(3),
             mlp_w2=np.zeros((3, 3)), mlp_b2=np.zeros(3),
         )
-        dmat = local_diffusivity(STAR5, orc, zero, "per_channel")
+        dmat = local_diffusivity(STAR5, orc, zero)
         w = weight_lookup(dmat)
         np.testing.assert_allclose(w[(0, 1)], 0.25, atol=1e-15)
         np.testing.assert_allclose(w[(1, 0)], 1.0, atol=1e-15)
@@ -453,7 +451,7 @@ class TestLocalDiffusivity:
         dim = 5
         orc = orc_curvatures(PATH3, alpha=0.5)
         params = AttentionParams.init(dim, 1, seed=11)
-        dmat = local_diffusivity(PATH3, orc, params, "per_channel")
+        dmat = local_diffusivity(PATH3, orc, params)
         w = weight_lookup(dmat)
         kmap = dict(zip(map(tuple, orc.edges.tolist()), orc.curvature))
 
@@ -473,7 +471,7 @@ class TestLocalDiffusivity:
         g = erdos_renyi(15, 0.3, seed=9)
         orc = orc_curvatures(g, alpha=0.5)
         params = AttentionParams.init(6, 1, seed=2)
-        dmat = local_diffusivity(g, orc, params, "per_channel")
+        dmat = local_diffusivity(g, orc, params)
         src = dmat.edge_index[0]
         for i in range(g.n):
             cols = np.nonzero(src == i)[0]
@@ -482,28 +480,16 @@ class TestLocalDiffusivity:
                     dmat.edge_weights[cols].sum(axis=0), 1.0, atol=1e-12
                 )
 
-    def test_scalar_mode_rows_sum_to_one(self):
-        g = erdos_renyi(15, 0.3, seed=9)
-        orc = orc_curvatures(g, alpha=0.5)
-        params = AttentionParams.init(6, 1, seed=2)
-        dmat = local_diffusivity(g, orc, params, "scalar")
-        assert dmat.edge_weights.ndim == 1
-        src = dmat.edge_index[0]
-        for i in range(g.n):
-            cols = np.nonzero(src == i)[0]
-            if cols.size:
-                assert dmat.edge_weights[cols].sum() == pytest.approx(1.0, abs=1e-12)
-
     def test_isolated_node_has_no_rows(self):
         g = Graph.from_edges([(0, 1)], n=3)
         orc = orc_curvatures(g, alpha=0.5)
         params = AttentionParams.init(2, 1, seed=0)
-        dmat = local_diffusivity(g, orc, params, "per_channel")
+        dmat = local_diffusivity(g, orc, params)
         assert 2 not in set(dmat.edge_index[0].tolist())
 
-    @pytest.mark.parametrize("channel_mode", ["scalar", "per_channel"])
-    @pytest.mark.parametrize("dim", [1, 4, 16])
-    def test_bitwise_equal_to_per_edge_reference(self, channel_mode, dim):
+    # the ids name the weights: one vector per edge, softmaxed per channel
+    @pytest.mark.parametrize("dim", [1, 4, 16], ids=lambda dim: f"{dim}-per_channel")
+    def test_bitwise_equal_to_per_edge_reference(self, dim):
         # a hub of degree 20, where a pairwise and a sequential sum of its
         # softmax terms part, random edges and the isolated nodes 27..29;
         # then the karate club
@@ -517,8 +503,8 @@ class TestLocalDiffusivity:
             m = len(g.edges)
             orc = OrcResult(edges=g.edges, curvature=rng.uniform(-1.5, 1.0, m),
                             wasserstein=np.zeros(m), dual_gap=np.zeros(m))
-            dmat = local_diffusivity(g, orc, params, channel_mode)
-            ei, want = local_diffusivity_reference(g, orc, params, channel_mode)
+            dmat = local_diffusivity(g, orc, params)
+            ei, want = local_diffusivity_reference(g, orc, params)
             assert dmat.edge_index.tobytes() == ei.tobytes()
             assert_bitwise(dmat.edge_weights, want)
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hypdiff import graphio
 from hypdiff.graphio import (
@@ -20,7 +21,7 @@ from hypdiff.graphio import (
 from hypdiff.diffusivity import OrcResult
 from hypdiff.graphs import Graph
 
-from _oracles import canonical_edges, load_edge_list_reference
+from _oracles import canonical_edges, knn_edges_reference, load_edge_list_reference
 
 
 class TestEdgeList:
@@ -331,6 +332,19 @@ class TestKnn:
             for u, v in g_p.edges
         }
         assert mapped == set(g.edges)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_matches_per_row_reference_on_ties(self, data):
+        # small integer coordinates make many equal distances, so the
+        # index tie-break decides most of the neighbour lists
+        n = data.draw(st.integers(2, 12))
+        dim = data.draw(st.integers(1, 3))
+        x = data.draw(hnp.arrays(np.float64, (n, dim), elements=st.integers(-2, 2)))
+        k = data.draw(st.integers(1, n - 1))
+        metric = data.draw(st.sampled_from(graphio.KNN_METRICS))
+        want = canonical_edges(n, knn_edges_reference(x, k, metric))
+        assert knn_graph(x, k, metric).edges == want
 
 
 class TestGraphArrays:
