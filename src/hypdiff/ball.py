@@ -346,10 +346,14 @@ def _parallel_transport(x, y, v, k, out=None, work=None):
 
 
 def _gyromidpoint(pts, weights, k):
-    eta = weights.reshape((pts.shape[0],) + (1,) * (pts.ndim - 1))
+    # eta times the power of two 2**-e that brings max |eta| into [0.5, 1):
+    # an exact scaling, so no sum overflows and the quotient keeps its bits;
+    # the denominator is checked on the scale of the given weights
+    e = int(np.frexp(np.max(np.abs(weights), initial=0.0))[1])
+    eta = np.ldexp(weights, -e).reshape((pts.shape[0],) + (1,) * (pts.ndim - 1))
     lam = _lambda(_sqnorm(pts), k)
     den = np.sum(np.abs(eta) * (lam - 1.0), axis=0)
-    if np.any(den < _TINY):
+    if np.any(den < np.ldexp(_TINY, -e)):
         raise ValueError("ill-posed gyromidpoint weights: denominator vanishes")
     inner = np.sum(eta * lam * pts, axis=0) / den
     return _mobius_scalar(0.5, inner, k)
@@ -467,10 +471,12 @@ def gyromidpoint(points: np.ndarray, weights: np.ndarray, kappa) -> np.ndarray:
     """Weighted Mobius gyromidpoint of points (J, ..., d) with weights (J,).
 
     (1/2) (x) ( sum_j eta_j lambda_j z_j / sum_j |eta_j| (lambda_j - 1) ).
-    Recovers the weighted arithmetic mean as kappa -> 0.  For kappa < 0 every
-    lambda_j - 1 >= 1, so the denominator is at least sum_j |eta_j|, and
-    ``ValueError`` is raised only when it falls below the smallest normal
-    float, as it does for all-zero weights.
+    Recovers the weighted arithmetic mean as kappa -> 0.  The result depends
+    on the ratios of the weights only: they are scaled by a power of two, which
+    changes no bit of it, so weights whose sum overflows are well-posed.  For
+    kappa < 0 every lambda_j - 1 >= 1, so the denominator is at least
+    sum_j |eta_j|, and ``ValueError`` is raised only when it falls below the
+    smallest normal float, as it does for all-zero weights.
     """
     k = _kappa_value(kappa)
     pts, eta = _finite(points, weights)

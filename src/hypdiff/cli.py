@@ -23,30 +23,33 @@ from . import diffusion, diffusivity as dv, graphio, solvers
 DEFAULT_TAUS = "0.2,0.1,0.05,0.025"
 DEFAULT_DIM = 16
 
-# key -> (converter, default); None defaults mean "not set"
+# key -> (converter, default, help); None defaults mean "not set".  Each key
+# is also the flag --key, with "_" written "-".
 CONFIG_SCHEMA = {
-    "graph": (str, None),
-    "features": (str, None),
-    "kappa": (float, -1.0),
-    "dim": (int, None),  # DEFAULT_DIM, or the column count of --features
-    "scheme": (str, "isotropic"),
-    "beta": (float, 0.5),
-    "heads": (int, 1),
-    "alpha": (float, 0.5),
-    "sigma": (str, "identity"),
-    "method": (str, "heuler"),
-    "tau": (float, 1.0),
-    "T": (float, 8.0),
-    "s_min": (int, 2),
-    "s_max": (int, 4),
-    "eta1": (float, None),
-    "eta2": (float, None),
-    "eta3": (float, None),
-    "seed": (int, 0),
-    "out": (str, "out"),
+    "graph": (str, None, "edge list path (diffuse: the bundled karate club if unset)"),
+    "features": (str, None, "node features CSV (diffuse: seeded Gaussian if unset)"),
+    "kappa": (float, -1.0, "curvature of the ball, negative"),
+    "dim": (int, None, f"embedding dimension (default {DEFAULT_DIM}, or the feature columns)"),
+    "scheme": (str, "isotropic", "diffusivity scheme"),
+    "beta": (float, 0.5, "weight of the global attention in the global schemes"),
+    "heads": (int, 1, "attention heads of the global part"),
+    "alpha": (float, 0.5, "laziness of the random-walk measures of the curvature"),
+    "sigma": (str, "identity", "activation of the tangent aggregate"),
+    "method": (str, "heuler", "projective solver"),
+    "tau": (float, 1.0, "step size"),
+    "T": (float, 8.0, "final time"),
+    "s_min": (int, 2, "ham: hrk4 warm-up steps"),
+    "s_max": (int, 4, "ham: highest Adams order"),
+    "eta1": (float, None, "residual weight for the dynamic state"),
+    "eta2": (float, None, "residual weight for the current state"),
+    "eta3": (float, None, "residual weight for the initial state"),
+    "seed": (int, 0, "random seed"),
+    "out": (str, "out", "output directory"),
 }
+_CHOICES = {"scheme": dv.SCHEMES, "sigma": diffusion.SIGMAS, "method": solvers.METHODS}
 
-class ConfigError(Exception):
+
+class ConfigError(ValueError):
     pass
 
 
@@ -77,7 +80,7 @@ def _read_config_file(path: str) -> dict:
         key, raw = key.strip(), raw.strip()
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        conv, _ = CONFIG_SCHEMA[key]
+        conv = CONFIG_SCHEMA[key][0]
         try:
             values[key] = conv(raw)
         except ValueError as exc:
@@ -86,7 +89,7 @@ def _read_config_file(path: str) -> dict:
 
 
 def _effective_config(args) -> dict:
-    cfg = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
+    cfg = {key: default for key, (_, default, _) in CONFIG_SCHEMA.items()}
     if getattr(args, "config", None):
         cfg.update(_read_config_file(args.config))
     for key in CONFIG_SCHEMA:
@@ -247,11 +250,18 @@ def cmd_knn(args) -> int:
     return 0
 
 
-def _add_shared(p: argparse.ArgumentParser):
+_SHARED = ("out", "seed", "kappa")
+
+
+def _add_flags(p: argparse.ArgumentParser, keys, required=()):
+    """--config and the flags of the CONFIG_SCHEMA keys."""
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out", help="output directory (default 'out')")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--kappa", type=float)
+    for key in keys:
+        conv, default, text = CONFIG_SCHEMA[key]
+        if default is not None:
+            text += f" (default {default})"
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=conv, help=text,
+                       choices=_CHOICES.get(key), required=key in required)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,40 +269,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("diffuse", help="run graph diffusion, write embeddings + energy")
-    _add_shared(p)
-    p.add_argument("--graph", help="edge list path (default: bundled karate club)")
-    p.add_argument("--features", help="initial features CSV (else seeded Gaussian)")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--scheme", choices=dv.SCHEMES)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--sigma", choices=diffusion.SIGMAS)
-    p.add_argument("--method", choices=solvers.METHODS)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--s-min", dest="s_min", type=int)
-    p.add_argument("--s-max", dest="s_max", type=int)
-    p.add_argument("--eta1", type=float, help="residual weight for the dynamic state")
-    p.add_argument("--eta2", type=float, help="residual weight for the current state")
-    p.add_argument("--eta3", type=float, help="residual weight for the initial state")
+    _add_flags(p, CONFIG_SCHEMA)
     p.set_defaults(func=cmd_diffuse)
 
     p = sub.add_parser("convergence", help="fit solver convergence orders")
-    _add_shared(p)
+    _add_flags(p, _SHARED)
     p.add_argument("--methods", default=",".join(solvers.METHODS))
     p.add_argument("--taus", default=DEFAULT_TAUS)
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("orc", help="export per-edge Ollivier-Ricci curvature")
-    _add_shared(p)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--alpha", type=float)
+    _add_flags(p, _SHARED + ("graph", "alpha"), required=("graph",))
     p.set_defaults(func=cmd_orc)
 
     p = sub.add_parser("knn", help="build a kNN graph from features")
-    _add_shared(p)
-    p.add_argument("--features", required=True)
+    _add_flags(p, _SHARED + ("features",), required=("features",))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--metric", choices=graphio.KNN_METRICS, default="euclidean")
     p.set_defaults(func=cmd_knn)
@@ -304,10 +295,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -68,8 +68,11 @@ class ResidualSpec:
         if not np.all(np.isfinite(self.eta)):
             raise ValueError("residual weights must be finite")
         # the blend does not depend on the scale of eta, but the
-        # gyromidpoint's denominator, at least sum |eta|, must stay normal
-        if np.sum(np.abs(self.eta)) < ball._TINY:
+        # gyromidpoint's denominator, at least sum |eta|, must stay normal;
+        # a sum that overflows is well-posed
+        with np.errstate(over="ignore"):
+            total = np.sum(np.abs(self.eta))
+        if total < ball._TINY:
             raise ValueError("residual weights must not all vanish (sum of |eta| below 2.2e-308)")
 
 
@@ -102,7 +105,7 @@ def diffusion_flow(
     fixed, so results are bitwise reproducible and do not depend on the pool.
     """
     n, dim = points.shape
-    if dmat.n != n:
+    if dmat.graph.n != n:
         raise ValueError("diffusivity matrix size does not match state")
     pool = BlockPool() if pool is None else pool
     k = ball._kappa_value(kappa)
@@ -127,8 +130,8 @@ def diffusion_flow(
 
 def _gather(a: np.ndarray, index: np.ndarray, work: Scratch) -> np.ndarray:
     """The rows index of a, in an array of work.  The indices are in range
-    (DiffusivityMatrix and Graph check them); under the default
-    mode="raise" np.take would first copy its `out`."""
+    (Graph checks them); under the default mode="raise" np.take would first
+    copy its `out`."""
     return np.take(a, index, axis=0, out=work.take((index.size,) + a.shape[1:]), mode="clip")
 
 
@@ -144,8 +147,8 @@ def _edge_aggregate(
     """
     dim = points.shape[1]
     out = np.zeros_like(points)
-    src_all, dst_all = dmat.edge_index
-    weights, offsets = dmat.edge_weights, dmat.offsets
+    src_all, dst_all = dmat.graph.directed_edges
+    weights, offsets = dmat.edge_weights, dmat.graph.offsets
     channels = np.arange(dim, dtype=np.int64)
 
     def block(nodes: Tuple[int, int], work: Scratch):

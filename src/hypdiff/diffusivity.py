@@ -84,42 +84,28 @@ class AttentionParams:
 
 @dataclass
 class DiffusivityMatrix:
-    """Sparse per-edge weights.
+    """Sparse per-edge weights on a graph.
 
-    edge_index: (2, M) directed pairs (both orientations of each edge),
-    stored stably sorted by source (a sorted one, such as
-    Graph.directed_edges, is kept without a copy); edge_weights: (M,) scalar
-    or (M, d) per-channel, all nonnegative, in the same order.  offsets:
-    (n + 1,) int64, as in Graph: node i's edges are offsets[i]..offsets[i+1]-1.
+    edge_weights: (M,) scalar or (M, d) per-channel, all nonnegative, one row
+    per column of graph.directed_edges, so node i's weights are the rows
+    graph.offsets[i]..graph.offsets[i+1]-1.
     """
 
-    n: int
-    edge_index: np.ndarray
+    graph: Graph = field(repr=False)
     edge_weights: np.ndarray
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.edge_index = np.asarray(self.edge_index, dtype=np.int64).reshape(2, -1)
         self.edge_weights = np.asarray(self.edge_weights, dtype=np.float64)
-        if self.edge_weights.shape[0] != self.edge_index.shape[1]:
-            raise ValueError("edge weight count does not match edge index")
-        if self.edge_index.size and not (
-            0 <= self.edge_index.min() and self.edge_index.max() < self.n
-        ):
-            raise ValueError("edge index out of range")
+        if self.edge_weights.shape[0] != self.graph.directed_edges.shape[1]:
+            raise ValueError("edge weight count does not match the graph's directed edges")
         if not np.all(self.edge_weights >= 0):
             raise ValueError("diffusivity weights must be nonnegative")
-        src = self.edge_index[0]
-        self.offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=self.n))])
-        if np.any(src[1:] < src[:-1]):
-            order = np.argsort(src, kind="stable")
-            self.edge_index, self.edge_weights = self.edge_index[:, order], self.edge_weights[order]
 
     def node_ranges(self, dim: int, max_floats: int) -> List[Tuple[int, int]]:
-        """The nodes cut into ranges lo..hi-1 whose edges
-        offsets[lo]..offsets[hi]-1 number at most max_floats // dim; a node
-        with more edges gets a range of its own.  Nodes without edges lie in
-        no range.
+        """The nodes cut into ranges lo..hi-1 whose edges, the columns
+        graph.offsets[lo]..graph.offsets[hi]-1 of graph.directed_edges,
+        number at most max_floats // dim; a node with more edges gets a range
+        of its own.  Nodes without edges lie in no range.
 
         Every node's edges lie in one range, in edge order, so a bincount of
         a range's (edges, dim) rows into the bins (src - lo) * dim + c adds
@@ -128,11 +114,12 @@ class DiffusivityMatrix:
         one sequential scatter-add, into disjoint rows.
         """
         max_edges = max(1, max_floats // dim)
+        offsets = self.graph.offsets
         ranges, lo = [], 0
-        while lo < self.n:
-            first = int(self.offsets[lo])
-            hi = max(lo + 1, int(np.searchsorted(self.offsets, first + max_edges, "right")) - 1)
-            if self.offsets[hi] > first:
+        while lo < self.graph.n:
+            first = int(offsets[lo])
+            hi = max(lo + 1, int(np.searchsorted(offsets, first + max_edges, "right")) - 1)
+            if offsets[hi] > first:
                 ranges.append((lo, hi))
             lo = hi
         return ranges
@@ -159,7 +146,7 @@ def isotropic_weights(g: Graph) -> DiffusivityMatrix:
     ei = g.directed_edges
     assert np.all(deg[ei] > 0), "edge endpoint with zero degree"
     w = 1.0 / np.sqrt(deg[ei[0]] * deg[ei[1]])
-    return DiffusivityMatrix(n=g.n, edge_index=ei, edge_weights=w)
+    return DiffusivityMatrix(g, w)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +390,7 @@ def local_diffusivity(g: Graph, orc: OrcResult, params: AttentionParams) -> Diff
         s = raw[a:b]
         s = np.exp(s - s.max(axis=0, keepdims=True))
         weights[a:b] = s / s.sum(axis=0, keepdims=True)
-    return DiffusivityMatrix(n=g.n, edge_index=g.directed_edges, edge_weights=weights)
+    return DiffusivityMatrix(g, weights)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

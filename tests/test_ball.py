@@ -325,6 +325,25 @@ class TestGyromidpoint:
                 gyromidpoint(pts, scale * w, K1), gyromidpoint(pts, w, K1), atol=1e-15
             )
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        eta=hnp.arrays(np.float64, 3, elements=st.one_of(
+            st.just(0.0), st.floats(1e-30, 1e30), st.floats(-1e30, -1e-30))),
+        kappa=st.floats(-100.0, -1e-3),
+        data=st.data(),
+    )
+    def test_power_of_two_scaling_keeps_the_bits(self, eta, kappa, data):
+        """eta * 2**j blends to the same bits as eta for every j that keeps
+        the nonzero weights normal, also where sums of the scaled weights
+        overflow."""
+        if not eta.any():
+            eta[0] = 1.0
+        exps = np.frexp(eta[eta != 0.0])[1]  # |x| is normal for exponents -1021..1024
+        j = data.draw(st.integers(-1021 - int(exps.min()), 1024 - int(exps.max())))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pts = random_points(rng, 3 * 4, 2, kappa, max_frac=0.99).reshape(3, 4, 2)
+        assert_bitwise(gyromidpoint(pts, np.ldexp(eta, j), kappa), gyromidpoint(pts, eta, kappa))
+
     def test_nodewise_batch(self):
         rng = np.random.default_rng(21)
         stack = 0.3 * rng.standard_normal((3, 5, 2))

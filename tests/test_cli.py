@@ -117,6 +117,17 @@ class TestDiffuse:
             runs[eta] = np.loadtxt(out / "embeddings.csv", delimiter=",")
         np.testing.assert_allclose(runs["1e-20"], runs["1"], rtol=0, atol=1e-15)
 
+    def test_overflowing_residual_weights_match_unit_weights(self, tmp_path, capsys):
+        # sum |eta| overflows, but the blend scales the weights exactly first
+        runs = {}
+        for eta in ("1", "1e308"):
+            out = tmp_path / eta
+            flags = [f"--eta{i}={eta}" for i in (1, 2, 3)]
+            assert run("diffuse", "--out", str(out), "--tau", "0.25", "--T", "2", *flags) == 0
+            assert capsys.readouterr().err == ""
+            runs[eta] = np.loadtxt(out / "embeddings.csv", delimiter=",")
+        np.testing.assert_allclose(runs["1e308"], runs["1"], rtol=0, atol=1e-15)
+
     def test_bad_method_exits_1(self):
         assert run("diffuse", "--method", "rk45") == 1
 

@@ -41,6 +41,9 @@ K1 = -1.0
 KSMALL = -1e-6
 
 
+PAIR = Graph.from_edges([(0, 1)])  # directed edges (0, 1), (1, 0)
+
+
 def two_point_state(kappa=K1):
     return np.array([[0.2, 0.1], [-0.3, 0.25]])
 
@@ -67,20 +70,20 @@ class TestResidualSpec:
         with pytest.raises(ValueError):  # a subnormal sum of |eta|
             ResidualSpec(eta=(5e-324, 0.0, 0.0))
 
+    def test_overflowing_sum_accepted_silently(self):
+        with np.errstate(all="raise"):
+            assert ResidualSpec(eta=(1e308, 1e308, -1e308)).eta == (1e308, 1e308, -1e308)
+
 
 class TestDiffusionFlow:
     def test_zero_weights_identity(self):
         pts = two_point_state()
-        dmat = DiffusivityMatrix(
-            n=2, edge_index=[[0, 1], [1, 0]], edge_weights=[0.0, 0.0]
-        )
+        dmat = DiffusivityMatrix(PAIR, [0.0, 0.0])
         np.testing.assert_allclose(diffusion_flow(pts, dmat, K1), pts, atol=1e-15)
 
     def test_unit_weight_single_neighbor_swaps(self):
         pts = two_point_state()
-        dmat = DiffusivityMatrix(
-            n=2, edge_index=[[0, 1], [1, 0]], edge_weights=[1.0, 1.0]
-        )
+        dmat = DiffusivityMatrix(PAIR, [1.0, 1.0])
         out = diffusion_flow(pts, dmat, K1)
         np.testing.assert_allclose(out[0], pts[1], atol=1e-12)
         np.testing.assert_allclose(out[1], pts[0], atol=1e-12)
@@ -100,43 +103,48 @@ class TestDiffusionFlow:
 
     def test_tanh_activation(self):
         pts = two_point_state()
-        dmat = DiffusivityMatrix(
-            n=2, edge_index=[[0, 1], [1, 0]], edge_weights=[1.0, 1.0]
-        )
+        dmat = DiffusivityMatrix(PAIR, [1.0, 1.0])
         out = diffusion_flow(pts, dmat, K1, sigma="tanh")
         want = ball.exp_map(pts, np.tanh(ball.log_map(pts, pts[::-1], K1)), K1)
         np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_unknown_sigma(self):
         pts = two_point_state()
-        dmat = DiffusivityMatrix(n=2, edge_index=[[0], [1]], edge_weights=[1.0])
+        dmat = DiffusivityMatrix(PAIR, [1.0, 1.0])
         with pytest.raises(ValueError):
             diffusion_flow(pts, dmat, K1, sigma="relu")
 
     def test_nonfinite_aggregate_names_node(self):
         pts = two_point_state()
-        dmat = DiffusivityMatrix(
-            n=2, edge_index=[[0, 1], [1, 0]], edge_weights=[np.inf, 1.0]
-        )
+        dmat = DiffusivityMatrix(PAIR, [np.inf, 1.0])
         with pytest.raises(FloatingPointError, match="node 0"):
             diffusion_flow(pts, dmat, K1)
 
 
+def graph_without_loops(n, src, dst):
+    """The graph on n nodes of the edges (src, dst) that are no self-loops."""
+    src, dst = np.asarray(src), np.asarray(dst)
+    keep = src != dst
+    return Graph(n, np.stack([src[keep], dst[keep]], axis=1))
+
+
 @st.composite
 def flow_cases(draw):
-    """A state of n points, a directed edge list that may leave nodes
-    isolated, nonnegative scalar or per-channel weights, and maybe a dense
-    nonnegative global part."""
+    """A state of n points, a graph whose edges may leave nodes isolated,
+    nonnegative scalar or per-channel weights on its directed edges, and
+    maybe a dense nonnegative global part."""
     n = draw(st.integers(1, 9))
     dim = draw(st.integers(1, 4))
     m = draw(st.integers(0, 30))
     pairs = draw(hnp.arrays(np.int64, (2, m), elements=st.integers(0, n - 1)))
+    g = graph_without_loops(n, *pairs)
     coords = draw(hnp.arrays(np.float64, (n, dim), elements=st.floats(-0.6, 0.6)))
-    wshape = draw(st.sampled_from([(m,), (m, dim)]))
+    edges = g.directed_edges.shape[1]
+    wshape = draw(st.sampled_from([(edges,), (edges, dim)]))
     weights = draw(hnp.arrays(np.float64, wshape, elements=st.floats(0.0, 2.0)))
     dense = draw(st.booleans())
     glob = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0))) if dense else None
-    return coords / np.sqrt(dim), pairs, weights, glob
+    return coords / np.sqrt(dim), g, weights, glob
 
 
 class TestAggregation:
@@ -146,9 +154,9 @@ class TestAggregation:
     @settings(deadline=None, max_examples=200)
     @given(flow_cases(), st.integers(1, 40))
     def test_flow_matches_reference(self, case, block_floats):
-        pts, pairs, weights, glob = case
-        dmat = DiffusivityMatrix(n=len(pts), edge_index=pairs, edge_weights=weights)
-        want = flow_reference(pts, pairs[0], pairs[1], weights, glob, K1)
+        pts, g, weights, glob = case
+        dmat = DiffusivityMatrix(g, weights)
+        want = flow_reference(pts, *g.directed_edges, weights, glob, K1)
         rows = row_source(glob)
         assert_bitwise(diffusion_flow(pts, dmat, K1, global_part=rows), want)
         with mock.patch.object(blocks, "_DENSE_BLOCK_FLOATS", block_floats):
@@ -175,51 +183,53 @@ class TestAggregation:
         data=st.data(),
     )
     def test_source_sums_equal_add_at(self, n, pairs, dim, block_floats, data):
-        """Blocks of whole source nodes, in any source order, with zero
-        weights that turn negative log maps into -0.0 rows."""
-        src, dst = pairs % n
+        """Blocks of whole source nodes, with zero weights that turn negative
+        log maps into -0.0 rows."""
+        g = graph_without_loops(n, *(pairs % n))
+        src, dst = g.directed_edges
         pts = data.draw(hnp.arrays(np.float64, (n, dim), elements=st.floats(-0.5, 0.5)))
         pts = pts / np.sqrt(dim)  # inside the ball, where log_map does not project
         wshape = data.draw(st.sampled_from([(src.size,), (src.size, dim)]))
         weights = data.draw(hnp.arrays(np.float64, wshape, elements=st.one_of(
             st.floats(0.0, 1e3), st.just(0.0))))
-        dmat = DiffusivityMatrix(n=n, edge_index=[src, dst], edge_weights=weights)
+        dmat = DiffusivityMatrix(g, weights)
         want = scatter_add(n, src, self.weighted_log_rows(pts, src, dst, weights))
         assert_bitwise(self.edge_sums(pts, dmat, block_floats), want)
 
     def test_negative_zero_rows_sum_to_positive_zero(self):
         pts = np.array([[0.3, 0.2], [0.1, -0.4], [-0.2, 0.1]])
-        src, dst = np.array([0, 0, 2]), np.array([1, 2, 0])
-        weights = np.zeros(3)
+        g = Graph.from_edges([(0, 1), (0, 2)])
+        src, dst = g.directed_edges
+        weights = np.zeros(src.size)
         rows = self.weighted_log_rows(pts, src, dst, weights)
         assert np.signbit(rows).any()
-        dmat = DiffusivityMatrix(n=3, edge_index=[src, dst], edge_weights=weights)
+        dmat = DiffusivityMatrix(g, weights)
         for block_floats in (2, 1 << 16):
             out = self.edge_sums(pts, dmat, block_floats)
             assert_bitwise(out, scatter_add(3, src, rows))
             assert not np.signbit(out).any()
 
     def test_hub_spanning_several_blocks(self):
-        """A hub with more edges than a block holds keeps them in one range;
-        isolated nodes and a reversed edge order are summed as np.add.at does."""
+        """Nodes with more edges than a block holds (the hub 0 and node 5)
+        keep them in one range; isolated nodes are summed as np.add.at does."""
         n, dim = 12, 3
         hub = [(0, j) for j in range(1, 9)] + [(5, 6), (6, 5), (9, 5)]
-        src, dst = np.array(hub[::-1]).T  # sources in descending order
+        g = Graph.from_edges(hub, n=n)  # nodes 10 and 11 are isolated
+        src, dst = g.directed_edges
         rng = np.random.default_rng(4)
         pts = 0.8 * initial_state(n, dim, K1, seed=4, scale=0.6).points
         for weights in (rng.uniform(0, 2, src.size), rng.uniform(0, 2, (src.size, dim))):
-            dmat = DiffusivityMatrix(n=n, edge_index=[src, dst], edge_weights=weights)
+            dmat = DiffusivityMatrix(g, weights)
             want = scatter_add(n, src, self.weighted_log_rows(pts, src, dst, weights))
             ranges = dmat.node_ranges(dim, 2 * dim)
-            assert ranges == [(0, 1), (1, 9), (9, 12)]
-            assert [dmat.offsets[hi] - dmat.offsets[lo] for lo, hi in ranges] == [8, 2, 1]
+            assert ranges == [(0, 1), (1, 3), (3, 5), (5, 6), (6, 7), (7, 9), (9, 12)]
+            assert [g.offsets[hi] - g.offsets[lo] for lo, hi in ranges] == [8, 2, 2, 3, 2, 2, 1]
             assert_bitwise(self.edge_sums(pts, dmat, 2 * dim), want)
 
     def test_blocks_cut_at_source_boundaries(self):
         g = erdos_renyi(40, 0.2, seed=9)
         dmat = isotropic_weights(g)
-        src, offsets = dmat.edge_index[0], dmat.offsets
-        assert_bitwise(offsets, g.offsets)
+        src, offsets = g.directed_edges[0], g.offsets
         for dim, block_floats in [(1, 1), (3, 17), (16, 256), (16, 1 << 16)]:
             ranges = dmat.node_ranges(dim, block_floats)
             # the ranges' edges cover all edges, in order
@@ -234,8 +244,7 @@ class TestAggregation:
             assert all(p[1] <= q[0] for p, q in zip(ranges, ranges[1:]))
 
     def test_no_edges_no_blocks(self):
-        dmat = DiffusivityMatrix(n=4, edge_index=np.zeros((2, 0)), edge_weights=[])
-        assert dmat.offsets.tolist() == [0] * 5
+        dmat = DiffusivityMatrix(Graph.from_edges([], n=4), [])
         assert dmat.node_ranges(2, 64) == []
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 5, 7, 16])
@@ -285,7 +294,7 @@ class TestFusedAttention:
         nan_block_pool(2, block_floats)
         for heads in (1, 2):
             pts, dmat, att = self.case(heads)
-            src, dst = dmat.edge_index
+            src, dst = dmat.graph.directed_edges
             want = flow_reference(pts, src, dst, dmat.edge_weights, att.rows(0, self.N), K1)
             assert_bitwise(diffusion_flow(pts, dmat, K1, global_part=att.rows), want)
             with blocks.BlockPool() as pool:
@@ -356,8 +365,7 @@ class TestBlockPool:
         dmat = isotropic_weights(g)
         if channels:
             rng = np.random.default_rng(seed)
-            dmat = DiffusivityMatrix(n=g.n, edge_index=dmat.edge_index,
-                                     edge_weights=rng.uniform(0, 1, (dmat.edge_weights.size, 4)))
+            dmat = DiffusivityMatrix(g, rng.uniform(0, 1, (dmat.edge_weights.size, 4)))
         pts = 0.9 * initial_state(g.n, 4, K1, seed=seed, scale=0.6).points
         glob = np.random.default_rng(seed + 1).uniform(0.0, 1.0, (g.n, g.n))
         return pts, dmat, glob
@@ -377,9 +385,10 @@ class TestBlockPool:
     def test_floating_point_error_in_a_block_reaches_caller(self, block_pool):
         pool = block_pool(2)
         pts, dmat, _ = self.flow_case(3, False)
-        # self pairs have a zero log map, and inf * 0 is an invalid operation
-        bad = DiffusivityMatrix(n=dmat.n, edge_index=[dmat.edge_index[0]] * 2,
-                                edge_weights=np.full(dmat.edge_weights.size, np.inf))
+        # edges whose endpoints coincide have a zero log map, and inf * 0 is
+        # an invalid operation
+        pts = np.repeat(pts[:1], len(pts), axis=0)
+        bad = DiffusivityMatrix(dmat.graph, np.full(dmat.edge_weights.size, np.inf))
         assert len(bad.node_ranges(4, blocks._DENSE_BLOCK_FLOATS)) >= 4
         with np.errstate(all="raise"):
             with pytest.raises(FloatingPointError) as serial:
@@ -769,7 +778,7 @@ class TestScratchBuffers:
         dmat = isotropic_weights(g)
         pts = 0.9 * initial_state(cls.N, cls.DIM, K1, seed=11, scale=0.6).points
         glob = np.random.default_rng(11).uniform(0.0, 1.0, (cls.N, cls.N))
-        no_edges = DiffusivityMatrix(n=cls.N, edge_index=np.zeros((2, 0)), edge_weights=[])
+        no_edges = DiffusivityMatrix(Graph.from_edges([], n=cls.N), [])
         return g, dmat, no_edges, pts, glob
 
     @classmethod
@@ -788,7 +797,7 @@ class TestScratchBuffers:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_back_to_back_passes_keep_their_bits(self, nan_block_pool, threads, block_floats):
         g, dmat, _, pts, glob = self.case()
-        src, dst = dmat.edge_index
+        src, dst = g.directed_edges
         want_edge = flow_reference(pts, src, dst, dmat.edge_weights, None, K1)
         want_dense = flow_reference(pts, src[:0], dst[:0], np.zeros(0), glob, K1)
         serial = self.passes(None)
@@ -912,24 +921,22 @@ class TestScratchBuffers:
                 tracemalloc.stop()
         assert peak <= 2 * 2**20, peak
 
-    @pytest.mark.parametrize("shuffled", [False, True])
-    def test_matrix_holds_edges_and_offsets_only(self, block_pool, shuffled):
+    @pytest.mark.parametrize("per_channel", [False, True])
+    def test_matrix_holds_edges_and_offsets_only(self, block_pool, per_channel):
         """After a pooled iso-5k-sized flow evaluation, the matrix holds its
-        edges, weights and offsets, and no per-edge index or bincount bins,
-        also when its edges were given with shuffled sources."""
+        graph and weights, and no per-edge index or bincount bins, with scalar
+        and with per-channel weights."""
         dmat, pts = self.iso_sized()
-        if shuffled:
-            perm = np.random.default_rng(1).permutation(dmat.edge_index.shape[1])
-            dmat = DiffusivityMatrix(n=dmat.n, edge_index=dmat.edge_index[:, perm],
-                                     edge_weights=dmat.edge_weights[perm])
+        g, dim = dmat.graph, pts.shape[1]
+        if per_channel:
+            dmat = DiffusivityMatrix(g, np.repeat(dmat.edge_weights[:, None], dim, axis=1))
         pool = block_pool(2, blocks._DENSE_BLOCK_FLOATS)
         with pool:
             diffusion_flow(pts, dmat, K1, pool=pool)
-        assert len(dmat.node_ranges(pts.shape[1], blocks._DENSE_BLOCK_FLOATS)) > 1
-        assert sorted(vars(dmat)) == ["edge_index", "edge_weights", "n", "offsets"]
-        m = dmat.edge_index.shape[1]
-        assert (dmat.edge_index.nbytes, dmat.edge_weights.nbytes) == (16 * m, 8 * m)
-        assert dmat.offsets.nbytes == 8 * (dmat.n + 1)
+        assert len(dmat.node_ranges(dim, blocks._DENSE_BLOCK_FLOATS)) > 1
+        assert sorted(vars(dmat)) == ["edge_weights", "graph"]
+        m = g.directed_edges.shape[1]
+        assert dmat.edge_weights.nbytes == 8 * m * (dim if per_channel else 1)
 
     @staticmethod
     def iso_sized():

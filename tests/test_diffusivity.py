@@ -49,7 +49,7 @@ CYCLE4 = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 def weight_lookup(dmat: DiffusivityMatrix) -> dict:
-    src, dst = dmat.edge_index
+    src, dst = dmat.graph.directed_edges
     return {(int(i), int(j)): w for i, j, w in zip(src, dst, dmat.edge_weights)}
 
 
@@ -472,7 +472,7 @@ class TestLocalDiffusivity:
         orc = orc_curvatures(g, alpha=0.5)
         params = AttentionParams.init(6, 1, seed=2)
         dmat = local_diffusivity(g, orc, params)
-        src = dmat.edge_index[0]
+        src = g.directed_edges[0]
         for i in range(g.n):
             cols = np.nonzero(src == i)[0]
             if cols.size:
@@ -485,7 +485,7 @@ class TestLocalDiffusivity:
         orc = orc_curvatures(g, alpha=0.5)
         params = AttentionParams.init(2, 1, seed=0)
         dmat = local_diffusivity(g, orc, params)
-        assert 2 not in set(dmat.edge_index[0].tolist())
+        assert 2 not in set(dmat.graph.directed_edges[0].tolist())
 
     # the ids name the weights: one vector per edge, softmaxed per channel
     @pytest.mark.parametrize("dim", [1, 4, 16], ids=lambda dim: f"{dim}-per_channel")
@@ -505,7 +505,7 @@ class TestLocalDiffusivity:
                             wasserstein=np.zeros(m), dual_gap=np.zeros(m))
             dmat = local_diffusivity(g, orc, params)
             ei, want = local_diffusivity_reference(g, orc, params)
-            assert dmat.edge_index.tobytes() == ei.tobytes()
+            assert dmat.graph.directed_edges.tobytes() == ei.tobytes()
             assert_bitwise(dmat.edge_weights, want)
 
     def test_curvatures_of_another_graph_rejected(self):
@@ -639,42 +639,38 @@ class TestSigmoid:
 
 
 class TestMatrixValidation:
+    PAIR = Graph.from_edges([(0, 1)])  # directed edges (0, 1), (1, 0)
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
-            DiffusivityMatrix(
-                n=2, edge_index=[[0, 1], [1, 0]], edge_weights=[-0.1, 0.2]
-            )
+            DiffusivityMatrix(self.PAIR, [-0.1, 0.2])
 
     def test_nan_weights_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            DiffusivityMatrix(n=2, edge_index=[[0, 1], [1, 0]], edge_weights=[np.nan, 1.0])
+            DiffusivityMatrix(self.PAIR, [np.nan, 1.0])
         with pytest.raises(ValueError, match="nonnegative"):
-            DiffusivityMatrix(n=2, edge_index=[[0, 1], [1, 0]],
-                              edge_weights=[[0.5, 1.0], [1.0, np.nan]])
+            DiffusivityMatrix(self.PAIR, [[0.5, 1.0], [1.0, np.nan]])
 
-    def test_unsorted_edges_stored_stably_sorted(self):
-        src, dst = [2, 0, 2, 1, 0, 2], [0, 2, 1, 2, 1, 0]
-        weights = np.arange(6.0)[:, None] * [1.0, 2.0, 3.0]
-        dmat = DiffusivityMatrix(n=4, edge_index=[src, dst], edge_weights=weights)
-        # equal sources keep their given order, and the weights move with them
-        order = [1, 4, 3, 0, 2, 5]
-        assert dmat.edge_index.tolist() == [[src[e] for e in order], [dst[e] for e in order]]
-        assert_bitwise(dmat.edge_weights, weights[order])
-        assert dmat.offsets.tolist() == [0, 2, 3, 6, 6]
+    def test_weight_count_checked(self):
+        g = erdos_renyi(12, 0.3, seed=2)
+        w = isotropic_weights(g).edge_weights
+        for weights in (w, np.repeat(w[:, None], 3, axis=1)):  # scalar, per-channel
+            with pytest.raises(ValueError, match="weight count"):
+                DiffusivityMatrix(g, weights[:-1])
 
-    def test_sorted_graph_edges_kept_without_a_copy(self):
-        g = erdos_renyi(30, 0.2, seed=5)
-        dmat = isotropic_weights(g)
-        assert np.shares_memory(dmat.edge_index, g.directed_edges)
-        assert_bitwise(dmat.offsets, g.offsets)
+    def test_repr_leaves_the_edge_tuple_unbuilt(self):
+        g = erdos_renyi(12, 0.3, seed=2)
+        text = repr(isotropic_weights(g))
+        assert text.startswith("DiffusivityMatrix(edge_weights=") and "graph" not in text
+        assert "edges" not in vars(g)
 
     def test_global_shape_checked(self):
         # the dense global part goes to the flow next to the edge weights
-        dmat = DiffusivityMatrix(n=2, edge_index=[[0, 1], [1, 0]], edge_weights=[0.1, 0.2])
+        dmat = DiffusivityMatrix(self.PAIR, [0.1, 0.2])
         with pytest.raises(ValueError, match="global part"):
             diffusion_flow(np.zeros((2, 2)), dmat, K1, global_part=row_source(np.zeros((3, 3))))
 
-    @pytest.mark.parametrize("pairs", [[[0, 2], [1, 0]], [[0, 1], [-1, 0]]])
-    def test_edge_index_out_of_range_rejected(self, pairs):
-        with pytest.raises(ValueError, match="out of range"):
-            DiffusivityMatrix(n=2, edge_index=pairs, edge_weights=[0.1, 0.2])
+    def test_graph_size_checked_by_the_flow(self):
+        dmat = DiffusivityMatrix(Graph.from_edges([(0, 1)], n=3), [0.1, 0.2])
+        with pytest.raises(ValueError, match="does not match state"):
+            diffusion_flow(np.zeros((2, 2)), dmat, K1)
