@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -199,30 +199,46 @@ class BlockPool:
             raise failed[min(failed)]
 
 
-def block_rows(n_rows: int, row_floats: int, threads: int = 1,
-               floats: Optional[int] = None) -> int:
-    """Rows per block for n_rows rows of row_floats floats each.
+def row_ranges(ends: np.ndarray, threads: int = 1,
+               floats: Optional[int] = None) -> List[Tuple[int, int]]:
+    """Consecutive row ranges (a, b) that cover every row once, for rows
+    whose floats end at the cumulative counts ends, an (n + 1,) int array.
 
-    A block holds at most `floats` floats (by default _DENSE_BLOCK_FLOATS),
-    or one row if a row is larger.  A pass that needs more than one block is
-    cut into near-equal blocks, sized for the smallest multiple of `threads`
-    blocks that keeps each within the budget, so that no thread waits on one
-    short last block.
+    A range holds at most `floats` floats (by default _DENSE_BLOCK_FLOATS),
+    or is a single row.  A pass that needs more than one range is cut into
+    near-equal ranges, as many as the smallest multiple of `threads` that
+    keeps each within the budget, as far as the row sizes allow, so that no
+    thread waits on one short last range.
     """
     floats = _DENSE_BLOCK_FLOATS if floats is None else floats
-    most = max(1, floats // max(1, row_floats))
-    count = -(-n_rows // most)
-    if count <= 1:
-        return max(1, n_rows)
-    count = -(-count // threads) * threads
-    return -(-n_rows // count)
+    n = len(ends) - 1
+
+    def cut(a: int, target) -> int:
+        """The first boundary at or past target (the last one if that is
+        the end), but within the budget from a, and past a."""
+        at = np.searchsorted(ends, target) if target < ends[n] else n
+        budget = np.searchsorted(ends, ends[a] + floats, "right") - 1
+        return max(a + 1, int(min(at, budget)))
+
+    count, a = 0, 0
+    while a < n:  # the fewest ranges: each as long as the budget allows
+        a, count = cut(a, ends[n]), count + 1
+    if count > 1:
+        count = -(-count // threads) * threads
+    ranges, a = [], 0
+    while a < n:
+        left = ends[n] - ends[a]
+        b = cut(a, ends[a] + -(-left // max(1, count - len(ranges))))
+        ranges.append((a, b))
+        a = b
+    return ranges
 
 
 def run_rows(block: Callable[[int, int, Scratch], None], n_rows: int, row_floats: int,
              pool: Optional[BlockPool] = None, floats: Optional[int] = None):
-    """block(a, b, work) for the row ranges a..b-1 that cut 0..n_rows-1
-    into blocks of block_rows rows of at most `floats` floats, run by
+    """block(a, b, work) for the row_ranges (a, b) of n_rows rows of
+    row_floats floats each, at most `floats` floats per range, run by
     ``pool`` (an unstarted BlockPool when None)."""
     pool = BlockPool() if pool is None else pool
-    rows = block_rows(n_rows, row_floats, pool.threads, floats)
-    pool.run(lambda a, work: block(a, min(a + rows, n_rows), work), range(0, n_rows, rows))
+    ranges = row_ranges(row_floats * np.arange(n_rows + 1), pool.threads, floats)
+    pool.run(lambda rows, work: block(*rows, work), ranges)

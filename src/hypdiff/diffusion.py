@@ -139,10 +139,12 @@ def _edge_aggregate(
     points: np.ndarray, dmat: dv.DiffusivityMatrix, k: float, sq: np.ndarray, pool: BlockPool,
 ) -> np.ndarray:
     """sum over edges (i, j) of a_ij log_{z_i}(z_j) for every node i, one
-    range of source nodes at a time (see DiffusivityMatrix.node_ranges), run
-    by pool.
+    blocks.row_ranges range of source nodes with edges at a time, run by pool.
 
-    Bitwise the sequential np.add.at of all weighted edge rows from zeros.
+    Bitwise the sequential np.add.at of all weighted edge rows from zeros:
+    each node's edges lie in one range, in edge order, so a bincount of a
+    range's (edges, dim) rows into the bins (src - lo) * dim + c adds each
+    node's entries one at a time in edge order from 0.0, into disjoint rows.
     sq holds the squared row norms of points.
     """
     dim = points.shape[1]
@@ -168,7 +170,8 @@ def _edge_aggregate(
         sums = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=(hi - lo) * dim)
         out[lo:hi] = sums.reshape(hi - lo, dim)
 
-    pool.run(block, dmat.node_ranges(dim, blocks._DENSE_BLOCK_FLOATS))
+    ranges = blocks.row_ranges(dim * offsets, pool.threads)
+    pool.run(block, [(lo, hi) for lo, hi in ranges if offsets[hi] > offsets[lo]])
     return out
 
 
@@ -304,8 +307,7 @@ def build_flow(
     if cfg.scheme in ("isotropic", "global"):
         static = dv.isotropic_weights(g)
     else:
-        orc = dv.orc_curvatures(g, cfg.alpha)
-        static = dv.local_diffusivity(g, orc, params)
+        static = dv.local_diffusivity(dv.orc_curvatures(g, cfg.alpha), params)
     # the global schemes mix beta * global + (1 - beta) * edge part; the
     # global part is computed at every evaluation
     beta = cfg.beta if cfg.scheme in ("global", "local_global") else 0.0

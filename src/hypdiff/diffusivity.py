@@ -27,7 +27,6 @@ from .graphs import Graph
 SCHEMES = ("isotropic", "local", "global", "local_global")
 
 LEAKY_SLOPE = 0.01
-DUAL_TOL = 1e-9
 
 
 @dataclass
@@ -49,7 +48,7 @@ class DiffusivityConfig:
             raise ValueError("alpha must lie in [0, 1]")
 
 
-@dataclass
+@dataclass(eq=False)
 class AttentionParams:
     """Frozen random parameters for the attention-style diffusivities.
 
@@ -82,7 +81,7 @@ class AttentionParams:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class DiffusivityMatrix:
     """Sparse per-edge weights on a graph.
 
@@ -101,43 +100,24 @@ class DiffusivityMatrix:
         if not np.all(self.edge_weights >= 0):
             raise ValueError("diffusivity weights must be nonnegative")
 
-    def node_ranges(self, dim: int, max_floats: int) -> List[Tuple[int, int]]:
-        """The nodes cut into ranges lo..hi-1 whose edges, the columns
-        graph.offsets[lo]..graph.offsets[hi]-1 of graph.directed_edges,
-        number at most max_floats // dim; a node with more edges gets a range
-        of its own.  Nodes without edges lie in no range.
 
-        Every node's edges lie in one range, in edge order, so a bincount of
-        a range's (edges, dim) rows into the bins (src - lo) * dim + c adds
-        each node's entries one at a time in edge order from 0.0, as
-        np.add.at over all edges does: the ranges give bitwise the sums of
-        one sequential scatter-add, into disjoint rows.
-        """
-        max_edges = max(1, max_floats // dim)
-        offsets = self.graph.offsets
-        ranges, lo = [], 0
-        while lo < self.graph.n:
-            first = int(offsets[lo])
-            hi = max(lo + 1, int(np.searchsorted(offsets, first + max_edges, "right")) - 1)
-            if offsets[hi] > first:
-                ranges.append((lo, hi))
-            lo = hi
-        return ranges
-
-
-@dataclass
+@dataclass(eq=False)
 class OrcResult:
-    """Per-edge coarse Ollivier-Ricci curvature and transport cost.
+    """Coarse Ollivier-Ricci curvature on the edges of a graph.
 
-    edges: the graph's edge_array, (m, 2) int64 rows (u, v) with u < v, to
-    which the other arrays are aligned.  K = 1 - W since adjacent nodes are
-    at hop distance 1.  dual_gap records |primal - dual| of each transport LP.
+    wasserstein and dual_gap are (m,) arrays, one entry per row of
+    graph.edge_array: the transport cost W between the endpoint measures and
+    |primal - dual| of its LP.
     """
 
-    edges: np.ndarray
-    curvature: np.ndarray
+    graph: Graph = field(repr=False)
     wasserstein: np.ndarray
     dual_gap: np.ndarray
+
+    @property
+    def curvature(self) -> np.ndarray:
+        """K = 1 - W, since adjacent nodes are at hop distance 1."""
+        return 1.0 - self.wasserstein
 
 
 def isotropic_weights(g: Graph) -> DiffusivityMatrix:
@@ -361,8 +341,7 @@ def orc_curvatures(g: Graph, alpha: float = 0.5) -> OrcResult:
     solved = _edge_transports(g, alpha)
     wvals = np.array([w for w, _ in solved], dtype=np.float64)
     gaps = np.array([gap for _, gap in solved], dtype=np.float64)
-    # hop distance between endpoints is 1
-    return OrcResult(edges=g.edge_array, curvature=1.0 - wvals, wasserstein=wvals, dual_gap=gaps)
+    return OrcResult(g, wvals, gaps)
 
 
 def _curvature_scores(orc: OrcResult, params: AttentionParams) -> np.ndarray:
@@ -372,15 +351,14 @@ def _curvature_scores(orc: OrcResult, params: AttentionParams) -> np.ndarray:
     return hidden @ params.mlp_w2.T + params.mlp_b2
 
 
-def local_diffusivity(g: Graph, orc: OrcResult, params: AttentionParams) -> DiffusivityMatrix:
-    """Curvature-attention weights, softmax-normalized over each neighborhood.
+def local_diffusivity(orc: OrcResult, params: AttentionParams) -> DiffusivityMatrix:
+    """Curvature-attention weights on orc's graph, softmax-normalized over
+    each neighborhood.
 
     The softmax runs independently on every hidden channel, giving a weight
     vector per directed edge whose per-channel neighborhood sums are 1.
-    orc must hold the curvatures of g's edges.
     """
-    if not np.array_equal(orc.edges, g.edge_array):
-        raise ValueError("curvatures were computed for another edge list")
+    g = orc.graph
     raw = _curvature_scores(orc, params)[g.edge_ids]
     weights = np.zeros_like(raw)
     bounds = g.offsets.tolist()

@@ -220,12 +220,14 @@ def save_energy_csv(path: str, trace):
 
 def save_orc_csv(path: str, orc):
     """Write per-edge curvature results as `u,v,curvature,wasserstein` CSV."""
+    edges, curvature = orc.graph.edge_array, orc.curvature
+
     def values(a, b):
-        rows = zip(np.asarray(orc.edges[a:b]).tolist(), orc.curvature[a:b], orc.wasserstein[a:b])
+        rows = zip(edges[a:b].tolist(), curvature[a:b], orc.wasserstein[a:b])
         return [x for (u, v), k, w in rows for x in (u, v, k, w)]
 
     atomic_write(path, _csv_chunks(
-        "u,v,curvature,wasserstein", "%s,%s,%.17g,%.17g", 4, len(orc.edges), values))
+        "u,v,curvature,wasserstein", "%s,%s,%.17g,%.17g", 4, len(edges), values))
 
 
 def knn_graph(features: np.ndarray, k: int, metric: str = "euclidean") -> Graph:

@@ -353,7 +353,7 @@ def local_diffusivity_reference(g, orc, params):
     a softmax over each node's edges found by scanning the sources."""
     hidden = np.outer(orc.curvature, params.mlp_w1) + params.mlp_b1
     hidden = np.where(hidden >= 0.0, hidden, 0.01 * hidden)
-    scores = dict(zip(orc.edges, hidden @ params.mlp_w2.T + params.mlp_b2))
+    scores = dict(zip(orc.graph.edges, hidden @ params.mlp_w2.T + params.mlp_b2))
     e = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
     src = np.concatenate([e[:, 0], e[:, 1]])
     dst = np.concatenate([e[:, 1], e[:, 0]])

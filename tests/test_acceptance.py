@@ -170,7 +170,7 @@ def test_criterion_06_orc_correctness(report):
         if g.n <= 6:
             want = orc_enumerated(g.n, g.edges, 0.5)
             enum_checked += 1
-            for e, wv in zip(map(tuple, res.edges.tolist()), res.wasserstein):
+            for e, wv in zip(res.graph.edges, res.wasserstein):
                 enum_worst = max(enum_worst, abs(wv - want[e][1]))
     ok = (
         worst_gap <= 1e-9

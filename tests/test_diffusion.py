@@ -44,6 +44,12 @@ KSMALL = -1e-6
 PAIR = Graph.from_edges([(0, 1)])  # directed edges (0, 1), (1, 0)
 
 
+def row_sizes(n_rows, row_floats, threads=1, floats=None):
+    """The lengths of the row_ranges of n_rows equal rows."""
+    ranges = blocks.row_ranges(row_floats * np.arange(n_rows + 1), threads, floats)
+    return [b - a for a, b in ranges]
+
+
 def two_point_state(kappa=K1):
     return np.array([[0.2, 0.1], [-0.3, 0.25]])
 
@@ -221,31 +227,32 @@ class TestAggregation:
         for weights in (rng.uniform(0, 2, src.size), rng.uniform(0, 2, (src.size, dim))):
             dmat = DiffusivityMatrix(g, weights)
             want = scatter_add(n, src, self.weighted_log_rows(pts, src, dst, weights))
-            ranges = dmat.node_ranges(dim, 2 * dim)
+            ranges = blocks.row_ranges(dim * g.offsets, 1, 2 * dim)
             assert ranges == [(0, 1), (1, 3), (3, 5), (5, 6), (6, 7), (7, 9), (9, 12)]
             assert [g.offsets[hi] - g.offsets[lo] for lo, hi in ranges] == [8, 2, 2, 3, 2, 2, 1]
             assert_bitwise(self.edge_sums(pts, dmat, 2 * dim), want)
 
     def test_blocks_cut_at_source_boundaries(self):
         g = erdos_renyi(40, 0.2, seed=9)
-        dmat = isotropic_weights(g)
-        src, offsets = g.directed_edges[0], g.offsets
+        offsets = g.offsets
         for dim, block_floats in [(1, 1), (3, 17), (16, 256), (16, 1 << 16)]:
-            ranges = dmat.node_ranges(dim, block_floats)
-            # the ranges' edges cover all edges, in order
-            edges = [(offsets[lo], offsets[hi]) for lo, hi in ranges]
-            assert edges[0][0] == 0 and edges[-1][1] == src.size
-            assert all(p[1] == q[0] for p, q in zip(edges, edges[1:]))
-            for (lo, hi), (first, last) in zip(ranges, edges):
-                assert lo < hi and first < last
-                assert np.all((src[first:last] >= lo) & (src[first:last] < hi))
-                # within the budget, or one node whose edges exceed it
-                assert (last - first) * dim <= max(block_floats, dim) or hi - lo == 1
-            assert all(p[1] <= q[0] for p, q in zip(ranges, ranges[1:]))
+            for threads in (1, 2, 3):
+                ranges = blocks.row_ranges(dim * offsets, threads, block_floats)
+                # the ranges cover all nodes, so their edges cover all edges, in order
+                assert [a for a, _ in ranges] == [0] + [b for _, b in ranges[:-1]]
+                assert ranges[-1][1] == g.n
+                for lo, hi in ranges:
+                    # within the budget, or one node whose edges exceed it
+                    assert (offsets[hi] - offsets[lo]) * dim <= block_floats or hi - lo == 1
 
     def test_no_edges_no_blocks(self):
+        pts = np.zeros((4, 2))
         dmat = DiffusivityMatrix(Graph.from_edges([], n=4), [])
-        assert dmat.node_ranges(2, 64) == []
+        pool = blocks.BlockPool()
+        with mock.patch.object(pool, "run", wraps=pool.run) as run:
+            out = diffusion._edge_aggregate(pts, dmat, -1.0, ball._sqnorm(pts), pool)
+        assert run.call_args.args[1] == []
+        assert_bitwise(out, np.zeros((4, 2)))
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 5, 7, 16])
     def test_blocked_dense_pass_matches_one_shot(self, block_pool, rows):
@@ -254,23 +261,60 @@ class TestAggregation:
         n = {1: 16, 2: 15, 3: 16, 5: 14, 7: 20, 16: 31}[rows]
         # the dense pass takes twice the budget, here rows rows of n * 3 floats
         pool = block_pool(1, -(-rows * n * 3 // 2))
-        assert blocks.block_rows(n, n * 3, 1, 2 * blocks._DENSE_BLOCK_FLOATS) == rows
+        assert max(row_sizes(n, n * 3, 1, 2 * blocks._DENSE_BLOCK_FLOATS)) == rows
         pts = 0.9 * initial_state(n, 3, K1, seed=rows, scale=0.6).points
         weights = rng.uniform(0.0, 1.0, size=(n, n))
         got = diffusion._global_aggregate(pts, row_source(weights), -1.0, ball._sqnorm(pts), pool)
         assert_bitwise(got, dense_log_aggregate(pts, weights, K1))
 
-    def test_block_rows_stay_within_the_budget(self):
-        for n, dim in [(1, 1), (800, 16), (5000, 16), (10**6, 64)]:
-            for threads in (1, 2, 3):
-                for floats in (None, 2 * blocks._DENSE_BLOCK_FLOATS):
-                    rows = blocks.block_rows(n, n * dim, threads, floats)
-                    budget = blocks._DENSE_BLOCK_FLOATS if floats is None else floats
-                    assert rows >= 1
-                    assert rows == 1 or rows * n * dim <= budget
-        # the dense pass at n=800, d=16 on two threads: 10-row blocks, not 5
-        assert blocks.block_rows(800, 800 * 16, 2) == 5
-        assert blocks.block_rows(800, 800 * 16, 2, 2 * blocks._DENSE_BLOCK_FLOATS) == 10
+
+class TestRowRanges:
+    """blocks.row_ranges, the one cutter of every pass."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        sizes=st.lists(st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 300)), max_size=60),
+        start=st.integers(0, 1000),
+        threads=st.integers(1, 4),
+        floats=st.integers(1, 200),
+    )
+    def test_ranges_cover_every_row_once_within_the_budget(self, sizes, start, threads, floats):
+        """Rows of no floats and rows above the budget, which get a range
+        of their own."""
+        ends = start + np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        ranges = blocks.row_ranges(ends, threads, floats)
+        bounds = [0] + [b for _, b in ranges]
+        assert [a for a, _ in ranges] == bounds[:-1]
+        assert bounds[-1] == len(sizes)
+        for a, b in ranges:
+            assert a < b
+            assert ends[b] - ends[a] <= floats or b - a == 1
+
+    @settings(deadline=None, max_examples=300)
+    @given(n=st.integers(0, 400), row_floats=st.integers(0, 50), threads=st.integers(1, 4),
+           floats=st.integers(1, 200))
+    def test_equal_rows_give_a_multiple_of_the_threads(self, n, row_floats, threads, floats):
+        """Ranges of equal rows differ by at most one row and number the
+        fewest within the budget rounded up to a multiple of threads (but
+        no more than the rows)."""
+        sizes = row_sizes(n, row_floats, threads, floats)
+        fewest = -(-n // max(1, floats // row_floats)) if row_floats else min(n, 1)
+        want = fewest if fewest <= 1 else min(n, -(-fewest // threads) * threads)
+        assert len(sizes) == want
+        assert sum(sizes) == n
+        assert not sizes or max(sizes) - min(sizes) <= 1
+
+    def test_pass_shapes(self):
+        assert row_sizes(5000, 16, 2) == [2500] * 2
+        assert row_sizes(25000, 16, 2) == [3125] * 8
+        # the dense pass of global-800: 800 rows of 800 x 16 floats
+        assert row_sizes(800, 800 * 16, 2, 2 * blocks._DENSE_BLOCK_FLOATS) == [10] * 80
+        assert row_sizes(800, 16, 2) == [800]
+        assert row_sizes(0, 16, 2) == []
+
+    def test_budget_read_at_call_time(self):
+        with mock.patch.object(blocks, "_DENSE_BLOCK_FLOATS", 32):
+            assert row_sizes(5, 16) == [2, 2, 1]
 
 
 class TestFusedAttention:
@@ -389,7 +433,7 @@ class TestBlockPool:
         # an invalid operation
         pts = np.repeat(pts[:1], len(pts), axis=0)
         bad = DiffusivityMatrix(dmat.graph, np.full(dmat.edge_weights.size, np.inf))
-        assert len(bad.node_ranges(4, blocks._DENSE_BLOCK_FLOATS)) >= 4
+        assert len(blocks.row_ranges(4 * bad.graph.offsets, 2)) >= 4
         with np.errstate(all="raise"):
             with pytest.raises(FloatingPointError) as serial:
                 diffusion_flow(pts, bad, K1)
@@ -595,7 +639,7 @@ class TestBlockEngine:
         spec = SolverSpec(method=method, tau=0.5, t_final=2.3, s_min=s_min)
         want_final, want_states, want_energies = self.integrate(spec, None)
         pool = nan_block_pool(threads)
-        assert blocks.block_rows(self.N, self.DIM, threads) < self.N / 2
+        assert max(row_sizes(self.N, self.DIM, threads)) < self.N / 2
         marks = PooledBlocks(monkeypatch)
         checked = []  # whether each check of flow output rows ran in a pooled block
         real = ball._finite
@@ -632,7 +676,7 @@ class TestBlockEngine:
             want.append(dirichlet_energy_reference(pts, g, K1))
         pool = nan_block_pool(threads, block_floats)
         m = len(graphs[-1].edges)
-        assert block_floats == 1 or m % blocks.block_rows(m, self.DIM, threads) != 0
+        assert block_floats == 1 or len(set(row_sizes(m, self.DIM, threads))) > 1
         for g, energy in zip(graphs, want):
             pts = 0.9 * initial_state(g.n, self.DIM, K1, seed=g.n, scale=0.6).points
             assert dirichlet_energy(pts, g, K1).hex() == energy.hex()
@@ -692,7 +736,7 @@ class TestBlockEngine:
         pool = block_pool(2)
         marks = PooledBlocks(monkeypatch)
         h0 = 0.5 * initial_state(self.N, self.DIM, K1, seed=3).points
-        assert len(range(0, self.N, blocks.block_rows(self.N, self.DIM, 2))) >= 2
+        assert len(row_sizes(self.N, self.DIM, 2)) >= 2
         real = ball._exp_map
         calls, poisoned = [], []
 
@@ -791,8 +835,8 @@ class TestScratchBuffers:
         step = _hrk4_step(pts, 0.0, 0.5, flow, K1, pool=pool)
         return edge, dense, step
 
-    # 1-row dense blocks and 12-edge edge blocks with short last ones; then
-    # 5-row dense blocks with a 2-row tail, and the solver's rows in one block
+    # 1-row dense blocks and edge blocks of at most 12 edges, of unequal
+    # sizes; then dense blocks of 9 and 10 rows, and the solver's rows in one
     @pytest.mark.parametrize("block_floats", [48, 5 * N * DIM])
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_back_to_back_passes_keep_their_bits(self, nan_block_pool, threads, block_floats):
@@ -802,7 +846,7 @@ class TestScratchBuffers:
         want_dense = flow_reference(pts, src[:0], dst[:0], np.zeros(0), glob, K1)
         serial = self.passes(None)
         pool = nan_block_pool(threads, block_floats)
-        assert self.N % blocks.block_rows(self.N, self.DIM, threads) != 0 or block_floats > 48
+        assert len(set(row_sizes(self.N, self.DIM, threads))) > 1 or block_floats > 48
         with pool:
             pooled = self.passes(pool)
             again = self.passes(pool)  # on the buffers the first round left
@@ -933,7 +977,7 @@ class TestScratchBuffers:
         pool = block_pool(2, blocks._DENSE_BLOCK_FLOATS)
         with pool:
             diffusion_flow(pts, dmat, K1, pool=pool)
-        assert len(dmat.node_ranges(dim, blocks._DENSE_BLOCK_FLOATS)) > 1
+        assert len(blocks.row_ranges(dim * g.offsets, 2)) > 1
         assert sorted(vars(dmat)) == ["edge_weights", "graph"]
         m = g.directed_edges.shape[1]
         assert dmat.edge_weights.nbytes == 8 * m * (dim if per_channel else 1)

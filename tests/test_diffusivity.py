@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypdiff import ball, diffusivity as dv
+from hypdiff import ball, blocks, diffusivity as dv
 from hypdiff.cli import bundled_graph_path
-from hypdiff.blocks import block_rows
 from hypdiff.diffusion import diffusion_flow
 from hypdiff.diffusivity import (
     AttentionParams,
@@ -247,7 +246,7 @@ class TestOrcPool:
             self.force_workers(monkeypatch, workers)
             for (g, alpha), want in zip(cases, serial):
                 got = orc_curvatures(g, alpha)
-                assert got.edges.tolist() == want.edges.tolist()
+                assert got.graph is g
                 for name in ("curvature", "wasserstein", "dual_gap"):
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             assert multiprocessing.active_children() == []
@@ -345,7 +344,7 @@ class TestOrc:
             g = Graph.from_edges(edges, n=n)
             res = orc_curvatures(g, alpha=0.5)
             want = orc_enumerated(n, g.edges, 0.5)
-            for e, k, w in zip(map(tuple, res.edges.tolist()), res.curvature, res.wasserstein):
+            for e, k, w in zip(res.graph.edges, res.curvature, res.wasserstein):
                 assert w == pytest.approx(want[e][1], abs=1e-9), (n, edges, e)
                 assert k == pytest.approx(want[e][0], abs=1e-9)
 
@@ -370,8 +369,8 @@ class TestOrc:
         perm = rng.permutation(10)
         res = orc_curvatures(g, alpha=0.5)
         res_p = orc_curvatures(relabel(g, perm), alpha=0.5)
-        k_p = dict(zip(map(tuple, res_p.edges.tolist()), res_p.curvature))
-        for (u, v), k in zip(res.edges, res.curvature):
+        k_p = dict(zip(res_p.graph.edges, res_p.curvature))
+        for (u, v), k in zip(res.graph.edges, res.curvature):
             pu, pv = int(perm[u]), int(perm[v])
             assert k == pytest.approx(k_p[(min(pu, pv), max(pu, pv))], abs=1e-9)
 
@@ -430,7 +429,7 @@ class TestLocalDiffusivity:
         # cycle graph: all edges share one curvature value by symmetry
         orc = orc_curvatures(CYCLE4, alpha=0.5)
         params = AttentionParams.init(4, 1, seed=0)
-        w = weight_lookup(local_diffusivity(CYCLE4, orc, params))
+        w = weight_lookup(local_diffusivity(orc, params))
         for val in w.values():
             np.testing.assert_allclose(val, 0.5, atol=1e-12)
 
@@ -442,7 +441,7 @@ class TestLocalDiffusivity:
             mlp_w1=np.zeros(3), mlp_b1=np.zeros(3),
             mlp_w2=np.zeros((3, 3)), mlp_b2=np.zeros(3),
         )
-        dmat = local_diffusivity(STAR5, orc, zero)
+        dmat = local_diffusivity(orc, zero)
         w = weight_lookup(dmat)
         np.testing.assert_allclose(w[(0, 1)], 0.25, atol=1e-15)
         np.testing.assert_allclose(w[(1, 0)], 1.0, atol=1e-15)
@@ -451,9 +450,9 @@ class TestLocalDiffusivity:
         dim = 5
         orc = orc_curvatures(PATH3, alpha=0.5)
         params = AttentionParams.init(dim, 1, seed=11)
-        dmat = local_diffusivity(PATH3, orc, params)
+        dmat = local_diffusivity(orc, params)
         w = weight_lookup(dmat)
-        kmap = dict(zip(map(tuple, orc.edges.tolist()), orc.curvature))
+        kmap = dict(zip(orc.graph.edges, orc.curvature))
 
         def mlp(kval):
             h = params.mlp_w1 * kval + params.mlp_b1
@@ -471,7 +470,7 @@ class TestLocalDiffusivity:
         g = erdos_renyi(15, 0.3, seed=9)
         orc = orc_curvatures(g, alpha=0.5)
         params = AttentionParams.init(6, 1, seed=2)
-        dmat = local_diffusivity(g, orc, params)
+        dmat = local_diffusivity(orc, params)
         src = g.directed_edges[0]
         for i in range(g.n):
             cols = np.nonzero(src == i)[0]
@@ -484,7 +483,7 @@ class TestLocalDiffusivity:
         g = Graph.from_edges([(0, 1)], n=3)
         orc = orc_curvatures(g, alpha=0.5)
         params = AttentionParams.init(2, 1, seed=0)
-        dmat = local_diffusivity(g, orc, params)
+        dmat = local_diffusivity(orc, params)
         assert 2 not in set(dmat.graph.directed_edges[0].tolist())
 
     # the ids name the weights: one vector per edge, softmaxed per channel
@@ -501,17 +500,38 @@ class TestLocalDiffusivity:
         params = AttentionParams.init(dim, 1, seed=dim)
         for g in graphs:
             m = len(g.edges)
-            orc = OrcResult(edges=g.edges, curvature=rng.uniform(-1.5, 1.0, m),
-                            wasserstein=np.zeros(m), dual_gap=np.zeros(m))
-            dmat = local_diffusivity(g, orc, params)
+            # curvatures 1 - W in (-1.5, 1]
+            orc = OrcResult(g, wasserstein=rng.uniform(0.0, 2.5, m), dual_gap=np.zeros(m))
+            dmat = local_diffusivity(orc, params)
             ei, want = local_diffusivity_reference(g, orc, params)
             assert dmat.graph.directed_edges.tobytes() == ei.tobytes()
             assert_bitwise(dmat.edge_weights, want)
 
-    def test_curvatures_of_another_graph_rejected(self):
+    def test_weights_live_on_the_curvatures_graph(self):
         orc = orc_curvatures(PATH3, alpha=0.5)
-        with pytest.raises(ValueError, match="another edge list"):
-            local_diffusivity(TRIANGLE, orc, AttentionParams.init(2, 1, seed=0))
+        dmat = local_diffusivity(orc, AttentionParams.init(2, 1, seed=0))
+        assert orc.graph is PATH3 and dmat.graph is PATH3
+
+
+class TestArrayHolders:
+    """Dataclasses that hold arrays compare by identity, without raising."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: isotropic_weights(PATH3),
+        lambda: AttentionParams.init(4, 1, 0),
+        lambda: orc_curvatures(PATH3),
+    ], ids=["DiffusivityMatrix", "AttentionParams", "OrcResult"])
+    def test_equal_values_compare_unequal(self, make):
+        a, b = make(), make()
+        assert a == a
+        assert (a == b) is False
+        assert a != b
+
+    def test_orc_curvature_is_one_minus_wasserstein(self):
+        orc = orc_curvatures(CYCLE4, alpha=0.5)
+        assert sorted(vars(orc)) == ["dual_gap", "graph", "wasserstein"]
+        assert orc.curvature.tobytes() == (1.0 - orc.wasserstein).tobytes()
+        assert "graph" not in repr(orc)
 
 
 class TestGlobalDiffusivity:
@@ -577,16 +597,18 @@ class TestGlobalAttention:
         return ball.project_to_ball(0.4 * rng.standard_normal((n, cls.DIM)), K1)
 
     @staticmethod
-    def blocked(att, n, rows):
-        return np.concatenate([att.rows(a, min(a + rows, n)) for a in range(0, n, rows)])
+    def blocked(att, ranges):
+        return np.concatenate([att.rows(a, b) for a, b in ranges])
 
     @pytest.mark.parametrize("n", [1, 2, 34, 193, 333, 800, 801])
     def test_rows_equal_scaled_dense_attention(self, n):
         pts = self.state(n)
-        # 1-row blocks, the flow's blocks in one and in two threads, and
-        # blocks that leave a short tail
-        flow_rows = {block_rows(n, n * self.DIM, threads) for threads in (1, 2)}
-        all_rows = sorted({1, 7, max(1, n - 1)} | flow_rows)
+        # 1-row blocks, blocks that leave a short tail, and the dense pass's
+        # blocks in one and in two threads
+        cuts = {tuple((a, min(a + rows, n)) for a in range(0, n, rows))
+                for rows in (1, 7, max(1, n - 1))}
+        cuts |= {tuple(blocks.row_ranges(n * self.DIM * np.arange(n + 1), threads,
+                                         2 * blocks._DENSE_BLOCK_FLOATS)) for threads in (1, 2)}
         for heads in (1, 2, 3):
             seeded = AttentionParams.init(self.DIM, heads, seed=n + heads)
             for params in (seeded, zero_projections(seeded)):
@@ -595,8 +617,8 @@ class TestGlobalAttention:
                 for beta in (0.3, 0.5, 1.0):
                     att = GlobalAttention(pts, params, heads, K1, beta)
                     assert len(att.products) == heads
-                    for rows in all_rows:
-                        assert_bitwise(self.blocked(att, n, rows), beta * dense)
+                    for ranges in cuts:
+                        assert_bitwise(self.blocked(att, ranges), beta * dense)
 
 
 class TestSigmoid:

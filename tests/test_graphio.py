@@ -267,15 +267,12 @@ class TestCsvBytes:
         want = "\n".join(["t,energy"] + [f"{t:.17g},{e:.17g}" for t, e in trace]) + "\n"
         assert p.read_bytes() == want.encode()
 
-        edges = tuple((i, i + 1) for i in range(rows))
-        orc = OrcResult(edges=edges, curvature=1.0 - np.array(vals, dtype=np.float64),
-                        wasserstein=np.array(vals, dtype=np.float64),
-                        dual_gap=np.zeros(rows))
+        path = Graph.from_edges([(i, i + 1) for i in range(rows)], n=rows + 1)
+        orc = OrcResult(path, wasserstein=np.array(vals, dtype=np.float64), dual_gap=np.zeros(rows))
         p = tmp_path / "orc.csv"
         save_orc_csv(str(p), orc)
         want = "\n".join(["u,v,curvature,wasserstein"] + [
-            f"{u},{v},{k:.17g},{w:.17g}"
-            for (u, v), k, w in zip(orc.edges, orc.curvature, orc.wasserstein)]) + "\n"
+            f"{u},{v},{1.0 - w:.17g},{w:.17g}" for (u, v), w in zip(path.edges, vals)]) + "\n"
         assert p.read_bytes() == want.encode()
 
 
