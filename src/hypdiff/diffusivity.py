@@ -16,6 +16,7 @@ distance costs; optimality is certified by the LP dual.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -114,6 +115,12 @@ class OrcResult:
     wasserstein: np.ndarray
     dual_gap: np.ndarray
 
+    def __post_init__(self):
+        shape = self.graph.edge_array.shape[:1]
+        if np.shape(self.wasserstein) != shape or np.shape(self.dual_gap) != shape:
+            raise ValueError(f"wasserstein and dual_gap must have shape {shape}, one entry "
+                             "per edge of the graph")
+
     @property
     def curvature(self) -> np.ndarray:
         """K = 1 - W, since adjacent nodes are at hop distance 1."""
@@ -171,6 +178,24 @@ def _ground_costs(g: Graph, su: np.ndarray, sv: np.ndarray) -> np.ndarray:
     return np.where(same, 0.0, np.where(adjacent, 1.0, np.where(shared, 2.0, 3.0)))
 
 
+def _highs():
+    """scipy's HiGHS binding ``scipy.optimize._highspy._core``.
+
+    Importing it loads all of scipy.optimize, about 29k new objects of which
+    the cyclic garbage collector would free some 350 in 85 collections
+    (about 40 ms), so the import runs with the collector paused.  The
+    caller's collector state is restored whether or not the import succeeds.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        from scipy.optimize._highspy import _core
+    finally:
+        if enabled:
+            gc.enable()
+    return _core
+
+
 class LpSolution(NamedTuple):
     """What HiGHS reports for one transportation LP."""
 
@@ -189,10 +214,10 @@ def linprog(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> LpSolut
     scipy.optimize.linprog(method="highs") calls too, with the options
     linprog sets for that method, so the results are bitwise those of
     linprog without its Python wrapper.  The binding is imported on the
-    first call: scipy.optimize costs most of a cold ``import hypdiff`` and
-    only the ORC schemes use it.
+    first call (see :func:`_highs`): scipy.optimize costs most of a cold
+    ``import hypdiff`` and only the ORC schemes use it.
     """
-    from scipy.optimize._highspy import _core as hs
+    hs = _highs()
 
     ns, nd = cost.shape
     b_eq = np.concatenate([supply, demand[:-1]])
@@ -315,7 +340,7 @@ def _edge_transports(g: Graph, alpha: float) -> List[Tuple[float, float]]:
             from concurrent.futures import ProcessPoolExecutor
 
             # imported and built once here instead of once in every worker
-            from scipy.optimize._highspy import _core  # noqa: F401
+            _highs()
 
             g.neighbors(0)
             with ProcessPoolExecutor(

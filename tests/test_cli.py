@@ -441,3 +441,49 @@ def test_diverging_run_prints_one_line(tmp_path):
         f"'--out', {str(tmp_path)!r}]))")
     assert out.returncode == 2
     assert out.stderr == "numerical failure: non-finite state at step 7 (t=7)\n"
+
+
+class TestExitFreeze:
+    """main() has the process freeze its heap at exit, so the collections of
+    the interpreter's shutdown skip the module graph; before exit the heap
+    stays collectable."""
+
+    def test_heap_frozen_at_exit_once(self, tmp_path):
+        """The handler registered here, before main(), runs after hypdiff's
+        (atexit runs last-in first-out) and sees the frozen heap; gc.freeze
+        runs once for two main() calls, and nothing is frozen before exit."""
+        out = python_with_src(
+            "import atexit, gc, sys\n"
+            "freezes = []\n"
+            "freeze = gc.freeze\n"
+            "def counted():\n"
+            "    freezes.append(1)\n"
+            "    freeze()\n"
+            "gc.freeze = counted\n"
+            "atexit.register(lambda: print(len(freezes), gc.get_freeze_count() > 0))\n"
+            "from hypdiff.cli import main\n"
+            "for out in ('a', 'b'):\n"
+            f"    rc = main(['diffuse', '--T', '1', '--out', {str(tmp_path)!r} + '/' + out])\n"
+            "    print(rc, gc.get_freeze_count())\n")
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+        assert out.stdout.splitlines() == ["0 0", "0 0", "1 True"]
+
+    def test_heap_not_frozen_when_main_returns(self, tmp_path):
+        import gc
+
+        assert run("diffuse", "--T", "1", "--out", str(tmp_path)) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_two_calls_register_one_handler(self, tmp_path, monkeypatch):
+        import atexit
+        import gc
+
+        from hypdiff import cli
+
+        registered = []
+        monkeypatch.setattr(atexit, "register", registered.append)
+        cli._freeze_heap_at_exit.cache_clear()
+        for out in ("a", "b"):
+            assert run("diffuse", "--T", "1", "--out", str(tmp_path / out)) == 0
+        assert registered == [gc.freeze]

@@ -1226,3 +1226,42 @@ class TestEnergyMonotonicityStudy:
                 increases += 1
         with capsys.disabled():
             print(f"\n[energy study] single-step increases: {increases}/100 seeds")
+
+
+@st.composite
+def relabeled_graphs(draw):
+    """A connected graph on 3 to 9 nodes (a random spanning tree plus
+    extra edges) and a permutation of its node ids."""
+    n = draw(st.integers(3, 9))
+    tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    g = Graph.from_edges(tree + [(u, v) for u, v in extra if u != v], n=n)
+    return g, np.array(draw(st.permutations(range(n))))
+
+
+class TestRelabeling:
+    """A whole run does not depend on the node ids: giving node i the id
+    perm[i], in the graph and in the rows of z0, moves row i of the output
+    to row perm[i].  Only the order of the neighbour and attention sums
+    changes, so the runs agree to rounding.  tau 0.05 keeps every method
+    inside its stability interval (tau * rho < 0.158 for ham), where the
+    rounding differences do not grow."""
+
+    @pytest.mark.parametrize("method", solvers.METHODS)
+    @pytest.mark.parametrize("scheme", dv.SCHEMES)
+    @settings(deadline=None, max_examples=4)
+    @given(case=relabeled_graphs(), residual=st.booleans())
+    def test_permuting_node_ids_permutes_the_output(self, scheme, method, case, residual):
+        g, perm = case
+        z0 = initial_state(g.n, 4, K1, seed=g.n)
+        moved = np.empty_like(z0.points)
+        moved[perm] = z0.points
+        dcfg = DiffusivityConfig(scheme=scheme, beta=0.5, heads=2, seed=1)
+        spec = SolverSpec(method=method, tau=0.05, t_final=0.5)
+        blend = ResidualSpec() if residual else None
+        final, trace = run_diffusion(z0, g, dcfg, spec, blend)
+        final_p, trace_p = run_diffusion(
+            EmbeddingState(moved, K1), Graph(g.n, perm[g.edge_array]), dcfg, spec, blend)
+        assert np.abs(final_p.points[perm] - final.points).max() <= 1e-12
+        energy, energy_p = np.array(trace)[:, 1], np.array(trace_p)[:, 1]
+        assert np.all(np.abs(energy_p - energy) <= 1e-12 * np.abs(energy))

@@ -1,7 +1,10 @@
 """Diffusivity schemes: degree weights, curvature transport LPs, attention."""
 
+import builtins
+import gc
 import multiprocessing
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -224,6 +227,67 @@ class TestLinprogMatchesScipy:
         monkeypatch.setattr(hs, "_Highs", Refusing)
         with pytest.raises(RuntimeError, match="HiGHS rejected option output_flag=False"):
             transport_cost(np.array([1.0]), np.array([1.0]), np.array([[3.0]]))
+
+
+class TestHighsImport:
+    """dv._highs imports scipy's HiGHS binding with the cyclic collector
+    paused and hands the collector back as it found it."""
+
+    BINDING = "scipy.optimize._highspy._core"
+
+    @pytest.fixture
+    def collector(self):
+        """set(enabled): the collector's state for the test; the state it
+        had before is restored afterwards."""
+        was = gc.isenabled()
+        yield lambda enabled: gc.enable() if enabled else gc.disable()
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_paused_for_the_import_only(self, enabled, collector, monkeypatch):
+        during = []
+        real_import = builtins.__import__
+
+        def watching_import(name, *args, **kwargs):
+            if name.startswith("scipy"):
+                during.append(gc.isenabled())
+            return real_import(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", watching_import)
+        collector(enabled)
+        hs = dv._highs()
+        assert gc.isenabled() is enabled
+        assert during and not any(during)
+        assert hs is sys.modules[self.BINDING]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_restored_when_the_import_fails(self, enabled, collector, monkeypatch):
+        dv._highs()
+        package = sys.modules[self.BINDING.rpartition(".")[0]]
+        monkeypatch.delattr(package, "_core")
+        monkeypatch.setitem(sys.modules, self.BINDING, None)
+        collector(enabled)
+        with pytest.raises(ImportError):
+            dv._highs()
+        assert gc.isenabled() is enabled
+
+    def test_pool_loads_the_binding_before_forking(self, monkeypatch):
+        """With two LP workers every linprog call runs in a worker, so the
+        one call seen in this process is the import before the fork."""
+        calls = []
+        load = dv._highs
+
+        def counting_load():
+            calls.append(os.getpid())
+            return load()
+
+        monkeypatch.setattr(dv, "_highs", counting_load)
+        monkeypatch.setattr(dv, "_worker_count", lambda n_edges: 2)
+        orc_curvatures(erdos_renyi(12, 0.4, seed=3), 0.5)
+        assert calls == [os.getpid()]
 
 
 def _pa_graph(n, k, seed):
@@ -679,6 +743,15 @@ class TestMatrixValidation:
         for weights in (w, np.repeat(w[:, None], 3, axis=1)):  # scalar, per-channel
             with pytest.raises(ValueError, match="weight count"):
                 DiffusivityMatrix(g, weights[:-1])
+
+    @pytest.mark.parametrize("name", ["wasserstein", "dual_gap"])
+    @pytest.mark.parametrize("bad", [np.zeros(5), np.zeros(1), np.zeros((2, 1))],
+                             ids=["long", "short", "column"])
+    def test_orc_result_has_one_entry_per_edge(self, name, bad):
+        path = Graph.from_edges([(0, 1), (1, 2)])
+        values = {"wasserstein": np.zeros(2), "dual_gap": np.zeros(2), name: bad}
+        with pytest.raises(ValueError, match=r"shape \(2,\), one entry per edge"):
+            OrcResult(path, **values)
 
     def test_repr_leaves_the_edge_tuple_unbuilt(self):
         g = erdos_renyi(12, 0.3, seed=2)
