@@ -19,12 +19,13 @@ other directly, so no input is validated twice.  Some kernels
 accept the squared row norms of their point arguments (``x2``, ``y2``) so
 that callers gathering rows of one point set compute them once per point.
 
-The kernels that take ``out`` and ``work`` write their result into ``out``
-(a new array when it is None) and take their temporaries from ``work``, a
-:class:`hypdiff.blocks.Scratch` (in a pooled pass, the running thread's);
-given none, a kernel makes one for the call.  Either way each evaluates its
-closed form with the same ufuncs in the same order, so the bits do not
-depend on the buffers.  ``out`` must not overlap the inputs.
+Every point-valued kernel takes ``out`` and ``work``: it writes its result
+into ``out`` (a new array when it is None) and takes its temporaries from
+``work``, a :class:`hypdiff.blocks.Scratch` (in a pooled pass, the running
+thread's); given none, a kernel makes one for the call.  Either way each
+evaluates its closed form with the same ufuncs in the same order, so the
+bits do not depend on the buffers.  ``out`` must not overlap the inputs.
+The projection is the exception: ``_project`` works in place.
 """
 
 from __future__ import annotations
@@ -118,36 +119,19 @@ def _lambda(x2, k, out=None):
     return np.divide(2.0, out, out=out)
 
 
-def _clamp_factor(n, k):
-    """max_norm / n for the row norms n above the projection radius
-    max_norm, 1.0 for the others; None when no row is above it."""
+def _project(x, k, norm=None, work=None):
+    """Projects x in place: each row whose norm exceeds the projection
+    radius is multiplied by radius / norm.  x is written only when some row
+    clamps, and then by a multiply by 1.0 on the others, which is exact.
+    Returns x and the row norms of the projected array, written to norm if
+    given."""
+    work = Scratch() if work is None else work
+    n = _norm(x, norm, work)
     max_norm = (1.0 - BOUNDARY_EPS) / np.sqrt(-k)
     # fmax skips NaN norms, which clamp nothing
     if not (n.size and np.fmax.reduce(n, axis=None) > max_norm):
-        return None
-    return np.where(n > max_norm, max_norm / np.where(n == 0.0, 1.0, n), 1.0)
-
-
-def _project(x, k, out=None, work=None):
-    # returns x itself when no row clamps: the multiply by 1.0 that it saves
-    # is exact, so the result is bitwise the same either way; otherwise the
-    # product, written to out (which may be x)
-    work = Scratch() if work is None else work
-    with work.frame():
-        n = _norm(x, work.take(_cols(x.shape)), work)
-        factor = _clamp_factor(n, k)
-    return x if factor is None else np.multiply(x, factor, out=out)
-
-
-def _project_norm(x, k, norm=None, work=None):
-    """Projects x in place; returns it and the row norms of the projected
-    array, written to norm if given."""
-    work = Scratch() if work is None else work
-    n = _norm(x, norm, work)
-    factor = _clamp_factor(n, k)
-    if factor is None:
         return x, n
-    np.multiply(x, factor, out=x)
+    np.multiply(x, np.where(n > max_norm, max_norm / np.where(n == 0.0, 1.0, n), 1.0), out=x)
     return x, _norm(x, n, work)
 
 
@@ -177,14 +161,21 @@ def _mobius_add(x, y, k, x2=None, y2=None, out=None, work=None):
         return np.divide(num, den, out=num)
 
 
-def _mobius_scalar(r, x, k):
-    # r (x) x = exp_o(r log_o(x)) = tanh(r atanh(sqrt(s)|x|)) x / (sqrt(s)|x|)
+def _mobius_scalar(r, x, k, out=None, work=None):
+    # r (x) x = exp_o(r log_o(x)) = tanh(r atanh(sqrt(s)|x|)) x / (sqrt(s)|x|),
+    # 0 where x == 0: those rows divide by sqrt(s), not by 0, and are zeroed
+    work = Scratch() if work is None else work
     sq = np.sqrt(-k)
-    n = _norm(x)
-    safe = np.where(n == 0.0, 1.0, n)
-    arg = np.minimum(sq * n, _ATANH_MAX)
-    out = np.tanh(r * np.arctanh(arg)) * x / (sq * safe)
-    return _project(np.where(n == 0.0, 0.0, out), k)
+    with work.frame():
+        n = _norm(x, work.take(_cols(x.shape)), work)
+        zero = np.equal(n, 0.0, out=work.take(n.shape, bool))
+        sn = np.multiply(sq, n, out=n)
+        arg = np.minimum(sn, _ATANH_MAX, out=work.take(n.shape))
+        np.multiply(r, np.arctanh(arg, out=arg), out=arg)
+        moved = np.multiply(np.tanh(arg, out=arg), x, out=out)
+        np.copyto(sn, sq, where=zero)
+        np.copyto(np.divide(moved, sn, out=moved), 0.0, where=zero)
+        return _project(moved, k, sn, work)[0]
 
 
 def _exp_map(x, v, k, x2=None, out=None, work=None):
@@ -208,12 +199,13 @@ def _exp_map(x, v, k, x2=None, out=None, work=None):
         gyro = np.multiply(t, v, out=work.take(shape))
         np.divide(gyro, np.multiply(sq, safe, out=safe), out=gyro)
         moved = _mobius_add(x, gyro, k, x2, out=out, work=work)
-        moved = _project(moved, k, out=moved, work=work)
+        norm = work.take(_cols(shape))
+        _project(moved, k, norm, work)
         if zero.any():
             # exp_x(0) = x exactly: x + 0.0 * v on the zero-tangent rows
             np.multiply(0.0, v, out=moved, where=zero)
             np.add(x, moved, out=moved, where=zero)
-        return _project(moved, k, out=moved, work=work)
+        return _project(moved, k, norm, work)[0]
 
 
 def _log_map(x, y, k, x2=None, y2=None, out=None, work=None):
@@ -230,7 +222,7 @@ def _log_map(x, y, k, x2=None, y2=None, out=None, work=None):
         equal = np.equal(x, y, out=work.take(shape, bool))
         same = np.logical_and.reduce(equal, axis=-1, keepdims=True, out=work.take(cols, bool))
         m = _mobius_add(np.negative(x, out=work.take(x.shape)), y, k, x2, y2, out=out, work=work)
-        m, mn = _project_norm(m, k, work.take(cols), work)
+        m, mn = _project(m, k, work.take(cols), work)
         degenerate = np.logical_or(same, np.equal(mn, 0.0, out=work.take(cols, bool)), out=same)
         safe = work.take(cols)
         np.copyto(safe, mn)
@@ -315,7 +307,7 @@ def _distance(x, y, k, x2=None, y2=None, out=None, work=None):
     with work.frame():
         neg = np.negative(x, out=work.take(x.shape))
         m = _mobius_add(neg, y, k, x2, y2, out=work.take(shape), work=work)
-        _, mn = _project_norm(m, k, work.take(_cols(shape)), work)
+        _, mn = _project(m, k, work.take(_cols(shape)), work)
         arg = np.multiply(sq, mn, out=mn)
         np.minimum(arg, _ATANH_MAX, out=arg)
         np.arctanh(arg, out=arg)
@@ -345,18 +337,30 @@ def _parallel_transport(x, y, v, k, out=None, work=None):
         return np.multiply(ratio, g, out=g)
 
 
-def _gyromidpoint(pts, weights, k):
-    # eta times the power of two 2**-e that brings max |eta| into [0.5, 1):
-    # an exact scaling, so no sum overflows and the quotient keeps its bits;
-    # the denominator is checked on the scale of the given weights
+def _gyromidpoint(pts, weights, k, out=None, work=None):
+    # (1/2) (x) (sum_j eta_j lambda_j z_j / sum_j |eta_j| (lambda_j - 1)) over
+    # the broadcastable point arrays z_j of pts, each j-sum added in order from
+    # +0.0, as np.sum over a stacked axis adds it (but for one row of 8 or more
+    # points, which it adds pairwise).  eta is the weights times the power of
+    # two 2**-e that brings max |eta| into [0.5, 1): an exact scaling, so no
+    # sum overflows and the quotient keeps its bits; den is checked on the weights' scale
+    work = Scratch() if work is None else work
     e = int(np.frexp(np.max(np.abs(weights), initial=0.0))[1])
-    eta = np.ldexp(weights, -e).reshape((pts.shape[0],) + (1,) * (pts.ndim - 1))
-    lam = _lambda(_sqnorm(pts), k)
-    den = np.sum(np.abs(eta) * (lam - 1.0), axis=0)
-    if np.any(den < np.ldexp(_TINY, -e)):
-        raise ValueError("ill-posed gyromidpoint weights: denominator vanishes")
-    inner = np.sum(eta * lam * pts, axis=0) / den
-    return _mobius_scalar(0.5, inner, k)
+    shape = _shape(*(p.shape for p in pts))
+    with work.frame():
+        num, den = work.take(shape), work.take(_cols(shape))
+        num.fill(0.0)
+        den.fill(0.0)
+        for p, eta in zip(pts, np.ldexp(weights, -e)):
+            with work.frame():
+                lam = _sqnorm(p, work.take(_cols(p.shape)), work)
+                _lambda(lam, k, out=lam)
+                c = np.multiply(eta, lam, out=work.take(lam.shape))
+                np.add(num, np.multiply(c, p, out=work.take(p.shape)), out=num)
+                np.add(den, np.multiply(abs(eta), np.subtract(lam, 1.0, out=lam), out=lam), out=den)
+        if np.any(den < np.ldexp(_TINY, -e)):
+            raise ValueError("ill-posed gyromidpoint weights: denominator vanishes")
+        return _mobius_scalar(0.5, np.divide(num, den, out=num), k, out=out, work=work)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +379,7 @@ def project_to_ball(x: np.ndarray, kappa) -> np.ndarray:
     """
     k = _kappa_value(kappa)
     (xa,) = _finite(x)
-    out = _project(xa, k)
-    return out.copy() if out is x else out
+    return _project(xa.copy(), k)[0]
 
 
 def mobius_add(x: np.ndarray, y: np.ndarray, kappa) -> np.ndarray:
@@ -386,14 +389,14 @@ def mobius_add(x: np.ndarray, y: np.ndarray, kappa) -> np.ndarray:
     """
     k = _kappa_value(kappa)
     x, y = _finite(x, y)
-    return _project(_mobius_add(x, y, k), k)
+    return _project(_mobius_add(x, y, k), k)[0]
 
 
 def conformal_factor(x: np.ndarray, kappa) -> np.ndarray:
     """lambda_x = 2 / (1 + kappa |x|^2); equals 2 at the origin."""
     k = _kappa_value(kappa)
     (x,) = _finite(x)
-    return _lambda(_sqnorm(_project(x, k)), k)[..., 0]
+    return _lambda(_sqnorm(_project(x.copy(), k)[0]), k)[..., 0]
 
 
 def exp_map(x: np.ndarray, v: np.ndarray, kappa) -> np.ndarray:
@@ -480,4 +483,6 @@ def gyromidpoint(points: np.ndarray, weights: np.ndarray, kappa) -> np.ndarray:
     """
     k = _kappa_value(kappa)
     pts, eta = _finite(points, weights)
-    return _gyromidpoint(pts, eta, k)
+    if not len(pts) or eta.shape != (len(pts),):
+        raise ValueError("gyromidpoint needs one weight for each of one or more points")
+    return _gyromidpoint(list(pts), eta, k)

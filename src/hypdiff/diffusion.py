@@ -92,28 +92,36 @@ def diffusion_flow(
     sigma: str = "identity",
     global_part: Optional[RowSource] = None,
     pool: Optional[BlockPool] = None,
+    residual: Optional[ResidualSpec] = None,
+    z0: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One flow evaluation F(z) under the given diffusivity weights.
 
     The sparse part aggregates over neighbors (scalar or per-channel edge
     weights of dmat); the optional dense global part aggregates over all
     pairs, its weights made by global_part(a, b) as a (b - a, n) array for
-    each block of rows a..b-1 (e.g. GlobalAttention.rows).  Both passes run
-    in row blocks, and so do the squared norms before them and the closing
-    exp map, on the threads of ``pool`` while its context is open, with
-    their temporaries in the running thread's Scratch.  Aggregation order is
-    fixed, so results are bitwise reproducible and do not depend on the pool.
+    each block of rows a..b-1 (e.g. GlobalAttention.rows).  With a residual
+    spec, each row's exp map is blended with its rows of points and z0, the
+    initial state, through the weighted gyromidpoint.  Both passes run in
+    row blocks, and so do the squared norms before them and the closing exp
+    map and blend, on the threads of ``pool`` while its context is open,
+    with their temporaries in the running thread's Scratch.  Aggregation
+    order is fixed, so results are bitwise reproducible and do not depend on
+    the pool.
     """
     n, dim = points.shape
     if dmat.graph.n != n:
         raise ValueError("diffusivity matrix size does not match state")
+    if residual is not None and np.shape(z0) != points.shape:
+        raise ValueError("residual states must share one shape")
     pool = BlockPool() if pool is None else pool
     k = ball._kappa_value(kappa)
     sq = np.empty((n, 1))
     blocks.run_rows(lambda a, b, work: ball._sqnorm(points[a:b], sq[a:b], work), n, dim, pool)
     agg = _edge_aggregate(points, dmat, k, sq, pool)
     if global_part is not None:
-        agg += _global_aggregate(points, global_part, k, sq, pool)
+        _global_aggregate(points, global_part, k, sq, pool, agg)
+    eta = None if residual is None else np.asarray(residual.eta, float)
     out = np.empty_like(points)
 
     def close(a: int, b: int, work: Scratch):
@@ -122,7 +130,10 @@ def diffusion_flow(
         if not finite.all():
             bad = a + int(np.nonzero(~finite.all(axis=1))[0][0])
             raise FloatingPointError(f"non-finite tangent aggregate at node {bad}")
-        ball._exp_map(points[a:b], _apply_sigma(part, sigma), k, sq[a:b], out=out[a:b], work=work)
+        moved = out[a:b] if eta is None else work.take(part.shape)
+        ball._exp_map(points[a:b], _apply_sigma(part, sigma), k, sq[a:b], out=moved, work=work)
+        if eta is not None:
+            ball._gyromidpoint([moved, points[a:b], z0[a:b]], eta, k, out=out[a:b], work=work)
 
     blocks.run_rows(close, n, dim, pool)
     return out
@@ -177,16 +188,17 @@ def _edge_aggregate(
 
 def _global_aggregate(
     points: np.ndarray, weights: RowSource, k: float, sq: np.ndarray, pool: BlockPool,
-) -> np.ndarray:
-    """sum_j w_ij log_{z_i}(z_j) for every node i, in row blocks run by
-    pool, with the rows a..b-1 of w made by weights(a, b) inside the block.
+    agg: np.ndarray,
+):
+    """Adds sum_j w_ij log_{z_i}(z_j) to row i of agg for every node i, in
+    row blocks run by pool, with the rows a..b-1 of w made by weights(a, b)
+    inside the block.
 
     Each entry depends only on its own row of log maps and weights, so the
     blocks give bitwise the result of one (n, n, d) pass, and no (n, n)
     array of weights is held.  sq holds the squared row norms of points.
     """
     n, dim = points.shape
-    out = np.empty_like(points)
     y, y2 = points[None, :, :], sq[None, :, :]
 
     def block(a: int, b: int, work: Scratch):
@@ -195,28 +207,13 @@ def _global_aggregate(
             raise ValueError(f"global part gave {w.shape} weights for rows {a}..{b - 1} of {n}")
         tang = ball._log_map(points[a:b, None, :], y, k, sq[a:b, None, :], y2,
                              out=work.take((b - a, n, dim)), work=work)
-        out[a:b] = np.einsum("ij,ijd->id", w, tang)
+        np.add(agg[a:b], np.einsum("ij,ijd->id", w, tang), out=agg[a:b])
 
     # twice the budget of the other passes: each block has a fixed cost to
     # hand out, and at n=800, d=16 a pass on two threads took 152 ms in 5-row
     # blocks and 133 ms in 10-row ones; 4x the budget raised the peak RSS of
     # a global run by 8-13%
     blocks.run_rows(block, n, n * dim, pool, floats=2 * blocks._DENSE_BLOCK_FLOATS)
-    return out
-
-
-def residual_flow(
-    z_dot: np.ndarray,
-    z_t: np.ndarray,
-    z_0: np.ndarray,
-    spec: ResidualSpec,
-    kappa,
-) -> np.ndarray:
-    """Node-wise gyromidpoint of the finite {dynamic, current, initial} states."""
-    if not (z_dot.shape == z_t.shape == z_0.shape):
-        raise ValueError("residual states must share one shape")
-    stack = np.stack([z_dot, z_t, z_0], axis=0)
-    return ball._gyromidpoint(stack, np.asarray(spec.eta, float), ball._kappa_value(kappa))
 
 
 def dirichlet_energy(
@@ -318,10 +315,7 @@ def build_flow(
         glob = None
         if beta > 0.0:
             glob = dv.GlobalAttention(points, params, cfg.heads, kappa, beta).rows
-        out = diffusion_flow(points, static, kappa, sigma, glob, pool)
-        if residual is not None:
-            out = residual_flow(out, points, z0, residual, kappa)
-        return out
+        return diffusion_flow(points, static, kappa, sigma, glob, pool, residual, z0)
 
     return flow
 

@@ -159,9 +159,9 @@ def _parse_line(path: str, lineno: int, stripped: str):
 
 def save_edge_list(path: str, g: Graph):
     """Write a Graph so that load_edge_list round-trips it exactly."""
-    lines = [f"# nodes={g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edge_array.tolist())
-    atomic_write(path, ["\n".join(lines) + "\n"])
+    edges = g.edge_array
+    atomic_write(path, _csv_chunks(f"# nodes={g.n}", "%d %d", 2, len(edges),
+                                   lambda a, b: edges[a:b].ravel().tolist()))
 
 
 def load_features(path: str) -> np.ndarray:

@@ -76,6 +76,48 @@ def geodesic_flow(h0, v0, kappa):
 
 
 # ---------------------------------------------------------------------------
+# the weighted gyromidpoint as whole-array expressions on stacked points
+# ---------------------------------------------------------------------------
+
+# relative margin of the ball projection, ball.BOUNDARY_EPS
+RIM_EPS = 1e-5
+
+
+def project_reference(x, kappa):
+    """Rows of x with norm above (1 - RIM_EPS) R times R (1 - RIM_EPS) / norm;
+    x itself when no row is above."""
+    n = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
+    limit = (1.0 - RIM_EPS) / np.sqrt(-kappa)
+    if not (n.size and np.fmax.reduce(n, axis=None) > limit):
+        return x
+    return x * np.where(n > limit, limit / np.where(n == 0.0, 1.0, n), 1.0)
+
+
+def mobius_scalar_reference(r, x, kappa):
+    """r (x) x = tanh(r atanh(sqrt(s)|x|)) x / (sqrt(s)|x|), 0 at x = 0."""
+    sq = np.sqrt(-kappa)
+    n = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
+    safe = np.where(n == 0.0, 1.0, n)
+    arg = np.minimum(sq * n, 1.0 - 1e-15)
+    out = np.tanh(r * np.arctanh(arg)) * x / (sq * safe)
+    return project_reference(np.where(n == 0.0, 0.0, out), kappa)
+
+
+def gyromidpoint_reference(points, weights, kappa):
+    """(1/2) (x) (sum_j eta_j lambda_j z_j / sum_j |eta_j| (lambda_j - 1)) for
+    points stacked on axis 0, eta the weights scaled by the power of two
+    that brings max |eta| into [0.5, 1), summed by np.sum over axis 0."""
+    pts = np.asarray(points, dtype=np.float64)
+    e = int(np.frexp(np.max(np.abs(weights), initial=0.0))[1])
+    eta = np.ldexp(weights, -e).reshape((pts.shape[0],) + (1,) * (pts.ndim - 1))
+    lam = 2.0 / (1.0 + kappa * np.sum(pts * pts, axis=-1, keepdims=True))
+    den = np.sum(np.abs(eta) * (lam - 1.0), axis=0)
+    if np.any(den < np.ldexp(np.finfo(np.float64).tiny, -e)):
+        raise ValueError("ill-posed gyromidpoint weights")
+    return mobius_scalar_reference(0.5, np.sum(eta * lam * pts, axis=0) / den, kappa)
+
+
+# ---------------------------------------------------------------------------
 # exact transportation by exhaustive integer enumeration
 # ---------------------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from hypdiff.ball import (
     project_to_ball,
 )
 
-from _oracles import assert_bitwise
+from _oracles import assert_bitwise, gyromidpoint_reference, mobius_scalar_reference
 from conftest import NanScratch
 
 K1 = -1.0
@@ -314,6 +314,9 @@ class TestGyromidpoint:
             gyromidpoint(pts, np.array([0.0, 0.0]), K1)
         with pytest.raises(ValueError):  # a subnormal sum of |eta|
             gyromidpoint(pts, np.array([5e-324, 0.0]), K1)
+        for points, weights in [(pts, [1.0]), (pts, [1.0, 1.0, 1.0]), (pts[:0], [])]:
+            with pytest.raises(ValueError, match="one weight for each"):
+                gyromidpoint(points, np.array(weights), K1)
 
     def test_weight_scale_free(self):
         # the denominator is at least sum |eta|, so any normal sum is well-posed
@@ -343,6 +346,37 @@ class TestGyromidpoint:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         pts = random_points(rng, 3 * 4, 2, kappa, max_frac=0.99).reshape(3, 4, 2)
         assert_bitwise(gyromidpoint(pts, np.ldexp(eta, j), kappa), gyromidpoint(pts, eta, kappa))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        eta=hnp.arrays(np.float64, st.integers(1, 5), elements=st.one_of(
+            st.just(0.0), st.floats(1e-30, 1e30), st.floats(-1e30, -1e-30))),
+        kappa=st.floats(-100.0, -1e-3),
+        shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
+        data=st.data(),
+    )
+    def test_kernel_matches_the_stacked_reference(self, eta, kappa, shape, data):
+        """The kernel on a sequence of J point arrays, of shapes that
+        broadcast to one, gives the bits of the whole-array form on the
+        stacked points, or raises ValueError where that does."""
+        pts = []
+        for _ in eta:
+            # each array keeps some of the leading axes of the shape, the others 1
+            kept = data.draw(hnp.arrays(np.bool_, len(shape) - 1))
+            own = tuple(n if keep else 1 for n, keep in zip(shape[:-1], kept)) + shape[-1:]
+            # signed zeros, so that whole columns of terms are -0.0
+            coords = data.draw(hnp.arrays(np.float64, own, elements=st.one_of(
+                st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))))
+            fracs = data.draw(hnp.arrays(np.float64, own[:-1], elements=INSIDE))
+            pts.append(rim_points(coords.reshape(-1, own[-1]), fracs.ravel(), kappa).reshape(own))
+        stacked = np.stack(np.broadcast_arrays(*pts))
+        try:
+            want = gyromidpoint_reference(stacked, eta, kappa)
+        except ValueError:
+            with pytest.raises(ValueError, match="ill-posed"):
+                ball._gyromidpoint(pts, eta, kappa)
+            return
+        assert_bitwise(ball._gyromidpoint(pts, eta, kappa), want)
 
     def test_nodewise_batch(self):
         rng = np.random.default_rng(21)
@@ -481,8 +515,8 @@ class TestRawKernels:
         assert_bitwise(ball._log_map(xi, yj, k), log_map(xi, yj, kappa))
         assert_bitwise(ball._exp_map(xi, v, k, sq[i]), exp_map(xi, v, kappa))
         assert_bitwise(ball._distance(xi, yj, k, sq[i], sq[j]), distance(xi, yj, kappa))
-        assert_bitwise(ball._project(ball._mobius_add(xi, yj, k), k), mobius_add(xi, yj, kappa))
-        assert_bitwise(ball._project(x, k), project_to_ball(x, kappa))
+        assert_bitwise(ball._project(ball._mobius_add(xi, yj, k), k)[0], mobius_add(xi, yj, kappa))
+        assert_bitwise(ball._project(x.copy(), k)[0], project_to_ball(x, kappa))
         assert_bitwise(ball._dlog(x, y, v, k), dlog(x, y, v, kappa))
         c = 0.09 * v
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -499,22 +533,31 @@ class TestRawKernels:
                 else:
                     with pytest.raises(ball.NonFiniteError):
                         public()
-        stack = np.stack([x, y])
         eta = np.array([1.0, 0.6])
-        assert_bitwise(ball._gyromidpoint(stack, eta, k), gyromidpoint(stack, eta, kappa))
+        assert_bitwise(ball._gyromidpoint([x, y], eta, k), gyromidpoint(np.stack([x, y]), eta, kappa))
 
     @settings(deadline=None, max_examples=200)
     @given(point_sets(count=1, fractions=OUTSIDE))
     def test_projection_skips_only_exact_multiplies(self, case):
-        """_project returns its input when no row clamps, and otherwise
-        equals x times the full factor array."""
+        """_project leaves x unwritten when no row clamps, and otherwise
+        makes it x times the full factor array, in place; the norms it
+        returns are those of the projected rows."""
         kappa, (x, _) = case
         n = np.linalg.norm(x, axis=-1, keepdims=True)
         limit = (1.0 - ball.BOUNDARY_EPS) / np.sqrt(-kappa)
         factor = np.where(n > limit, limit / np.where(n == 0.0, 1.0, n), 1.0)
-        out = ball._project(x, kappa)
-        assert (out is x) == bool(np.all(n <= limit))
+        target = x.copy()
+        target.flags.writeable = bool(np.any(n > limit))  # a write without a clamp raises
+        out, norms = ball._project(target, kappa)
+        assert out is target
         assert out.tobytes() == (x * factor).tobytes()
+        assert_bitwise(norms, ball._norm(out))
+
+    @settings(deadline=None, max_examples=100)
+    @given(point_sets(count=1, fractions=OUTSIDE), st.floats(-3.0, 3.0))
+    def test_mobius_scalar_matches_the_whole_array_reference(self, case, r):
+        kappa, (x, _) = case
+        assert_bitwise(ball._mobius_scalar(r, x, kappa), mobius_scalar_reference(r, x, kappa))
 
     def test_negated_point_has_the_same_squared_norm(self):
         rng = np.random.default_rng(3)
@@ -563,10 +606,14 @@ class TestScratchKernels:
     KERNELS = {
         "sqnorm": lambda k, x, y, v, w, **kw: ball._sqnorm(y, **kw),
         "norm": lambda k, x, y, v, w, **kw: ball._norm(v, **kw),
-        "project": lambda k, x, y, v, w, **kw: ball._project(v.copy(), k, **kw),
+        "project": lambda k, x, y, v, w, out=None, work=None: ball._project(
+            copied(v, out), k, work=work)[0],
+        "project_norms": lambda k, x, y, v, w, out=None, work=None: ball._project(
+            v.copy(), k, out, work)[1],
         "mobius_add": lambda k, x, y, v, w, **kw: ball._mobius_add(x, y, k, **kw),
         "mobius_add_norms": lambda k, x, y, v, w, **kw: ball._mobius_add(
             x, y, k, ball._sqnorm(x), ball._sqnorm(y), **kw),
+        "mobius_scalar": lambda k, x, y, v, w, **kw: ball._mobius_scalar(0.7, y, k, **kw),
         "exp_map": lambda k, x, y, v, w, **kw: ball._exp_map(x, v, k, **kw),
         "exp_map_norms": lambda k, x, y, v, w, **kw: ball._exp_map(
             x, v, k, ball._sqnorm(x), **kw),
@@ -583,6 +630,8 @@ class TestScratchKernels:
         "gyration": lambda k, x, y, v, w, **kw: ball._gyration(x, y, v, k, **kw),
         "parallel_transport": lambda k, x, y, v, w, **kw: ball._parallel_transport(
             x, y, v, k, **kw),
+        "gyromidpoint": lambda k, x, y, v, w, **kw: ball._gyromidpoint(
+            [x, y, x], np.array([1.0, -0.6, 0.1]), k, **kw),
     }
 
     @settings(deadline=None, max_examples=300)
@@ -598,18 +647,30 @@ class TestScratchKernels:
                     out = np.full(np.shape(want), np.nan)
                     got = kernel(kappa, x, y, v, w, out=out, work=work)
                     assert_bitwise(got, want)
-                    assert name == "project" or got is out
+                    assert got is out
                     assert work._depths == [0, 0, 0]  # every frame handed its buffers back
 
     def test_projection_writes_only_when_a_row_clamps(self):
         x = np.array([[0.3, 0.4], [3.0, 4.0]])
-        out = np.full_like(x, np.nan)
-        inside = x[:1]
-        assert ball._project(inside, K1, out=out[:1], work=NanScratch()) is inside
-        assert np.isnan(out).all()  # nothing clamped, nothing written
-        got = ball._project(x, K1, out=out, work=NanScratch())
-        assert got is out
+        inside = x[:1].copy()
+        inside.flags.writeable = False  # nothing clamps, so nothing is written
+        got, norms = ball._project(inside, K1, work=NanScratch())
+        assert got is inside
+        assert_bitwise(norms, [[0.5]])
+        clamped = x.copy()
+        norms = np.full((2, 1), np.nan)
+        got, got_norms = ball._project(clamped, K1, norms, NanScratch())
+        assert got is clamped and got_norms is norms
         assert_bitwise(got, project_to_ball(x, K1))
+        assert_bitwise(norms, ball._norm(got))
+
+
+def copied(v, out=None):
+    """v copied into out, or into a new array."""
+    if out is None:
+        return v.copy()
+    np.copyto(out, v)
+    return out
 
 
 PUBLIC_CALLS = {

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hypdiff import ball, blocks, diffusion, diffusivity as dv, solvers
@@ -24,7 +24,6 @@ from hypdiff.diffusion import (
     dirichlet_energy,
     features_to_state,
     initial_state,
-    residual_flow,
     run_diffusion,
 )
 from hypdiff.diffusivity import DiffusivityConfig, DiffusivityMatrix, isotropic_weights
@@ -33,8 +32,8 @@ from hypdiff.graphs import Graph, erdos_renyi
 from hypdiff.solvers import NonFiniteStateError, SolverSpec, _hrk4_step, solve
 
 from _oracles import (
-    assert_bitwise, dense_log_aggregate, dirichlet_energy_reference, flow_reference, rk38_step,
-    row_source, scatter_add,
+    assert_bitwise, dense_log_aggregate, dirichlet_energy_reference, flow_reference,
+    gyromidpoint_reference, rk38_step, row_source, scatter_add,
 )
 
 K1 = -1.0
@@ -264,7 +263,9 @@ class TestAggregation:
         assert max(row_sizes(n, n * 3, 1, 2 * blocks._DENSE_BLOCK_FLOATS)) == rows
         pts = 0.9 * initial_state(n, 3, K1, seed=rows, scale=0.6).points
         weights = rng.uniform(0.0, 1.0, size=(n, n))
-        got = diffusion._global_aggregate(pts, row_source(weights), -1.0, ball._sqnorm(pts), pool)
+        # -0.0 + x is x for every x, -0.0 included
+        got = np.full_like(pts, -0.0)
+        diffusion._global_aggregate(pts, row_source(weights), -1.0, ball._sqnorm(pts), pool, got)
         assert_bitwise(got, dense_log_aggregate(pts, weights, K1))
 
 
@@ -994,21 +995,54 @@ class TestScratchBuffers:
 
 
 class TestResidualFlow:
+    """The residual blend in the flow's closing pass."""
+
+    @staticmethod
+    def case(seed):
+        g = erdos_renyi(12, 0.4, seed=seed)
+        pts = 0.9 * initial_state(g.n, 3, K1, seed=seed, scale=0.6).points
+        z0 = 0.9 * initial_state(g.n, 3, K1, seed=seed + 1, scale=0.6).points
+        return g, pts, z0
+
     def test_pure_dynamic(self):
-        rng = np.random.default_rng(4)
-        z_dot, z_t, z_0 = (0.3 * rng.standard_normal((5, 2)) for _ in range(3))
-        out = residual_flow(z_dot, z_t, z_0, ResidualSpec(eta=(1.0, 0.0, 0.0)), K1)
-        np.testing.assert_allclose(out, z_dot, atol=1e-12)
+        g, pts, z0 = self.case(4)
+        dmat = isotropic_weights(g)
+        out = diffusion_flow(pts, dmat, K1, residual=ResidualSpec(eta=(1.0, 0.0, 0.0)), z0=z0)
+        np.testing.assert_allclose(out, diffusion_flow(pts, dmat, K1), atol=1e-12)
 
     def test_all_equal_states(self):
-        z = two_point_state()
-        out = residual_flow(z, z, z, ResidualSpec(), K1)
-        np.testing.assert_allclose(out, z, atol=1e-12)
+        """Zero weights leave every point where it is, so the dynamic,
+        current and initial states are one."""
+        g, pts, _ = self.case(5)
+        dmat = DiffusivityMatrix(g, np.zeros(g.directed_edges.shape[1]))
+        out = diffusion_flow(pts, dmat, K1, residual=ResidualSpec(), z0=pts)
+        np.testing.assert_allclose(out, pts, atol=1e-12)
 
     def test_shape_mismatch(self):
-        z = two_point_state()
-        with pytest.raises(ValueError):
-            residual_flow(z, z, z[:1], ResidualSpec(), K1)
+        g, pts, z0 = self.case(6)
+        for bad in (z0[:1], z0[:, :2], None):
+            with pytest.raises(ValueError, match="share one shape"):
+                diffusion_flow(pts, isotropic_weights(g), K1, residual=ResidualSpec(), z0=bad)
+
+    @pytest.mark.parametrize("scheme", dv.SCHEMES)
+    @pytest.mark.parametrize("threads, block_floats", [(1, 12), (2, 12), (3, 24)])
+    def test_pooled_blend_equals_the_stacked_reference(
+        self, nan_block_pool, scheme, threads, block_floats,
+    ):
+        """The blend of each block's exp map, serial and pooled, gives the
+        bits of the whole-array gyromidpoint of the stacked (dynamic,
+        current, initial) states."""
+        g, pts, z0 = self.case(7)
+        dcfg = DiffusivityConfig(scheme=scheme, beta=0.5, heads=2, seed=1)
+        eta = (1.0, -0.6, 0.1)
+        dynamic = build_flow(g, dcfg, 3, K1)(pts, 0.0)
+        want = gyromidpoint_reference(np.stack([dynamic, pts, z0]), np.array(eta), K1)
+        pool = nan_block_pool(threads, block_floats)
+        assert len(row_sizes(g.n, 3, threads)) > 1
+        flow = build_flow(g, dcfg, 3, K1, residual=ResidualSpec(eta), z0=z0, pool=pool)
+        assert_bitwise(flow(pts, 0.0), want)
+        with pool:
+            assert_bitwise(flow(pts, 0.0), want)
 
 
 class TestDirichletEnergy:
@@ -1229,14 +1263,20 @@ class TestEnergyMonotonicityStudy:
 
 
 @st.composite
-def relabeled_graphs(draw):
-    """A connected graph on 3 to 9 nodes (a random spanning tree plus
-    extra edges) and a permutation of its node ids."""
+def connected_graphs(draw):
+    """A connected graph on 3 to 9 nodes: a random spanning tree plus extra
+    edges."""
     n = draw(st.integers(3, 9))
     tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
-    g = Graph.from_edges(tree + [(u, v) for u, v in extra if u != v], n=n)
-    return g, np.array(draw(st.permutations(range(n))))
+    return Graph.from_edges(tree + [(u, v) for u, v in extra if u != v], n=n)
+
+
+@st.composite
+def relabeled_graphs(draw):
+    """A connected graph and a permutation of its node ids."""
+    g = draw(connected_graphs())
+    return g, np.array(draw(st.permutations(range(g.n))))
 
 
 class TestRelabeling:
@@ -1265,3 +1305,66 @@ class TestRelabeling:
         assert np.abs(final_p.points[perm] - final.points).max() <= 1e-12
         energy, energy_p = np.array(trace)[:, 1], np.array(trace_p)[:, 1]
         assert np.all(np.abs(energy_p - energy) <= 1e-12 * np.abs(energy))
+
+
+def energies(trace):
+    return np.array(trace)[:, 1]
+
+
+class TestRotation:
+    """For the isotropic scheme, rotating z0 by an orthogonal Q rotates a
+    whole run's output by Q and keeps its energies: the scalar edge weights,
+    the ball kernels and the residual blend are built from inner products
+    and linear combinations of points.  The per-channel local weights and
+    the global projections are not rotation-equivariant.  Steps as in
+    TestRelabeling; at tau 0.05, T 1 on karate with d=8 the largest
+    differences were |dz| 1.9e-16 and a relative energy difference of
+    7.8e-16."""
+
+    @pytest.mark.parametrize("method", solvers.METHODS)
+    @settings(deadline=None, max_examples=4)
+    @given(g=connected_graphs(), seed=st.integers(0, 2**32 - 1), residual=st.booleans())
+    def test_rotating_z0_rotates_the_output(self, method, g, seed, residual):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+        z0 = initial_state(g.n, 4, K1, seed=seed)
+        dcfg = DiffusivityConfig(scheme="isotropic")
+        spec = SolverSpec(method=method, tau=0.05, t_final=1.0)
+        blend = ResidualSpec() if residual else None
+        final, trace = run_diffusion(z0, g, dcfg, spec, blend)
+        final_q, trace_q = run_diffusion(EmbeddingState(z0.points @ q.T, K1), g, dcfg, spec, blend)
+        assert np.abs(final_q.points - final.points @ q.T).max() <= 1e-12
+        energy = energies(trace)
+        assert np.all(np.abs(energies(trace_q) - energy) <= 1e-12 * energy)
+
+
+class TestCurvatureScaling:
+    """z0 / sqrt(c) on the ball of curvature -c runs as z0 on the ball of
+    curvature -1, scaled: the output is the kappa = -1 output divided by
+    sqrt(c), and each energy is divided by c.  Every ball kernel, the
+    residual blend included, is homogeneous in the radius, and so is the
+    identity sigma; the isotropic and local weights do not depend on the
+    points.  Where sqrt(c) is a power of two every operation scales exactly,
+    so the runs agree bitwise.  On karate with d=8 at c = 3 the largest
+    differences were |dz| 1.7e-16 and a relative energy difference of
+    1.0e-15."""
+
+    @pytest.mark.parametrize("method", solvers.METHODS)
+    @pytest.mark.parametrize("scheme", ["isotropic", "local"])
+    @settings(deadline=None, max_examples=3)
+    @given(g=connected_graphs(), residual=st.booleans(),
+           c=st.one_of(st.sampled_from([4.0, 0.25]), st.floats(0.2, 20.0)))
+    @example(g=Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)]), residual=True, c=4.0)
+    def test_scaling_the_ball_scales_the_output(self, scheme, method, g, residual, c):
+        z0 = initial_state(g.n, 4, K1, seed=g.n)
+        dcfg = DiffusivityConfig(scheme=scheme, seed=1)
+        spec = SolverSpec(method=method, tau=0.05, t_final=1.0)
+        blend = ResidualSpec() if residual else None
+        root = np.sqrt(c)
+        final, trace = run_diffusion(z0, g, dcfg, spec, blend)
+        final_c, trace_c = run_diffusion(EmbeddingState(z0.points / root, -c), g, dcfg, spec, blend)
+        assert np.abs(final_c.points * root - final.points).max() <= 1e-12
+        energy = energies(trace)
+        assert np.all(np.abs(energies(trace_c) * c - energy) <= 1e-12 * energy)
+        if root == 2.0 ** np.round(np.log2(root)):
+            assert_bitwise(final_c.points, final.points / root)
+            assert_bitwise(energies(trace_c) * c, energy)

@@ -77,6 +77,25 @@ class TestEdgeList:
         assert loaded.n == g.n
         assert loaded.edges == g.edges
 
+    # no graph, an edgeless one, a path, and more edges than two chunks hold
+    @pytest.mark.parametrize("n, m", [(0, 0), (5, 0), (3, 2), (20000, (1 << 14) + 5)])
+    def test_written_in_chunks_as_one_text(self, tmp_path, monkeypatch, n, m):
+        """The file is the `# nodes=N` line and one `u v` line per edge, as
+        one joined text would give, written at most _CSV_CHUNK_VALUES ids at
+        a time."""
+        g = Graph.from_edges([(i, i + 1) for i in range(m)], n=n)
+        chunks = []
+        real = graphio.atomic_write
+        monkeypatch.setattr(graphio, "atomic_write", lambda path, parts: real(
+            path, (chunks.append(c) or c for c in parts)))
+        p = tmp_path / "g.edges"
+        save_edge_list(str(p), g)
+        want = "".join([f"# nodes={n}\n"] + [f"{u} {v}\n" for u, v in g.edges])
+        assert p.read_bytes() == want.encode()
+        rows = graphio._CSV_CHUNK_VALUES // 2
+        assert len(chunks) == 1 + -(-m // rows)
+        assert max(c.count("\n") for c in chunks) <= rows
+
 
 # Node-id tokens: mostly plain ASCII ids, and the forms Python's int()
 # accepts or rejects that a byte-level parser could get wrong.
