@@ -135,10 +135,11 @@ def _project(x, k, norm=None, work=None):
     return x, _norm(x, n, work)
 
 
-def _mobius_add(x, y, k, x2=None, y2=None, out=None, work=None):
+def _mobius_add(x, y, k, x2=None, y2=None, out=None, work=None, den=None):
     # ((1 - 2k<x,y> - k|y|^2) x + (1 + k|x|^2) y) / (1 - 2k<x,y> + k^2|x|^2|y|^2),
     # the algebraic form without the ball projection; gyration applies it to
-    # tangent vectors, which may lie far outside the ball
+    # tangent vectors, which may lie far outside the ball.  The denominator
+    # is written to den when given
     work = Scratch() if work is None else work
     shape = _shape(x.shape, y.shape)
     with work.frame():
@@ -147,7 +148,8 @@ def _mobius_add(x, y, k, x2=None, y2=None, out=None, work=None):
         if y2 is None:
             y2 = _sqnorm(y, work.take(_cols(y.shape)), work)
         wide = np.multiply(x, y, out=work.take(shape))
-        xy = np.add.reduce(wide, axis=-1, keepdims=True, out=work.take(_cols(shape)))
+        xy = np.add.reduce(wide, axis=-1, keepdims=True,
+                           out=work.take(_cols(shape)) if den is None else den)
         # 1 - 2k<x,y> starts both the denominator and the coefficient of x
         den = np.multiply(2.0 * k, xy, out=xy)
         np.subtract(1.0, den, out=den)
@@ -250,20 +252,16 @@ def _dlog(x, y, w, k, out=None, work=None):
         a = np.negative(x, out=work.take(x.shape))
         a2 = _sqnorm(a, work.take(_cols(a.shape)), work)
         y2 = _sqnorm(y, work.take(_cols(y.shape)), work)
-        # den = 1 - 2k<a,y> + k^2 |a|^2 |y|^2
-        den = _dot(a, y, work.take(_cols(a.shape, y.shape)), work)
-        np.multiply(2.0 * k, den, out=den)
-        np.subtract(1.0, den, out=den)
-        kka2 = np.multiply(k * k, a2, out=work.take(a2.shape))
-        np.add(den, np.multiply(kka2, y2, out=work.take(_cols(a2.shape, y2.shape))), out=den)
-        m = _mobius_add(a, y, k, a2, y2, out=work.take(shape), work=work)
+        # m = a (+) y, and den = 1 - 2k<a,y> + k^2 |a|^2 |y|^2, its denominator
+        den = work.take(_cols(a.shape, y.shape))
+        m = _mobius_add(a, y, k, a2, y2, out=work.take(shape), work=work, den=den)
         wide = work.take(shape)  # for one product at a time
         # dnum = (-2k<a,w> - 2k<y,w>) a + (1 + k|a|^2) w
         p = np.multiply(-2.0 * k, _dot(a, w, work.take(cols), work), out=work.take(cols))
         yw = _dot(y, w, work.take(cols), work)
         pq = np.subtract(p, np.multiply(2.0 * k, yw, out=work.take(cols)), out=work.take(cols))
         u = np.multiply(pq, a, out=work.take(shape))
-        ca2 = np.multiply(k, a2, out=kka2)
+        ca2 = np.multiply(k, a2, out=work.take(a2.shape))
         np.add(1.0, ca2, out=ca2)
         np.add(u, np.multiply(ca2, w, out=wide), out=u)
         # dden = -2k<a,w> + 2k^2 |a|^2 <y,w>, whose first term is p

@@ -225,11 +225,7 @@ def cmd_convergence(args) -> int:
     rows = solvers.convergence_study(methods, taus, kappa=cfg["kappa"])
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
-    lines = ["method,tau,error,fitted_order"]
-    lines.extend(
-        f"{m},{tau:.17g},{err:.17g},{order:.17g}" for m, tau, err, order in rows
-    )
-    graphio.atomic_write(os.path.join(out_dir, "convergence.csv"), ["\n".join(lines) + "\n"])
+    graphio.save_convergence_csv(os.path.join(out_dir, "convergence.csv"), rows)
     return 0
 
 

@@ -264,9 +264,7 @@ def initial_state(
     """Seeded Gaussian tangent vectors at the origin mapped into the ball.
     Raises ValueError for a kappa outside [-9.48e153, 0)."""
     rng = np.random.default_rng(seed)
-    tang = scale * rng.standard_normal((n, dim))
-    pts = ball.exp_map(np.zeros(dim), tang, kappa)
-    return EmbeddingState(points=pts, kappa=kappa)
+    return features_to_state(scale * rng.standard_normal((n, dim)), kappa)
 
 
 def features_to_state(features: np.ndarray, kappa: float) -> EmbeddingState:

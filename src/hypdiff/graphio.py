@@ -218,6 +218,12 @@ def save_energy_csv(path: str, trace):
         x for t, e in trace[a:b] for x in (t, e)]))
 
 
+def save_convergence_csv(path: str, rows):
+    """Write convergence_study rows as `method,tau,error,fitted_order` CSV."""
+    atomic_write(path, _csv_chunks("method,tau,error,fitted_order", "%s,%.17g,%.17g,%.17g", 4,
+                                   len(rows), lambda a, b: [x for row in rows[a:b] for x in row]))
+
+
 def save_orc_csv(path: str, orc):
     """Write per-edge curvature results as `u,v,curvature,wasserstein` CSV."""
     edges, curvature = orc.graph.edge_array, orc.curvature

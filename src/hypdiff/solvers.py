@@ -1,11 +1,12 @@
 """Projective fixed-grid integrators on the Poincare ball.
 
 A *flow* is a map F(state, t) -> state on the ball; the integrated field is
-its log at the current point, X(h, t) = log_h(F(h, t)).  Steppers advance by
-exp_h(tau * X_est) where X_est lives in the tangent space at the current grid
-point:
+its log at the current point, X(h, t) = log_h(F(h, t)).  Every step makes its
+new state by one rule, exp_h(tau * sum_i c_i X_i), a weighted sum of field
+slopes in the tangent space at the current grid point (``_update``); the
+methods differ in their coefficients and in how the slopes reach T_h:
 
-* ``heuler``  - explicit Euler, X_est = log_h(F(h, t)).
+* ``heuler``  - explicit Euler, the one-term sum c = 1, X = log_h(F(h, t)).
 * ``hrk4``    - 4-stage Runge-Kutta, weights {1, 3, 3, 1}/8 (the 3/8 rule)
   with stage times t + tau/3, t + 2 tau/3, t + tau.  Stage slopes are the
   field at the staged points pulled back into T_h exactly via the analytic
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,9 +100,7 @@ class SolverSpec:
 FillFn = Callable[[slice, np.ndarray, Scratch], None]
 
 
-def _rows(
-    pool: Optional[BlockPool], like: np.ndarray, fill: FillFn, state: bool = False,
-) -> np.ndarray:
+def _rows(pool: Optional[BlockPool], like: np.ndarray, fill: FillFn) -> np.ndarray:
     """A new array shaped like `like` whose rows r, a slice of its leading
     axis, fill(r, rows, work) writes into its rows r, made block by block by
     blocks.run_rows (on the threads of ``pool`` while it is started, each
@@ -110,22 +109,13 @@ def _rows(
 
     Every solver kernel is a per-row expression, so the result is bitwise
     the same for any blocks; each block runs its whole chain of kernels.
-    A new `state` is checked in the block that makes it: a block whose rows
-    are not all finite raises NonFiniteError, the first in block order.
     """
     out = np.empty(like.shape)
-
-    def block(r: slice, work: Scratch):
-        rows = out[r]
-        fill(r, rows, work)
-        if state and not np.isfinite(rows, out=work.take(rows.shape, bool)).all():
-            raise ball.NonFiniteError("non-finite state")
-
     if like.ndim < 2:
         pool = BlockPool() if pool is None else pool
-        pool.run(lambda _, work: block(slice(None), work), (None,))
+        pool.run(lambda _, work: fill(slice(None), out, work), (None,))
     else:
-        blocks.run_rows(lambda a, b, work: block(slice(a, b), work),
+        blocks.run_rows(lambda a, b, work: fill(slice(a, b), out[a:b], work),
                         like.shape[0], math.prod(like.shape[1:]), pool)
     return out
 
@@ -151,18 +141,36 @@ def _interpolate(x, y, ratio, k, pool):
     return _rows(pool, x, fill)
 
 
-def _heuler_step(h: np.ndarray, t: float, tau: float, flow: FlowFn, k: float,
-                 pool: Optional[BlockPool] = None) -> np.ndarray:
-    """One explicit Euler step exp_h(tau log_h(F(h, t))).
+def _update(h: np.ndarray, tau: float, terms: Iterable[tuple], k: float,
+            pool: Optional[BlockPool] = None) -> np.ndarray:
+    """The new state exp_h(tau * sum_i c_i X_i) of every step.
 
-    Raises ball.NonFiniteError if the new state is not finite."""
-    slope = _field(h, h, t, flow, k, pool)
+    Each term is (c, slope), a tangent at h, or (c, (slope, base)), a
+    tangent at base, parallel-transported to h first (also when base is h).
+    The products are added in term order: the first is the accumulator, and
+    each later one is made in a second buffer and added to it.  Each block
+    checks the rows it makes: a block whose rows are not all finite raises
+    ball.NonFiniteError, the first in block order.
+    """
+    terms = list(terms)
 
     def fill(r: slice, out: np.ndarray, work: Scratch):
-        v = np.multiply(tau, slope[r], out=work.take(out.shape))
-        ball._exp_map(h[r], v, k, out=out, work=work)
+        acc, term = work.take(out.shape), work.take(out.shape)
+        for i, (c, x) in enumerate(terms):
+            v = term if i else acc
+            if isinstance(x, tuple):
+                slope, base = x
+                x = ball._parallel_transport(base[r], h[r], slope[r], k, out=v, work=work)
+            else:
+                x = x[r]
+            np.multiply(c, x, out=v)
+            if i:
+                np.add(acc, term, out=acc)
+        ball._exp_map(h[r], np.multiply(tau, acc, out=acc), k, out=out, work=work)
+        if not np.isfinite(out, out=work.take(out.shape, bool)).all():
+            raise ball.NonFiniteError("non-finite state")
 
-    return _rows(pool, h, fill, state=True)
+    return _rows(pool, h, fill)
 
 
 def _field(
@@ -224,15 +232,7 @@ def _hrk4_step(
     g3 = stage(u3, t + 2.0 * tau / 3.0)
     g4 = stage(u4, t + tau)
 
-    def fill(r: slice, out: np.ndarray, work: Scratch):
-        # tau (w1 g1 + w2 g2 + w3 g3 + w4 g4)
-        mix, term = work.take(out.shape), work.take(out.shape)
-        np.multiply(_RK4_W[0], g1[r], out=mix)
-        for w, g in zip(_RK4_W[1:], (g2, g3, g4)):
-            np.add(mix, np.multiply(w, g[r], out=term), out=mix)
-        ball._exp_map(h[r], np.multiply(tau, mix, out=mix), k, out=out, work=work)
-
-    return _rows(pool, h, fill, state=True)
+    return _update(h, tau, zip(_RK4_W, (g1, g2, g3, g4)), k, pool)
 
 
 def _grid(tau: float, t_final: float) -> Tuple[int, bool]:
@@ -291,8 +291,9 @@ def solve(
 def _advance(h, t, spec, flow, k, step_index, queue, pool):
     # the one place where a failed check inside a step becomes NonFiniteStateError
     try:
-        if spec.method == "heuler":
-            return _heuler_step(h, t, spec.tau, flow, k, pool)
+        if spec.method == "heuler":  # the one-term update
+            slope = _field(h, h, t, flow, k, pool)
+            return _update(h, spec.tau, zip(AB_COEFFS[1], (slope,)), k, pool)
         if spec.method == "hrk4":
             return _hrk4_step(h, t, spec.tau, flow, k, pool=pool)
         return _ham_step(h, t, spec, flow, k, step_index, queue, pool)
@@ -312,30 +313,13 @@ def _ham_step(h, t, spec, flow, k, step_index, queue, pool):
         queue.insert(0, (_field(h_next, h_next, t_next, flow, k, pool), h_next))
         return h_next
     order = min(len(queue), spec.s_max)
-    h_star = _adams_step(AB_COEFFS[order], queue, h, tau, k, pool)
+    h_star = _update(h, tau, zip(AB_COEFFS[order], queue), k, pool)
     queue.insert(0, (_field(h_star, h_star, t + tau, flow, k, pool), h_star))
     order = min(len(queue), spec.s_max)
-    h_next = _adams_step(AM_COEFFS[order], queue, h, tau, k, pool)
+    h_next = _update(h, tau, zip(AM_COEFFS[order], queue), k, pool)
     while len(queue) > spec.s_max:
         queue.pop()
     return h_next
-
-
-def _adams_step(coeffs, queue, h, tau, k, pool):
-    """exp_h(tau * sum_i c_i PT(tangent_i)) over the queue's (tangent, base)
-    pairs, newest first, each transported from its base to h; a state,
-    checked like the other steps'."""
-    def fill(r: slice, out: np.ndarray, work: Scratch):
-        acc, term = work.take(out.shape), work.take(out.shape)
-        for i, (c, (tangent, base)) in enumerate(zip(coeffs, queue)):
-            pt = ball._parallel_transport(base[r], h[r], tangent[r], k,
-                                          out=term if i else acc, work=work)
-            np.multiply(c, pt, out=pt)
-            if i:
-                np.add(acc, term, out=acc)
-        ball._exp_map(h[r], np.multiply(tau, acc, out=acc), k, out=out, work=work)
-
-    return _rows(pool, h, fill, state=True)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,38 @@ def abm_pec_solve(y0, f, t_final, tau, s_min=2, s_max=4):
     return y
 
 
+def heuler_update_reference(h, tau, slope, kappa):
+    """The explicit Euler state exp_h(tau * slope), as the heuler step made
+    it before every method shared one update: one public exp map."""
+    from hypdiff import ball
+
+    return ball.exp_map(h, tau * slope, kappa)
+
+
+def rk4_update_reference(h, tau, weights, slopes, kappa):
+    """exp_h(tau * (w1 g1 + w2 g2 + ...)), the stage mix added in order, as
+    the hrk4 step's closing combination made it."""
+    from hypdiff import ball
+
+    mix = weights[0] * slopes[0]
+    for w, g in zip(weights[1:], slopes[1:]):
+        mix = mix + w * g
+    return ball.exp_map(h, tau * mix, kappa)
+
+
+def adams_update_reference(coeffs, queue, h, tau, kappa):
+    """exp_h(tau * sum_i c_i PT_{base_i -> h}(tangent_i)) over the (tangent,
+    base) pairs of the queue, newest first, as the Adams step made it: every
+    tangent is transported, also from a base equal to h."""
+    from hypdiff import ball
+
+    acc = None
+    for c, (tangent, base) in zip(coeffs, queue):
+        term = c * ball.parallel_transport(base, h, tangent, kappa)
+        acc = term if acc is None else acc + term
+    return ball.exp_map(h, tau * acc, kappa)
+
+
 def geodesic_flow(h0, v0, kappa):
     """Flow F(h, t) = exp_h(PT_{h0->h}(v0)) whose solution is exp_h0(t v0).
 
@@ -163,6 +195,53 @@ def transport_enumerate(supply, demand, cost):
     return best[0]
 
 
+def transport_min_cost_flow(supply, demand, cost):
+    """Minimum transport cost by successive shortest paths on integer
+    supplies and demands (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
+    sec. 9.7).
+
+    Each round finds, by Bellman-Ford over the residual network (its
+    backward arcs cost -cost[i][j]), a cheapest path from a supply atom with
+    supply left to a demand atom with demand left, and sends the largest
+    integer amount it carries.  Every flow stays integral, so with integer
+    costs the returned cost is exact.
+    """
+    supply = [int(s) for s in supply]
+    demand = [int(d) for d in demand]
+    assert sum(supply) == sum(demand)
+    m, n = len(supply), len(demand)
+    plan = [[0] * n for _ in range(m)]
+    while any(supply):
+        # nodes 0..m-1 are the supply atoms, m..m+n-1 the demand atoms
+        dist = [0 if s else math.inf for s in supply] + [math.inf] * n
+        pred = [None] * (m + n)
+        for _ in range(m + n):
+            changed = False
+            for i in range(m):
+                for j in range(n):
+                    if dist[i] + cost[i][j] < dist[m + j]:
+                        dist[m + j], pred[m + j], changed = dist[i] + cost[i][j], i, True
+                    if plan[i][j] and dist[m + j] - cost[i][j] < dist[i]:
+                        dist[i], pred[i], changed = dist[m + j] - cost[i][j], m + j, True
+            if not changed:
+                break
+        end = min((j for j in range(n) if demand[j]), key=lambda j: dist[m + j])
+        path, node = [], m + end
+        while pred[node] is not None:
+            path.append((pred[node], node))
+            node = pred[node]
+        amount = min([supply[node], demand[end]]
+                     + [plan[v][u - m] for u, v in path if v < m])
+        for u, v in path:
+            if v < m:
+                plan[v][u - m] -= amount
+            else:
+                plan[u][v - m] += amount
+        supply[node] -= amount
+        demand[end] -= amount
+    return sum(plan[i][j] * cost[i][j] for i in range(m) for j in range(n))
+
+
 def transport_linprog(supply, demand, cost):
     """(optimum, row duals) of the balanced transportation LP from
     scipy.optimize.linprog(method="highs") on the dense equality matrix.
@@ -201,7 +280,8 @@ def bfs_distances(adj, source, cutoff):
 
 
 def orc_enumerated(n_nodes, edges, alpha):
-    """Per-edge (curvature, wasserstein) by exhaustive integer transport.
+    """Per-edge (curvature, wasserstein) by exact integer transport: the
+    integer-scaled measures and hop costs by min-cost flow.
 
     alpha must have an exact small rational representation (0, 0.5, 1).
     Returns a dict keyed by the canonical (u, v) edge.
@@ -225,8 +305,8 @@ def orc_enumerated(n_nodes, edges, alpha):
         ints_v = [round(w * scale) for w in mv]
         assert all(abs(w * scale - i) < 1e-9 for w, i in zip(mu, ints_u))
         assert all(abs(w * scale - i) < 1e-9 for w, i in zip(mv, ints_v))
-        cost = [[bfs_distances(adj, a, 3)[b] for b in sv] for a in su]
-        w_int = transport_enumerate(ints_u, ints_v, cost)
+        hops = [bfs_distances(adj, a, 3) for a in su]
+        w_int = transport_min_cost_flow(ints_u, ints_v, [[d[b] for b in sv] for d in hops])
         w = w_int / scale
         out[(min(u, v), max(u, v))] = (1.0 - w, w)
     return out

@@ -40,6 +40,7 @@ from _oracles import (
     row_source,
     transport_enumerate,
     transport_linprog,
+    transport_min_cost_flow,
 )
 
 K1 = -1.0
@@ -145,6 +146,15 @@ class TestTransportProperty:
         w, gap = transport_cost(supply.astype(np.float64), demand.astype(np.float64), cost)
         assert abs(w - transport_enumerate(supply, demand, cost.tolist())) <= 1e-9
         assert gap <= 1e-9
+
+    @settings(deadline=None, max_examples=200)
+    @given(integer_transport_problems())
+    def test_min_cost_flow_matches_enumeration(self, problem):
+        # the exact oracle of orc_enumerated against exhaustive search
+        supply, demand, cost = problem
+        cost = cost.astype(np.int64).tolist()
+        assert transport_min_cost_flow(supply, demand, cost) == transport_enumerate(
+            supply, demand, cost)
 
 
 @st.composite

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hypdiff import ball, solvers
 from hypdiff.solvers import (
@@ -9,7 +11,6 @@ from hypdiff.solvers import (
     AM_COEFFS,
     NonFiniteStateError,
     SolverSpec,
-    _heuler_step,
     _hrk4_step,
     geodesic_interpolate,
     rotation_flow,
@@ -17,7 +18,10 @@ from hypdiff.solvers import (
     solve,
 )
 
-from _oracles import abm_pec_solve, geodesic_flow, rk38_step
+from _oracles import (
+    abm_pec_solve, adams_update_reference, assert_bitwise, geodesic_flow,
+    heuler_update_reference, rk38_step, rk4_update_reference,
+)
 
 K1 = -1.0
 H0 = np.array([[0.3, 0.1, -0.2, 0.15], [0.05, -0.25, 0.1, 0.2]])
@@ -25,6 +29,12 @@ H0 = np.array([[0.3, 0.1, -0.2, 0.15], [0.05, -0.25, 0.1, 0.2]])
 
 def identity_flow(h, t):
     return h
+
+
+def heuler_step(h, t, tau, flow, kappa):
+    """One heuler step at time t, as solve makes it."""
+    spec = SolverSpec(method="heuler", tau=tau, t_final=tau)
+    return solvers._advance(h, t, spec, flow, kappa, 0, [], None)
 
 
 def observed(h0, flow, spec, kappa):
@@ -65,9 +75,80 @@ class TestSolverSpec:
             SolverSpec(s_max=5)
 
 
+# coordinates with both signed zeros among them, and whole rows of them
+_COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def update_cases(draw):
+    """(h, tangents, other bases, kappa): a state, 1-D or 2-D, inside the
+    ball of radius 1/sqrt(|kappa|); four tangents, some rows signed zeros;
+    and four other points for queue bases."""
+    kappa = draw(st.sampled_from([-1.0, -0.25, -3.0]))
+    shape = draw(st.sampled_from([(3,), (1, 2), (7, 3), (12, 4)]))
+
+    def points():
+        x = draw(hnp.arrays(np.float64, shape, elements=_COORD))
+        return 0.9 * x / (np.sqrt(shape[-1]) * np.sqrt(-kappa))
+
+    def tangent():
+        v = draw(hnp.arrays(np.float64, shape, elements=_COORD))
+        rows = draw(hnp.arrays(np.int8, shape[:-1] + (1,), elements=st.integers(-1, 1)))
+        # rows marked 1 or -1 become +0.0 or -0.0 rows
+        return np.where(rows == 0, v, np.copysign(0.0, rows))
+
+    return (points(), [tangent() for _ in range(4)], [points() for _ in range(4)], kappa)
+
+
+class TestUpdate:
+    """solvers._update, the one rule that makes every new state, equals the
+    steps' earlier fills bitwise, on any blocks, pooled or serial."""
+
+    PROFILE = settings(deadline=None, max_examples=25,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @staticmethod
+    def run(pool, h, tau, terms, k):
+        if pool is None:
+            return solvers._update(h, tau, terms, k)
+        with pool:
+            return solvers._update(h, tau, terms, k, pool)
+
+    @pytest.fixture(params=[(None, 48), (1, 12), (2, 12), (2, 48), (3, 10 ** 6)],
+                    ids=["serial", "1-thread", "2-threads", "2-threads-48", "3-threads-one-block"])
+    def pool(self, request, block_pool):
+        threads, block_floats = request.param
+        pool = block_pool(threads or 1, block_floats)
+        return None if threads is None else pool
+
+    @PROFILE
+    @given(update_cases(), st.sampled_from([0.5, 0.1, 1.0 / 3.0]))
+    def test_heuler_is_the_one_term_update(self, pool, case, tau):
+        h, (slope, *_), _, k = case
+        got = self.run(pool, h, tau, zip(AB_COEFFS[1], (slope,)), k)
+        assert_bitwise(got, heuler_update_reference(h, tau, slope, k))
+
+    @PROFILE
+    @given(update_cases(), st.sampled_from([0.5, 0.1, 1.0 / 3.0]))
+    def test_hrk4_stage_mix(self, pool, case, tau):
+        h, slopes, _, k = case
+        got = self.run(pool, h, tau, zip(solvers._RK4_W, slopes), k)
+        assert_bitwise(got, rk4_update_reference(h, tau, solvers._RK4_W, slopes, k))
+
+    @PROFILE
+    @given(update_cases(), st.sampled_from([0.5, 0.1]), st.integers(1, 4),
+           st.sampled_from([AB_COEFFS, AM_COEFFS]), st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_adams_queue(self, pool, case, tau, order, table, at_h):
+        # a queue head at the current state is transported like any other
+        h, tangents, others, k = case
+        queue = [(v, h if same else b) for v, b, same in zip(tangents, others, at_h)]
+        got = self.run(pool, h, tau, zip(table[order], queue), k)
+        assert_bitwise(got, adams_update_reference(table[order], queue, h, tau, k))
+
+
 class TestHEuler:
     def test_identity_flow_fixed_point(self):
-        out = _heuler_step(H0, 0.0, 0.5, identity_flow, K1)
+        out = heuler_step(H0, 0.0, 0.5, identity_flow, K1)
         np.testing.assert_allclose(out, H0, atol=1e-15)
 
     def test_projective_identity_at_unit_step(self):
@@ -77,7 +158,7 @@ class TestHEuler:
         def flow(h, t):
             return ball.exp_map(h, target, K1)
 
-        out = _heuler_step(H0, 0.0, 1.0, flow, K1)
+        out = heuler_step(H0, 0.0, 1.0, flow, K1)
         np.testing.assert_allclose(out, flow(H0, 0.0), atol=1e-12)
 
     def test_geodesic_flow_single_step_exact(self):
@@ -86,7 +167,7 @@ class TestHEuler:
         h0 = np.array([0.2, -0.1, 0.15, 0.05])
         v0 = np.array([0.3, 0.2, -0.1, 0.1])
         flow = geodesic_flow(h0, v0, K1)
-        out = _heuler_step(h0, 0.0, 0.1, flow, K1)
+        out = heuler_step(h0, 0.0, 0.1, flow, K1)
         exact = ball.exp_map(h0, 0.1 * v0, K1)
         assert ball.distance(out, exact, K1) < 1e-12
 
@@ -241,7 +322,7 @@ class TestSolve:
         assert times == [0.0, 1.0, 1.5]
         np.testing.assert_array_equal(states[-1], final)
         h1 = states[1]
-        overshoot = _heuler_step(h1, 1.0, 1.0, flow, K1)
+        overshoot = heuler_step(h1, 1.0, 1.0, flow, K1)
         np.testing.assert_array_equal(
             final, geodesic_interpolate(h1, overshoot, 0.5, K1)
         )
@@ -307,6 +388,26 @@ class TestSolve:
         with pytest.raises(NonFiniteStateError) as err:
             solve(H0, flow, spec, K1)
         assert err.value.step_index == 0
+
+    @pytest.mark.parametrize("method, step_index", [("heuler", 4), ("hrk4", 3), ("ham", 3)])
+    def test_nonfinite_slope_fails_the_new_state(self, monkeypatch, method, step_index):
+        # an infinite slope from t=2 on passes no flow check, so the update's
+        # check of the state it makes must stop the step that first uses it:
+        # heuler's step at t=2, hrk4's last stage from t=1.5, and ham's
+        # corrector from t=1.5, whose predicted point is slope at t=2
+        real = solvers._field
+
+        def field(base, at, t, flow, k, pool=None):
+            out = real(base, at, t, flow, k, pool)
+            return np.full_like(out, np.inf) if t >= 2.0 else out
+
+        monkeypatch.setattr(solvers, "_field", field)
+        spec = SolverSpec(method=method, tau=0.5, t_final=3.0)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError) as err:
+            solve(H0, identity_flow, spec, K1)
+        assert err.value.step_index == step_index
+        assert isinstance(err.value.__cause__, ball.NonFiniteError)
+        assert str(err.value.__cause__) == "non-finite state"
 
     def test_observer_does_not_change_result(self):
         rng = np.random.default_rng(7)
