@@ -160,7 +160,7 @@ def _memory_message(exc: MemoryError, n: int, dcfg: dv.DiffusivityConfig) -> str
     and a run with a global part also holds its heads' n x n attention score
     products at every flow evaluation."""
     message = str(exc) or "an allocation failed"
-    if dcfg.scheme in ("global", "local_global") and dcfg.beta > 0.0:
+    if dcfg.global_weight > 0.0:
         need = dcfg.heads * n * n * 8
         message += (f"; the global attention's {dcfg.heads} score products of "
                     f"{n}x{n} floats need {need:,} bytes")
@@ -219,9 +219,6 @@ def cmd_convergence(args) -> int:
     cfg = _effective_config(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     taus = [float(t) for t in args.taus.split(",") if t.strip()]
-    for m in methods:
-        if m not in solvers.METHODS:
-            raise ConfigError(f"unknown method {m!r}")
     rows = solvers.convergence_study(methods, taus, kappa=cfg["kappa"])
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
@@ -249,9 +246,6 @@ def cmd_knn(args) -> int:
     return 0
 
 
-_SHARED = ("out", "seed", "kappa")
-
-
 def _add_flags(p: argparse.ArgumentParser, keys, required=()):
     """--config and the flags of the CONFIG_SCHEMA keys."""
     p.add_argument("--config", help="flat key=value config file")
@@ -272,17 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diffuse)
 
     p = sub.add_parser("convergence", help="fit solver convergence orders")
-    _add_flags(p, _SHARED)
+    _add_flags(p, ("out", "kappa"))
     p.add_argument("--methods", default=",".join(solvers.METHODS))
     p.add_argument("--taus", default=DEFAULT_TAUS)
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("orc", help="export per-edge Ollivier-Ricci curvature")
-    _add_flags(p, _SHARED + ("graph", "alpha"), required=("graph",))
+    _add_flags(p, ("out", "graph", "alpha"), required=("graph",))
     p.set_defaults(func=cmd_orc)
 
     p = sub.add_parser("knn", help="build a kNN graph from features")
-    _add_flags(p, _SHARED + ("features",), required=("features",))
+    _add_flags(p, ("out", "features"), required=("features",))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--metric", choices=graphio.KNN_METRICS, default="euclidean")
     p.set_defaults(func=cmd_knn)

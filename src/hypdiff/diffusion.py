@@ -305,7 +305,7 @@ def build_flow(
         static = dv.local_diffusivity(dv.orc_curvatures(g, cfg.alpha), params)
     # the global schemes mix beta * global + (1 - beta) * edge part; the
     # global part is computed at every evaluation
-    beta = cfg.beta if cfg.scheme in ("global", "local_global") else 0.0
+    beta = cfg.global_weight
     if beta > 0.0:
         static = replace(static, edge_weights=(1.0 - beta) * static.edge_weights)
 

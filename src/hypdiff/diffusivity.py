@@ -48,6 +48,11 @@ class DiffusivityConfig:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
 
+    @property
+    def global_weight(self) -> float:
+        """beta for the schemes with a global attention part, else 0."""
+        return self.beta if self.scheme in ("global", "local_global") else 0.0
+
 
 @dataclass(eq=False)
 class AttentionParams:

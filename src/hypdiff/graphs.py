@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -18,8 +17,7 @@ class Graph:
 
     Edges are deduplicated, stored as (u, v) with u < v, sorted; self-loops
     are rejected.  ``edge_array`` holds them as a read-only (m, 2) int64
-    array, and ``edges``, made from it when first read, as a tuple of (u, v)
-    int pairs.  ``directed_edges`` holds both orientations of every edge
+    array.  ``directed_edges`` holds both orientations of every edge
     as a (2, 2m) array sorted by (source, target), so the columns
     offsets[i]..offsets[i+1]-1 are the edges leaving node i in increasing
     order of target; every weight matrix and neighbourhood of the package
@@ -71,20 +69,7 @@ class Graph:
         return hash((self.n, self.edge_array.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self.edges})"
-
-    @cached_property
-    def edges(self) -> Tuple[Tuple[int, int], ...]:
-        lo, hi = self.edge_array.T.tolist()
-        return tuple(zip(lo, hi))
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[Tuple[int, int]], n: int | None = None) -> "Graph":
-        edges = list(edges)
-        if n is None:
-            top = max((max(u, v) for u, v in edges), default=-1)
-            n = 1 + int(top) if abs(top) < float("inf") else 0  # Graph names a nonfinite id
-        return cls(n=n, edges=edges)
+        return f"Graph(n={self.n}, m={len(self.edge_array)})"
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -106,12 +91,12 @@ class Graph:
 
     @cached_property
     def edge_ids(self) -> np.ndarray:
-        """(2m,) int64: the index in edges of each column of directed_edges."""
+        """(2m,) int64: the row of edge_array of each column of directed_edges."""
         src, dst = self.directed_edges
         ids = np.empty(src.size, dtype=np.int64)
         forward = src < dst
-        # the (u, v) columns come in the order of edges, the (v, u) columns
-        # in the order of the edges sorted by (v, u)
+        # the (u, v) columns come in the order of edge_array, the (v, u)
+        # columns in the order of its rows sorted by (v, u)
         ids[forward] = np.arange(len(self.edge_array))
         ids[~forward] = np.lexsort(self.edge_array.T)
         return _read_only(ids)
@@ -125,4 +110,4 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Seeded G(n, p) with edges drawn in fixed (i < j) order."""
     rng = np.random.default_rng(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Graph.from_edges(edges, n=n)
+    return Graph(n, edges)

@@ -40,7 +40,7 @@ ObserveFn = Callable[[float, np.ndarray], None]
 METHODS = ("heuler", "hrk4", "ham")
 
 # Classical Adams-Bashforth / Adams-Moulton rows up to order 4, newest slope
-# first.  Each row sums to 1; asserted below to guard table entry errors.
+# first.  Each row sums to 1.
 AB_COEFFS = {
     1: (1.0,),
     2: (3.0 / 2.0, -1.0 / 2.0),
@@ -57,11 +57,6 @@ AM_COEFFS = {
 # Runge-Kutta 3/8-rule weights {1, 3, 3, 1} / 8; the quotients are exact.
 RK4_WEIGHTS = (1.0, 3.0, 3.0, 1.0)
 _RK4_W = tuple(w / sum(RK4_WEIGHTS) for w in RK4_WEIGHTS)
-
-for _rows in (AB_COEFFS, AM_COEFFS):
-    for _order, _row in _rows.items():
-        assert abs(sum(_row) - 1.0) < 1e-12, f"bad coefficient row {_row}"
-
 
 class NonFiniteStateError(RuntimeError):
     """Raised when an integration state stops being finite."""

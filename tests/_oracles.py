@@ -369,12 +369,12 @@ def dirichlet_energy_reference(points, g, kappa):
     gathers, summed as one array."""
     from hypdiff import ball
 
-    if not g.edges:
+    if not len(g.edge_array):
         return 0.0
     o = np.zeros(points.shape[1])
     scaled = ball.log_map(o, points, kappa) / np.sqrt(1.0 + g.degrees)[:, None]
     normalized = ball.exp_map(o, scaled, kappa)
-    src, dst = np.array(g.edges).T
+    src, dst = g.edge_array.T
     d = ball.distance(normalized[src], normalized[dst], kappa)
     return 0.5 * float(np.sum(d * d))
 
@@ -469,14 +469,19 @@ def canonical_edges(n, edges):
     return tuple(sorted(canon))
 
 
+def edge_pairs(g):
+    """The canonical edges of g as a tuple of (u, v) int pairs."""
+    return tuple(map(tuple, g.edge_array.tolist()))
+
+
 def local_diffusivity_reference(g, orc, params):
     """(edge_index, weights) of the curvature attention: the MLP scores
     looked up per directed edge in a dict keyed by the undirected edge, then
     a softmax over each node's edges found by scanning the sources."""
     hidden = np.outer(orc.curvature, params.mlp_w1) + params.mlp_b1
     hidden = np.where(hidden >= 0.0, hidden, 0.01 * hidden)
-    scores = dict(zip(orc.graph.edges, hidden @ params.mlp_w2.T + params.mlp_b2))
-    e = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    scores = dict(zip(edge_pairs(orc.graph), hidden @ params.mlp_w2.T + params.mlp_b2))
+    e = g.edge_array
     src = np.concatenate([e[:, 0], e[:, 1]])
     dst = np.concatenate([e[:, 1], e[:, 0]])
     order = np.lexsort((dst, src))
@@ -559,7 +564,10 @@ def load_edge_list_reference(path):
             if u == v:
                 raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
             edges.append((u, v))
+    n = n_override
+    if n is None:
+        n = 1 + max((max(u, v) for u, v in edges), default=-1)
     try:
-        return Graph.from_edges(edges, n=n_override)
+        return Graph(n, edges)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -19,7 +19,7 @@ class TestBundledGraph:
 
         g = load_edge_list(bundled_graph_path())
         assert g.n == 34
-        assert len(g.edges) == 78
+        assert len(g.edge_array) == 78
 
 
 class TestDiffuse:
@@ -386,7 +386,7 @@ class TestKnn:
 
         g = load_edge_list(str(out / "knn.edges"))
         assert g.n == 5
-        assert (0, 1) in g.edges
+        assert [0, 1] in g.edge_array.tolist()
 
     def test_k_too_large_exits_1(self, tmp_path, capsys):
         feats = self.write_features(tmp_path)
@@ -399,6 +399,39 @@ class TestKnn:
         for out in (out1, out2):
             assert run("knn", "--features", str(feats), "--k", "2", "--out", str(out)) == 0
         assert (out1 / "knn.edges").read_bytes() == (out2 / "knn.edges").read_bytes()
+
+
+class TestFlagsPerCommand:
+    """Each subcommand has the flags of the keys it reads, so a flag that
+    would change nothing is a configuration error; a config file may still
+    set any key, since one file may serve every subcommand."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        g = tmp_path / "g.edges"
+        g.write_text("0 1\n1 2\n")
+        feats = tmp_path / "f.csv"
+        feats.write_text("0,0\n1,0\n0,1\n")
+        return {"orc": ["--graph", str(g)], "knn": ["--features", str(feats), "--k", "1"],
+                "convergence": []}
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("orc", "--seed", "1"), ("orc", "--kappa", "-2"), ("knn", "--seed", "1"),
+        ("knn", "--kappa", "-2"), ("convergence", "--seed", "1"),
+    ], ids=["orc-seed", "orc-kappa", "knn-seed", "knn-kappa", "convergence-seed"])
+    def test_unread_flag_exits_1(self, tmp_path, capsys, inputs, command, flag, value):
+        out = tmp_path / "out"
+        assert run(command, *inputs[command], flag, value, "--out", str(out)) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_keys_of_other_commands_accepted(self, tmp_path, inputs):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seed=9\nkappa=-7\n")
+        plain, configured = tmp_path / "plain", tmp_path / "configured"
+        assert run("orc", *inputs["orc"], "--out", str(plain)) == 0
+        assert run("orc", *inputs["orc"], "--config", str(cfg), "--out", str(configured)) == 0
+        assert (configured / "orc.csv").read_bytes() == (plain / "orc.csv").read_bytes()
 
 
 def python_with_src(code):

@@ -40,7 +40,7 @@ K1 = -1.0
 KSMALL = -1e-6
 
 
-PAIR = Graph.from_edges([(0, 1)])  # directed edges (0, 1), (1, 0)
+PAIR = Graph(2, [(0, 1)])  # directed edges (0, 1), (1, 0)
 
 
 def row_sizes(n_rows, row_floats, threads=1, floats=None):
@@ -100,7 +100,7 @@ class TestDiffusionFlow:
         out = diffusion_flow(pts, isotropic_weights(g), KSMALL)
         deg = g.degrees
         expected = pts.copy()
-        for u, v in g.edges:
+        for u, v in g.edge_array.tolist():
             w = 1.0 / np.sqrt(deg[u] * deg[v])
             expected[u] += w * (pts[v] - pts[u])
             expected[v] += w * (pts[u] - pts[v])
@@ -203,7 +203,7 @@ class TestAggregation:
 
     def test_negative_zero_rows_sum_to_positive_zero(self):
         pts = np.array([[0.3, 0.2], [0.1, -0.4], [-0.2, 0.1]])
-        g = Graph.from_edges([(0, 1), (0, 2)])
+        g = Graph(3, [(0, 1), (0, 2)])
         src, dst = g.directed_edges
         weights = np.zeros(src.size)
         rows = self.weighted_log_rows(pts, src, dst, weights)
@@ -219,7 +219,7 @@ class TestAggregation:
         keep them in one range; isolated nodes are summed as np.add.at does."""
         n, dim = 12, 3
         hub = [(0, j) for j in range(1, 9)] + [(5, 6), (6, 5), (9, 5)]
-        g = Graph.from_edges(hub, n=n)  # nodes 10 and 11 are isolated
+        g = Graph(n, hub)  # nodes 10 and 11 are isolated
         src, dst = g.directed_edges
         rng = np.random.default_rng(4)
         pts = 0.8 * initial_state(n, dim, K1, seed=4, scale=0.6).points
@@ -246,7 +246,7 @@ class TestAggregation:
 
     def test_no_edges_no_blocks(self):
         pts = np.zeros((4, 2))
-        dmat = DiffusivityMatrix(Graph.from_edges([], n=4), [])
+        dmat = DiffusivityMatrix(Graph(4, []), [])
         pool = blocks.BlockPool()
         with mock.patch.object(pool, "run", wraps=pool.run) as run:
             out = diffusion._edge_aggregate(pts, dmat, -1.0, ball._sqnorm(pts), pool)
@@ -325,7 +325,7 @@ class TestFusedAttention:
 
     @classmethod
     def case(cls, heads):
-        g = Graph.from_edges([(i, (i + 1) % cls.N) for i in range(cls.N)])
+        g = Graph(cls.N, [(i, (i + 1) % cls.N) for i in range(cls.N)])
         dmat = isotropic_weights(g)
         pts = 0.9 * initial_state(cls.N, cls.DIM, K1, seed=heads, scale=0.6).points
         att = dv.GlobalAttention(pts, dv.AttentionParams.init(cls.DIM, heads, seed=heads),
@@ -351,7 +351,7 @@ class TestFusedAttention:
         """Besides the heads (n, n) score products, one global flow
         evaluation allocates only block-sized arrays."""
         n, dim = 1500, 16
-        g = Graph.from_edges([(i, i + 1) for i in range(n - 1)])
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)])
         z0 = initial_state(n, dim, K1, seed=heads)
         flow = build_flow(g, DiffusivityConfig(scheme="global", heads=heads), dim, K1)
         tracemalloc.start()
@@ -669,14 +669,14 @@ class TestBlockEngine:
     def test_blocked_energy_equals_one_shot(self, nan_block_pool, threads, block_floats):
         """An edgeless graph, a single edge, and 89 edges, which no budget
         here cuts into blocks of equal size."""
-        graphs = [Graph.from_edges([], n=5), Graph.from_edges([(0, 1)], n=3),
+        graphs = [Graph(5, []), Graph(3, [(0, 1)]),
                   erdos_renyi(self.N, 0.2, seed=5)]
         want = []
         for g in graphs:
             pts = 0.9 * initial_state(g.n, self.DIM, K1, seed=g.n, scale=0.6).points
             want.append(dirichlet_energy_reference(pts, g, K1))
         pool = nan_block_pool(threads, block_floats)
-        m = len(graphs[-1].edges)
+        m = len(graphs[-1].edge_array)
         assert block_floats == 1 or len(set(row_sizes(m, self.DIM, threads))) > 1
         for g, energy in zip(graphs, want):
             pts = 0.9 * initial_state(g.n, self.DIM, K1, seed=g.n, scale=0.6).points
@@ -769,7 +769,7 @@ class TestBlockEngine:
         rng = np.random.default_rng(0)
         pairs = np.sort(rng.integers(0, n, size=(2 * m, 2)), axis=1)
         g = Graph(n, np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)[:m])
-        assert len(g.edges) == m
+        assert len(g.edge_array) == m
         pts = initial_state(n, dim, K1, seed=0, scale=0.6).points
         g.degrees  # cached before measuring
         tracemalloc.start()
@@ -823,7 +823,7 @@ class TestScratchBuffers:
         dmat = isotropic_weights(g)
         pts = 0.9 * initial_state(cls.N, cls.DIM, K1, seed=11, scale=0.6).points
         glob = np.random.default_rng(11).uniform(0.0, 1.0, (cls.N, cls.N))
-        no_edges = DiffusivityMatrix(Graph.from_edges([], n=cls.N), [])
+        no_edges = DiffusivityMatrix(Graph(cls.N, []), [])
         return g, dmat, no_edges, pts, glob
 
     @classmethod
@@ -1047,16 +1047,16 @@ class TestResidualFlow:
 
 class TestDirichletEnergy:
     def test_edgeless_graph(self):
-        g = Graph.from_edges([], n=3)
+        g = Graph(3, [])
         assert dirichlet_energy(np.zeros((3, 2)), g, K1) == 0.0
 
     def test_equal_points_regular_graph(self):
-        g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         pts = np.tile(np.array([0.2, -0.1]), (4, 1))
         assert dirichlet_energy(pts, g, K1) == pytest.approx(0.0, abs=1e-25)
 
     def test_single_edge_hand_value(self):
-        g = Graph.from_edges([(0, 1)])
+        g = Graph(2, [(0, 1)])
         z2 = np.array([np.tanh(0.5), 0.0])
         pts = np.array([[0.0, 0.0], z2])
         o = np.zeros(2)
@@ -1136,7 +1136,7 @@ class TestRunDiffusion:
         final, _ = run_diffusion(z0, g, dcfg, spec)
         deg = g.degrees
         w = np.zeros((50, 50))
-        for u, v in g.edges:
+        for u, v in g.edge_array.tolist():
             w[u, v] = w[v, u] = 1.0 / np.sqrt(deg[u] * deg[v])
 
         def field(z, t):
@@ -1249,7 +1249,7 @@ class TestEnergyMonotonicityStudy:
         increases = 0
         for seed in range(100):
             g = erdos_renyi(12, 0.35, seed=200 + seed)
-            if not g.edges:
+            if not len(g.edge_array):
                 continue
             z0 = initial_state(12, 4, K1, seed=seed)
             dcfg = DiffusivityConfig(scheme="isotropic")
@@ -1269,7 +1269,7 @@ def connected_graphs(draw):
     n = draw(st.integers(3, 9))
     tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
-    return Graph.from_edges(tree + [(u, v) for u, v in extra if u != v], n=n)
+    return Graph(n, tree + [(u, v) for u, v in extra if u != v])
 
 
 @st.composite
@@ -1353,7 +1353,7 @@ class TestCurvatureScaling:
     @settings(deadline=None, max_examples=3)
     @given(g=connected_graphs(), residual=st.booleans(),
            c=st.one_of(st.sampled_from([4.0, 0.25]), st.floats(0.2, 20.0)))
-    @example(g=Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)]), residual=True, c=4.0)
+    @example(g=Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), residual=True, c=4.0)
     def test_scaling_the_ball_scales_the_output(self, scheme, method, g, residual, c):
         z0 = initial_state(g.n, 4, K1, seed=g.n)
         dcfg = DiffusivityConfig(scheme=scheme, seed=1)

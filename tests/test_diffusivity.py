@@ -33,6 +33,7 @@ from _oracles import (
     assert_bitwise,
     bfs_distances,
     connected_components,
+    edge_pairs,
     global_attention_reference,
     local_diffusivity_reference,
     orc_enumerated,
@@ -45,10 +46,10 @@ from _oracles import (
 
 K1 = -1.0
 
-PATH3 = Graph.from_edges([(0, 1), (1, 2)])
-TRIANGLE = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
-STAR5 = Graph.from_edges([(0, 1), (0, 2), (0, 3), (0, 4)])
-CYCLE4 = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
+PATH3 = Graph(3, [(0, 1), (1, 2)])
+TRIANGLE = Graph(3, [(0, 1), (1, 2), (0, 2)])
+STAR5 = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+CYCLE4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 def weight_lookup(dmat: DiffusivityMatrix) -> dict:
@@ -69,9 +70,9 @@ def sampled_graphs(count, max_n=30, with_small=True):
         n = sizes_cycle[len(graphs) % len(sizes_cycle)]
         g = erdos_renyi(n, min(0.5, 2.5 / n + 0.08), seed=1000 + seed)
         seed += 1
-        if not g.edges:
+        if not len(g.edge_array):
             continue
-        comps = connected_components(g.n, g.edges)
+        comps = connected_components(g.n, edge_pairs(g))
         if any(len(c) == 2 for c in comps):
             continue
         graphs.append(g)
@@ -88,6 +89,12 @@ class TestConfig:
             DiffusivityConfig(heads=0)
         with pytest.raises(ValueError):
             DiffusivityConfig(alpha=-0.2)
+
+    def test_global_weight_is_beta_of_the_global_schemes(self):
+        weights = {s: DiffusivityConfig(scheme=s, beta=0.3).global_weight for s in dv.SCHEMES}
+        assert weights == {"isotropic": 0.0, "local": 0.0, "global": 0.3, "local_global": 0.3}
+        with pytest.raises(AttributeError):
+            DiffusivityConfig().global_weight = 0.5
 
 
 class TestIsotropic:
@@ -184,7 +191,7 @@ def _reference_transport(supply, demand, cost):
 
 
 def _edge_problems(g, alpha):
-    for u, v in g.edges:
+    for u, v in g.edge_array.tolist():
         su, mu = dv._measure(g, u, alpha)
         sv, mv = dv._measure(g, v, alpha)
         yield mu, mv, dv._ground_costs(g, su, sv)
@@ -301,7 +308,7 @@ class TestHighsImport:
 
 
 def _pa_graph(n, k, seed):
-    return Graph.from_edges(preferential_attachment(n, k, seed=seed))
+    return Graph(n, preferential_attachment(n, k, seed=seed))
 
 
 class TestOrcPool:
@@ -393,9 +400,9 @@ class TestOrcPool:
 
 class TestOrc:
     def test_two_node_graph_matches_enumeration(self):
-        g = Graph.from_edges([(0, 1)])
+        g = Graph(2, [(0, 1)])
         res = orc_curvatures(g, alpha=0.5)
-        want = orc_enumerated(2, g.edges, 0.5)
+        want = orc_enumerated(2, edge_pairs(g), 0.5)
         assert res.wasserstein[0] == pytest.approx(want[(0, 1)][1], abs=1e-9)
         assert res.curvature[0] == pytest.approx(want[(0, 1)][0], abs=1e-9)
 
@@ -415,10 +422,10 @@ class TestOrc:
     def test_enumeration_agreement_all_small_graphs(self):
         # every labeled graph on up to 4 nodes, plus the n=5 wheel-ish ones
         for n, edges in all_graphs_up_to(4):
-            g = Graph.from_edges(edges, n=n)
+            g = Graph(n, edges)
             res = orc_curvatures(g, alpha=0.5)
-            want = orc_enumerated(n, g.edges, 0.5)
-            for e, k, w in zip(res.graph.edges, res.curvature, res.wasserstein):
+            want = orc_enumerated(n, edge_pairs(g), 0.5)
+            for e, k, w in zip(edge_pairs(res.graph), res.curvature, res.wasserstein):
                 assert w == pytest.approx(want[e][1], abs=1e-9), (n, edges, e)
                 assert k == pytest.approx(want[e][0], abs=1e-9)
 
@@ -436,15 +443,15 @@ class TestOrc:
     def test_relabeling_invariance(self):
         def relabel(g, perm):
             """g with node i renamed to perm[i]."""
-            return Graph.from_edges([(perm[u], perm[v]) for u, v in g.edges], n=g.n)
+            return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_array.tolist()])
 
         g = erdos_renyi(10, 0.35, seed=42)
         rng = np.random.default_rng(7)
         perm = rng.permutation(10)
         res = orc_curvatures(g, alpha=0.5)
         res_p = orc_curvatures(relabel(g, perm), alpha=0.5)
-        k_p = dict(zip(res_p.graph.edges, res_p.curvature))
-        for (u, v), k in zip(res.graph.edges, res.curvature):
+        k_p = dict(zip(edge_pairs(res_p.graph), res_p.curvature))
+        for (u, v), k in zip(edge_pairs(res.graph), res.curvature):
             pu, pv = int(perm[u]), int(perm[v])
             assert k == pytest.approx(k_p[(min(pu, pv), max(pu, pv))], abs=1e-9)
 
@@ -455,7 +462,7 @@ class TestGroundCosts:
     @staticmethod
     def bfs_costs(g, su, sv):
         adj = {i: [] for i in range(g.n)}
-        for u, v in g.edges:
+        for u, v in g.edge_array.tolist():
             adj[u].append(v)
             adj[v].append(u)
         return np.array([[bfs_distances(adj, a, 3)[b] for b in sv] for a in su],
@@ -464,10 +471,10 @@ class TestGroundCosts:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_match_hop_distances(self, alpha):
         graphs = [load_edge_list(bundled_graph_path())]
-        graphs += [Graph.from_edges(preferential_attachment(60, k, seed=s))
+        graphs += [Graph(60, preferential_attachment(60, k, seed=s))
                    for k, s in [(1, 0), (2, 1), (4, 2)]]
         for g in graphs:
-            for u, v in g.edges:
+            for u, v in g.edge_array.tolist():
                 su, _ = dv._measure(g, u, alpha)
                 sv, _ = dv._measure(g, v, alpha)
                 got = dv._ground_costs(g, su, sv)
@@ -476,13 +483,14 @@ class TestGroundCosts:
 
 class TestDirectedEdges:
     def test_sorted_by_source_then_target(self):
-        for g in sampled_graphs(6) + [Graph.from_edges([], n=3)]:
-            pairs = sorted([(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges])
+        for g in sampled_graphs(6) + [Graph(3, [])]:
+            edges = edge_pairs(g)
+            pairs = sorted([(u, v) for u, v in edges] + [(v, u) for u, v in edges])
             ei = g.directed_edges
             assert ei.dtype == np.int64 and ei.shape == (2, len(pairs))
             assert not ei.flags.writeable
             assert [tuple(p) for p in ei.T.tolist()] == pairs
-            assert [tuple(sorted(p)) for p in pairs] == [g.edges[k] for k in g.edge_ids]
+            assert [tuple(sorted(p)) for p in pairs] == [edges[k] for k in g.edge_ids]
             assert g.offsets.tolist() == [0] + np.cumsum(g.degrees).tolist()
 
 
@@ -526,7 +534,7 @@ class TestLocalDiffusivity:
         params = AttentionParams.init(dim, 1, seed=11)
         dmat = local_diffusivity(orc, params)
         w = weight_lookup(dmat)
-        kmap = dict(zip(orc.graph.edges, orc.curvature))
+        kmap = dict(zip(edge_pairs(orc.graph), orc.curvature))
 
         def mlp(kval):
             h = params.mlp_w1 * kval + params.mlp_b1
@@ -554,7 +562,7 @@ class TestLocalDiffusivity:
                 )
 
     def test_isolated_node_has_no_rows(self):
-        g = Graph.from_edges([(0, 1)], n=3)
+        g = Graph(3, [(0, 1)])
         orc = orc_curvatures(g, alpha=0.5)
         params = AttentionParams.init(2, 1, seed=0)
         dmat = local_diffusivity(orc, params)
@@ -569,11 +577,11 @@ class TestLocalDiffusivity:
         rng = np.random.default_rng(dim)
         hub = [(0, j) for j in range(1, 21)]
         extra = [tuple(rng.choice(27, size=2, replace=False)) for _ in range(40)]
-        graphs = [Graph.from_edges(hub + extra, n=30), load_edge_list(bundled_graph_path())]
+        graphs = [Graph(30, hub + extra), load_edge_list(bundled_graph_path())]
         assert graphs[0].degrees[0] >= 20 and not graphs[0].degrees[27:].any()
         params = AttentionParams.init(dim, 1, seed=dim)
         for g in graphs:
-            m = len(g.edges)
+            m = len(g.edge_array)
             # curvatures 1 - W in (-1.5, 1]
             orc = OrcResult(g, wasserstein=rng.uniform(0.0, 2.5, m), dual_gap=np.zeros(m))
             dmat = local_diffusivity(orc, params)
@@ -735,7 +743,7 @@ class TestSigmoid:
 
 
 class TestMatrixValidation:
-    PAIR = Graph.from_edges([(0, 1)])  # directed edges (0, 1), (1, 0)
+    PAIR = Graph(2, [(0, 1)])  # directed edges (0, 1), (1, 0)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -758,7 +766,7 @@ class TestMatrixValidation:
     @pytest.mark.parametrize("bad", [np.zeros(5), np.zeros(1), np.zeros((2, 1))],
                              ids=["long", "short", "column"])
     def test_orc_result_has_one_entry_per_edge(self, name, bad):
-        path = Graph.from_edges([(0, 1), (1, 2)])
+        path = Graph(3, [(0, 1), (1, 2)])
         values = {"wasserstein": np.zeros(2), "dual_gap": np.zeros(2), name: bad}
         with pytest.raises(ValueError, match=r"shape \(2,\), one entry per edge"):
             OrcResult(path, **values)
@@ -776,6 +784,6 @@ class TestMatrixValidation:
             diffusion_flow(np.zeros((2, 2)), dmat, K1, global_part=row_source(np.zeros((3, 3))))
 
     def test_graph_size_checked_by_the_flow(self):
-        dmat = DiffusivityMatrix(Graph.from_edges([(0, 1)], n=3), [0.1, 0.2])
+        dmat = DiffusivityMatrix(Graph(3, [(0, 1)]), [0.1, 0.2])
         with pytest.raises(ValueError, match="does not match state"):
             diffusion_flow(np.zeros((2, 2)), dmat, K1)

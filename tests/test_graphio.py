@@ -1,5 +1,6 @@
 """File formats and kNN construction."""
 
+import hashlib
 import os
 import tracemalloc
 
@@ -19,9 +20,9 @@ from hypdiff.graphio import (
     save_orc_csv,
 )
 from hypdiff.diffusivity import OrcResult
-from hypdiff.graphs import Graph
+from hypdiff.graphs import Graph, erdos_renyi
 
-from _oracles import canonical_edges, knn_edges_reference, load_edge_list_reference
+from _oracles import canonical_edges, edge_pairs, knn_edges_reference, load_edge_list_reference
 
 
 class TestEdgeList:
@@ -36,7 +37,7 @@ class TestEdgeList:
         p = tmp_path / "g.edges"
         p.write_text("0 1\n1 0\n")
         g = load_edge_list(str(p))
-        assert g.edges == ((0, 1),)
+        assert edge_pairs(g) == ((0, 1),)
 
     def test_self_loop_rejected(self, tmp_path):
         p = tmp_path / "g.edges"
@@ -70,12 +71,12 @@ class TestEdgeList:
         assert load_edge_list(str(p)).n == 5
 
     def test_round_trip(self, tmp_path):
-        g = Graph.from_edges([(0, 3), (1, 2), (0, 1)], n=6)
+        g = Graph(6, [(0, 3), (1, 2), (0, 1)])
         p = tmp_path / "g.edges"
         save_edge_list(str(p), g)
         loaded = load_edge_list(str(p))
         assert loaded.n == g.n
-        assert loaded.edges == g.edges
+        assert edge_pairs(loaded) == edge_pairs(g)
 
     # no graph, an edgeless one, a path, and more edges than two chunks hold
     @pytest.mark.parametrize("n, m", [(0, 0), (5, 0), (3, 2), (20000, (1 << 14) + 5)])
@@ -83,14 +84,14 @@ class TestEdgeList:
         """The file is the `# nodes=N` line and one `u v` line per edge, as
         one joined text would give, written at most _CSV_CHUNK_VALUES ids at
         a time."""
-        g = Graph.from_edges([(i, i + 1) for i in range(m)], n=n)
+        g = Graph(n, [(i, i + 1) for i in range(m)])
         chunks = []
         real = graphio.atomic_write
         monkeypatch.setattr(graphio, "atomic_write", lambda path, parts: real(
             path, (chunks.append(c) or c for c in parts)))
         p = tmp_path / "g.edges"
         save_edge_list(str(p), g)
-        want = "".join([f"# nodes={n}\n"] + [f"{u} {v}\n" for u, v in g.edges])
+        want = "".join([f"# nodes={n}\n"] + [f"{u} {v}\n" for u, v in g.edge_array.tolist()])
         assert p.read_bytes() == want.encode()
         rows = graphio._CSV_CHUNK_VALUES // 2
         assert len(chunks) == 1 + -(-m // rows)
@@ -159,7 +160,7 @@ class TestEdgeListParser:
 
         def graph(load):
             g = load(str(path))
-            return g.n, g.edges
+            return g.n, edge_pairs(g)
 
         want = outcome(lambda: graph(load_edge_list_reference))
         assert outcome(lambda: graph(load_edge_list)) == want
@@ -286,12 +287,12 @@ class TestCsvBytes:
         want = "\n".join(["t,energy"] + [f"{t:.17g},{e:.17g}" for t, e in trace]) + "\n"
         assert p.read_bytes() == want.encode()
 
-        path = Graph.from_edges([(i, i + 1) for i in range(rows)], n=rows + 1)
+        path = Graph(rows + 1, [(i, i + 1) for i in range(rows)])
         orc = OrcResult(path, wasserstein=np.array(vals, dtype=np.float64), dual_gap=np.zeros(rows))
         p = tmp_path / "orc.csv"
         save_orc_csv(str(p), orc)
         want = "\n".join(["u,v,curvature,wasserstein"] + [
-            f"{u},{v},{1.0 - w:.17g},{w:.17g}" for (u, v), w in zip(path.edges, vals)]) + "\n"
+            f"{u},{v},{1.0 - w:.17g},{w:.17g}" for (u, v), w in zip(edge_pairs(path), vals)]) + "\n"
         assert p.read_bytes() == want.encode()
 
 
@@ -299,18 +300,18 @@ class TestKnn:
     def test_collinear_points(self):
         x = np.array([[0.0], [1.0], [10.0]])
         g = knn_graph(x, k=1)
-        assert g.edges == ((0, 1), (1, 2))
+        assert edge_pairs(g) == ((0, 1), (1, 2))
 
     def test_complete_graph(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((6, 2))
         g = knn_graph(x, k=5)
-        assert len(g.edges) == 15
+        assert len(g.edge_array) == 15
 
     def test_no_self_edges(self):
         rng = np.random.default_rng(2)
         g = knn_graph(rng.standard_normal((10, 3)), k=3)
-        assert all(u != v for u, v in g.edges)
+        assert all(u != v for u, v in edge_pairs(g))
 
     def test_k_validation(self):
         x = np.zeros((4, 2))
@@ -324,12 +325,12 @@ class TestKnn:
         # buddies, so only node 0's tie-break decides between (0,1) and (0,2)
         x = np.array([[0.0, 0.0], [10.0, 0.0], [-10.0, 0.0], [10.5, 0.0], [-10.5, 0.0]])
         g = knn_graph(x, k=1)
-        assert g.edges == ((0, 1), (1, 3), (2, 4))
+        assert edge_pairs(g) == ((0, 1), (1, 3), (2, 4))
 
     def test_cosine_metric(self):
         x = np.array([[1.0, 0.0], [2.0, 0.1], [-1.0, 0.0]])
         g = knn_graph(x, k=1, metric="cosine")
-        assert (0, 1) in g.edges
+        assert (0, 1) in edge_pairs(g)
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
@@ -345,9 +346,9 @@ class TestKnn:
         g_p = knn_graph(x[perm], k=3)
         mapped = {
             (min(int(perm[u]), int(perm[v])), max(int(perm[u]), int(perm[v])))
-            for u, v in g_p.edges
+            for u, v in edge_pairs(g_p)
         }
-        assert mapped == set(g.edges)
+        assert mapped == set(edge_pairs(g))
 
     @settings(deadline=None, max_examples=200)
     @given(st.data())
@@ -360,25 +361,41 @@ class TestKnn:
         k = data.draw(st.integers(1, n - 1))
         metric = data.draw(st.sampled_from(graphio.KNN_METRICS))
         want = canonical_edges(n, knn_edges_reference(x, k, metric))
-        assert knn_graph(x, k, metric).edges == want
+        assert edge_pairs(knn_graph(x, k, metric)) == want
 
 
 class TestGraphArrays:
     def test_edge_array_is_read_only_canonical_edges(self):
-        g = Graph.from_edges([(3, 1), (0, 2), (1, 3), (2, 1)], n=5)
+        edges = [(3, 1), (0, 2), (1, 3), (2, 1)]
+        g = Graph(5, edges)
         arr = g.edge_array
         assert arr.dtype == np.int64 and arr.shape == (3, 2)
-        assert [tuple(e) for e in arr.tolist()] == list(g.edges)
+        assert [tuple(e) for e in arr.tolist()] == list(canonical_edges(5, edges))
         assert not arr.flags.writeable
         assert g.edge_array is arr
 
     def test_degrees_count_edge_endpoints(self):
-        g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (2, 3)], n=6)
+        g = Graph(6, [(0, 1), (0, 2), (0, 3), (2, 3)])
         assert g.degrees.dtype == np.int64
         assert g.degrees.tolist() == [3, 1, 2, 2, 0, 0]
         assert not g.degrees.flags.writeable
-        empty = Graph.from_edges([], n=2)
+        empty = Graph(2, [])
         assert empty.edge_array.shape == (0, 2) and empty.degrees.tolist() == [0, 0]
+
+    def test_repr_gives_node_and_edge_counts(self):
+        assert repr(Graph(5, [(3, 1), (0, 2), (1, 3)])) == "Graph(n=5, m=2)"
+        assert repr(Graph(0, [])) == "Graph(n=0, m=0)"
+
+    def test_erdos_renyi_edges_unchanged(self):
+        """The edge arrays of 20 seeded draws keep their recorded digest;
+        p = 0 gives an edgeless graph on all n nodes."""
+        digest = hashlib.sha256()
+        for seed in range(20):
+            digest.update(erdos_renyi(5 + seed, 0.3, seed).edge_array.tobytes() + b"|")
+        assert digest.hexdigest() == (
+            "add0ddff80b1b87c092e66c5d379b4ae69bb71834ca2be7ac08eba7ea71c1544")
+        empty = erdos_renyi(6, 0.0, 3)
+        assert empty.n == 6 and empty.edge_array.shape == (0, 2)
 
 
 def outcome(build):
@@ -402,15 +419,17 @@ class TestGraphCanonicalisation:
     @example(edges=[(-3, -2)], n=None)  # negative node count
     def test_matches_python_loop(self, edges, n):
         n_oracle = 1 + max((max(u, v) for u, v in edges), default=-1) if n is None else n
-        got = outcome(lambda: Graph.from_edges(edges, n=n).edges)
+        got = outcome(lambda: edge_pairs(Graph(n_oracle, edges)))
         assert got == outcome(lambda: canonical_edges(n_oracle, edges))
 
     @pytest.mark.parametrize("n", [3, None])
     def test_id_beyond_int64_rejected(self, tmp_path, n):
+        """n None: the count that the largest id gives, and an edge list
+        without a node-count line."""
         with pytest.raises(ValueError, match="int64 range"):
-            Graph.from_edges([(0, 1), (1, 2**63)], n=n)
+            Graph(1 + 2**63 if n is None else n, [(0, 1), (1, 2**63)])
         p = tmp_path / "g.edges"
-        p.write_text("# nodes=3\n0 1\n1 99999999999999999999\n")
+        p.write_text(("" if n is None else f"# nodes={n}\n") + "0 1\n1 99999999999999999999\n")
         with pytest.raises(ValueError, match="int64 range"):
             load_edge_list(str(p))
 
@@ -418,27 +437,27 @@ class TestGraphCanonicalisation:
         with pytest.raises(ValueError, match=r"non-integer node id in edge \(0.0, 1.5\)"):
             Graph(3, [(0, 1), (0, 1.5), (1, 2.5)])
         with pytest.raises(ValueError, match=r"non-integer node id in edge \(0.0, 1.7\)"):
-            Graph.from_edges([(0, 1.7)])
+            Graph(2, [(0, 1.7)])
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="non-integer"):
                 Graph(3, np.array([[0.0, bad]]))
             with pytest.raises(ValueError, match="non-integer"):
-                Graph.from_edges([(0, bad)])
+                Graph(3, [(0, bad)])
         with pytest.raises(ValueError, match="int64 range"):
             Graph(3, np.array([[0.0, 2.0**63]]))
 
     def test_integral_floats_and_numpy_ints_accepted(self):
         want = Graph(3, [(0, 2), (1, 2)])
         assert Graph(3, [(0, 2.0), (1.0, 2)]) == want
-        assert Graph.from_edges([(np.int32(0), np.int64(2)), (1.0, 2.0)]) == want
+        assert Graph(3, [(np.int32(0), np.int64(2)), (1.0, 2.0)]) == want
         assert Graph(3, np.array([[0.0, 2.0], [1.0, 2.0]])) == want
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40))
     def test_neighbors_match_dict_adjacency(self, pairs):
-        g = Graph.from_edges([(u, v) for u, v in pairs if u != v], n=12)
+        g = Graph(12, [(u, v) for u, v in pairs if u != v])
         adj = {i: set() for i in range(g.n)}
-        for u, v in g.edges:
+        for u, v in g.edge_array.tolist():
             adj[u].add(v)
             adj[v].add(u)
         for i in range(g.n):
